@@ -9,25 +9,6 @@
 
 namespace ucqn {
 
-namespace {
-
-// With a cost model in play, the literal order PLAN* emitted (body order)
-// is itself a plan-quality decision: route it through the model. A
-// disjunct the model cannot order (not orderable under the greedy rule)
-// keeps its PLAN* order, which is executable by construction.
-UnionQuery ReorderPlan(const UnionQuery& plan, const Catalog& catalog,
-                       const CostModel& model) {
-  UnionQuery out;
-  for (const ConjunctiveQuery& disjunct : plan.disjuncts()) {
-    std::optional<ConjunctiveQuery> ordered =
-        OptimizeLiteralOrder(disjunct, catalog, model);
-    out.AddDisjunct(ordered.has_value() ? std::move(*ordered) : disjunct);
-  }
-  return out;
-}
-
-}  // namespace
-
 AnswerStarReport AnswerStar(const UnionQuery& q, const Catalog& catalog,
                             Source* source, const ExecutionOptions& options) {
   AnswerStarReport report;
@@ -36,8 +17,9 @@ AnswerStarReport AnswerStar(const UnionQuery& q, const Catalog& catalog,
   UnionQuery under_plan = report.plans.under;
   UnionQuery over_plan = report.plans.over;
   if (options.cost_model != nullptr) {
-    under_plan = ReorderPlan(under_plan, catalog, *options.cost_model);
-    over_plan = ReorderPlan(over_plan, catalog, *options.cost_model);
+    under_plan =
+        ReorderForExecution(under_plan, catalog, *options.cost_model);
+    over_plan = ReorderForExecution(over_plan, catalog, *options.cost_model);
   }
 
   // One stack for both plans: Qᵘ and Qᵒ overlap heavily (the underestimate

@@ -5,6 +5,7 @@
 #include <set>
 
 #include "eval/executor.h"
+#include "eval/op/lowering.h"
 #include "schema/adornment.h"
 #include "util/logging.h"
 
@@ -62,6 +63,7 @@ std::string PlanExplanation::ToString() const {
       out += " [score=" + std::string(buf) + "]";
     }
     if (step.score.filter) out += " [filter]";
+    if (step.cartesian) out += " [cartesian]";
     out += "\n";
   }
   if (!ok) out += "  plan is not executable at the last literal\n";
@@ -80,6 +82,7 @@ PlanExplanation ExplainPlan(const ConjunctiveQuery& q, const Catalog& catalog,
     std::optional<AccessPattern> pattern = ChoosePattern(
         catalog, literal, bound, model, context, &step.decision);
     step.score = model.ScoreLiteral(catalog, literal, bound, context);
+    step.cartesian = pattern.has_value() && IsCartesianStep(literal, bound);
     const bool executable = pattern.has_value();
     explanation.steps.push_back(std::move(step));
     if (!executable) return explanation;  // ok stays false

@@ -55,6 +55,9 @@ struct LiteralPlanStep {
   PatternDecision decision;
   // The scheduling score the model gave this literal at its position.
   LiteralScore score;
+  // The step expands the bindings but shares no variable with those
+  // before it (IsCartesianStep, eval/op/lowering.h).
+  bool cartesian = false;
 };
 
 // The per-literal decision trace of executing `q`'s body left to right
@@ -66,7 +69,8 @@ struct PlanExplanation {
   std::string model;  // the cost model's name()
   std::vector<LiteralPlanStep> steps;
 
-  // e.g. "  Lookup(x, v): io cost=35200.0 (chosen), oo cost=250500.0".
+  // e.g. "  Lookup(x, v): io cost=35200.0 (chosen), oo cost=250500.0", with
+  // " [cartesian]" after a Cartesian step.
   std::string ToString() const;
 };
 

@@ -33,6 +33,11 @@ OperatorKind ClassifyLiteral(const Literal& literal,
   return OperatorKind::kAccessScan;
 }
 
+bool IsCartesianStep(const Literal& literal, const BoundVariables& bound) {
+  return !bound.empty() &&
+         ClassifyLiteral(literal, bound) == OperatorKind::kAccessScan;
+}
+
 std::vector<OperatorKind> LowerOperatorKinds(const ConjunctiveQuery& q) {
   std::vector<OperatorKind> kinds;
   kinds.reserve(q.body().size());

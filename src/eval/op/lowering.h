@@ -19,6 +19,12 @@ namespace ucqn {
 OperatorKind ClassifyLiteral(const Literal& literal,
                              const BoundVariables& bound);
 
+// True when running `literal` after a non-empty `bound` is a Cartesian
+// product: it lowers to an access scan, so it shares no bound variable.
+// OptimizeLiteralOrder (eval/planner.h) avoids the forced ones; --explain
+// marks every one with [cartesian].
+bool IsCartesianStep(const Literal& literal, const BoundVariables& bound);
+
 // The operator kinds of `q`'s body literals in order, tracking the
 // bound-variable progression. Cheap (no catalog or model); this is what
 // the DAG executor builds its chains from at execution time.

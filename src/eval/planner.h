@@ -40,6 +40,23 @@ struct PlannerOptions {
 // bench_planner quantifies the difference in source calls and tuples
 // moved.
 //
+// One rule ranks ahead of the score: the connectivity rule. A candidate
+// after which every remaining positive literal can still run without a
+// Cartesian product (repeatedly add any executable remaining literal
+// that shares a variable with the bound set; all must be reached) beats
+// one after which they cannot. On the walk C0(v0, v1), C1(v1, v2),
+// C2(v2, v3) with C1 probe-only, starting at C2 strands C0 as a
+// Cartesian product; the rule starts at C0. The greedy pick is tested
+// first and alternatives only when it fails, so the order changes only
+// where the greedy one would hold a forced Cartesian product:
+//   - a body that cannot avoid one (e.g. Q(x, y) :- R(x), S(y)) keeps
+//     the greedy order exactly — the rule switches off for good at the
+//     first step where no candidate passes;
+//   - voluntary cross products stay: a Cartesian candidate the model
+//     prefers passes whenever the rest can still join afterwards.
+// The check runs on 64-bit variable masks; a body with more than 64
+// distinct variables (or literals) is ordered by the plain greedy rule.
+//
 // Returns nullopt when `q` is not orderable (no executable ordering
 // exists) — callers fall back to PLAN*'s approximations. Unsatisfiable
 // queries are ordered like any other (they execute to the empty answer);
@@ -53,9 +70,16 @@ std::optional<UnionQuery> OptimizeLiteralOrder(const UnionQuery& q,
                                                const Catalog& catalog,
                                                const CostModel& model);
 
+// The order ANSWER* executes under a cost model: every disjunct of a
+// PLAN* plan through OptimizeLiteralOrder, keeping a disjunct's own
+// (executable by construction) order when the model cannot order it.
+// `ucqnc --explain` prints the same order.
+UnionQuery ReorderForExecution(const UnionQuery& plan, const Catalog& catalog,
+                               const CostModel& model);
+
 // Legacy entry points: build a StaticCostModel from `estimates` and
-// `options` and delegate — bit-compatible with the pre-cost-layer greedy
-// planner.
+// `options` and delegate — the pre-cost-layer greedy planner's scores,
+// plus the connectivity rule.
 std::optional<ConjunctiveQuery> OptimizeLiteralOrder(
     const ConjunctiveQuery& q, const Catalog& catalog,
     const CardinalityEstimates& estimates, const PlannerOptions& options = {});

@@ -56,7 +56,16 @@ std::optional<AccessPattern> ChoosePattern(const Catalog& catalog,
 
 bool CanExecuteNext(const Catalog& catalog, const Literal& literal,
                     const BoundVariables& bound) {
-  return ChoosePattern(catalog, literal, bound).has_value();
+  // ChoosePattern(...).has_value() without pricing a single pattern.
+  const RelationSchema* schema = catalog.Find(literal.relation());
+  if (schema == nullptr || schema->arity() != literal.atom().arity()) {
+    return false;
+  }
+  if (literal.negative() && !AllVariablesBound(literal, bound)) return false;
+  for (const AccessPattern& pattern : schema->patterns()) {
+    if (PatternUsable(literal, pattern, bound)) return true;
+  }
+  return false;
 }
 
 std::optional<std::vector<AccessPattern>> ComputeAdornments(

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "ast/parser.h"
+#include "gen/random_query.h"
 
 namespace ucqn {
 namespace {
@@ -158,6 +161,51 @@ TEST(AllVariablesBoundTest, Basic) {
   Literal l = MustParseRule("Q(x) :- R(x, y).").body()[0];
   EXPECT_FALSE(AllVariablesBound(l, {"x"}));
   EXPECT_TRUE(AllVariablesBound(l, {"x", "y"}));
+}
+
+// CanExecuteNext is a direct check; it must answer exactly what the
+// pattern choice does, for any literal and bound set — including negated
+// literals, undeclared relations and arity mismatches.
+TEST(CanExecuteNextTest, AgreesWithChoosePattern) {
+  std::mt19937 rng(20040314);
+  RandomSchemaOptions schema_options;
+  schema_options.input_slot_prob = 0.5;
+  RandomQueryOptions options;
+  options.num_literals = 5;
+  options.num_variables = 4;
+  options.constant_prob = 0.15;
+  int executable = 0;
+  int blocked = 0;
+  for (int round = 0; round < 200; ++round) {
+    Catalog catalog = RandomCatalog(&rng, schema_options);
+    ConjunctiveQuery q = RandomCq(&rng, catalog, options);
+    std::vector<Literal> literals = q.body();
+    // An undeclared relation, and a declared one at the wrong arity.
+    literals.push_back(
+        Literal::Positive(Atom("Undeclared", {Term::Variable("v0")})));
+    literals.push_back(Literal::Positive(Atom(
+        q.body()[0].relation(), {Term::Variable("v0"), Term::Variable("v1"),
+                                 Term::Variable("v2"), Term::Variable("v3")})));
+    for (const Literal& positive : literals) {
+      for (const bool negate : {false, true}) {
+        const Literal literal =
+            negate ? Literal::Negative(positive.atom()) : positive;
+        BoundVariables bound;
+        for (int v = 0; v < options.num_variables; ++v) {
+          if (std::bernoulli_distribution(0.5)(rng)) {
+            bound.insert("v" + std::to_string(v));
+          }
+        }
+        const bool expected =
+            ChoosePattern(catalog, literal, bound).has_value();
+        EXPECT_EQ(CanExecuteNext(catalog, literal, bound), expected)
+            << literal.ToString();
+        (expected ? executable : blocked) += 1;
+      }
+    }
+  }
+  EXPECT_GT(executable, 100);
+  EXPECT_GT(blocked, 100);
 }
 
 }  // namespace

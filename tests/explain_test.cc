@@ -5,6 +5,8 @@
 #include "ast/parser.h"
 #include "cost/cost_model.h"
 #include "cost/stats_catalog.h"
+#include "eval/planner.h"
+#include "feasibility/plan_star.h"
 #include "gen/scenarios.h"
 
 namespace ucqn {
@@ -146,6 +148,102 @@ TEST(ExplainPlanTest, CoversEveryDisjunctOfAUnion) {
   EXPECT_TRUE(explanations[1].ok);
   EXPECT_EQ(explanations[0].steps[0].decision.relation, "R");
   EXPECT_EQ(explanations[1].steps[0].decision.relation, "S");
+}
+
+// A pass-through source that records the relation of every run of calls,
+// i.e. the literal order the executor actually ran.
+class RecordingSource : public Source {
+ public:
+  explicit RecordingSource(Source* inner) : inner_(inner) {}
+  FetchResult Fetch(const std::string& relation, const AccessPattern& pattern,
+                    const std::vector<std::optional<Term>>& inputs) override {
+    if (runs.empty() || runs.back() != relation) runs.push_back(relation);
+    return inner_->Fetch(relation, pattern, inputs);
+  }
+  std::vector<std::string> runs;
+
+ private:
+  Source* inner_;
+};
+
+// The walk of the wide_frontier workload, written so that PLAN*'s body
+// order (C2, C0, C1) runs C0 as a Cartesian product, and a cost model
+// under which the planner reorders it to C0, C1, C2.
+struct Walk {
+  Catalog catalog = Catalog::MustParse("C0/2: io oo\nC1/2: io\nC2/2: io oo\n");
+  UnionQuery query = MustParseUnionQuery(
+      "Q(v0, v3) :- C2(v2, v3), C0(v0, v1), C1(v1, v2).");
+  CardinalityEstimates estimates = [] {
+    CardinalityEstimates e;
+    e.Set("C0", 512);
+    e.Set("C1", 256);
+    e.Set("C2", 510);
+    return e;
+  }();
+  StaticCostModel model{PatternPreference::kMostInputs, estimates};
+};
+
+std::vector<std::string> Relations(const UnionQuery& plan) {
+  std::vector<std::string> out;
+  for (const ConjunctiveQuery& disjunct : plan.disjuncts()) {
+    for (const Literal& l : disjunct.body()) out.push_back(l.relation());
+  }
+  return out;
+}
+
+TEST(ExplainPlanTest, ExplainsTheOrderAnswerStarExecutes) {
+  Walk walk;
+  PlanStarResult plans = PlanStar(walk.query, walk.catalog);
+  ASSERT_EQ(Relations(plans.under),
+            (std::vector<std::string>{"C2", "C0", "C1"}));
+  const UnionQuery under =
+      ReorderForExecution(plans.under, walk.catalog, walk.model);
+  const UnionQuery over =
+      ReorderForExecution(plans.over, walk.catalog, walk.model);
+  ASSERT_EQ(Relations(under), (std::vector<std::string>{"C0", "C1", "C2"}));
+
+  Database db = Database::MustParseFacts(R"(
+    C0("a", "b").
+    C1("b", "c").
+    C2("c", "d").
+  )");
+  DatabaseSource backend(&db, &walk.catalog);
+  RecordingSource recording(&backend);
+  ExecutionOptions options;
+  options.cost_model = &walk.model;
+  AnswerStarReport report =
+      AnswerStar(walk.query, walk.catalog, &recording, options);
+  ASSERT_TRUE(report.complete);
+  std::vector<std::string> executed = Relations(under);
+  for (const std::string& r : Relations(over)) executed.push_back(r);
+  EXPECT_EQ(recording.runs, executed);
+
+  // The explained order has no Cartesian step; PLAN*'s own order has one.
+  const std::string explained =
+      ExplainPlan(under, walk.catalog, walk.model)[0].ToString();
+  EXPECT_EQ(explained.find("[cartesian]"), std::string::npos) << explained;
+  EXPECT_LT(explained.find("C0(v0, v1)"), explained.find("C1(v1, v2)"));
+}
+
+TEST(ExplainPlanTest, MarksCartesianSteps) {
+  Walk walk;
+  PlanExplanation explanation =
+      ExplainPlan(walk.query.disjuncts()[0], walk.catalog, walk.model);
+  ASSERT_TRUE(explanation.ok);
+  ASSERT_EQ(explanation.steps.size(), 3u);
+  // C2 opens the plan (nothing bound yet: a scan, not a product); C0
+  // then shares no variable with v2, v3; C1 joins on both sides and is
+  // a filter.
+  EXPECT_FALSE(explanation.steps[0].cartesian);
+  EXPECT_TRUE(explanation.steps[1].cartesian);
+  EXPECT_FALSE(explanation.steps[2].cartesian);
+  const std::string rendered = explanation.ToString();
+  const std::size_t c0 = rendered.find("C0(v0, v1)");
+  const std::size_t mark = rendered.find(" [cartesian]\n");
+  ASSERT_NE(mark, std::string::npos) << rendered;
+  EXPECT_LT(c0, mark);
+  EXPECT_LT(mark, rendered.find("C1(v1, v2)"));
+  EXPECT_EQ(rendered.rfind("[cartesian]"), mark + 1);  // the only mark
 }
 
 }  // namespace

@@ -2,11 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <random>
 
 #include "ast/parser.h"
+#include "cost/cost_model.h"
+#include "cost/stats_catalog.h"
 #include "eval/executor.h"
+#include "eval/op/lowering.h"
 #include "eval/oracle.h"
+#include "feasibility/answerable.h"
 #include "gen/random_instance.h"
 #include "gen/random_query.h"
 #include "schema/adornment.h"
@@ -202,6 +208,12 @@ TEST_P(PlannerPropertyTest, OptimizedPlansPreserveAnswers) {
     CardinalityEstimates est = CardinalityEstimates::FromDatabase(db);
     std::optional<ConjunctiveQuery> plan =
         OptimizeLiteralOrder(q, catalog, est);
+    // A rejected orderable body must fail here, not drop out of the test.
+    // IsOrderable calls every unsatisfiable body orderable (it equals
+    // `false`); the planner still orders such a body's literals.
+    if (!q.IsUnsatisfiable()) {
+      EXPECT_EQ(plan.has_value(), IsOrderable(q, catalog)) << q.ToString();
+    }
     if (!plan.has_value()) continue;
     ++checked;
     EXPECT_TRUE(IsExecutable(*plan, catalog)) << plan->ToString();
@@ -214,6 +226,245 @@ TEST_P(PlannerPropertyTest, OptimizedPlansPreserveAnswers) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PlannerPropertyTest, ::testing::Range(0, 6));
+
+// --- The connectivity rule -------------------------------------------------
+
+std::vector<std::string> Relations(const ConjunctiveQuery& q) {
+  std::vector<std::string> out;
+  for (const Literal& l : q.body()) out.push_back(l.relation());
+  return out;
+}
+
+// Cartesian steps of running `q`'s body in order.
+int CartesianSteps(const ConjunctiveQuery& q) {
+  int steps = 0;
+  BoundVariables bound;
+  for (const Literal& l : q.body()) {
+    if (IsCartesianStep(l, bound)) ++steps;
+    if (l.positive()) BindVariables(l, &bound);
+  }
+  return steps;
+}
+
+// Cartesian steps taken while no other remaining positive literal could
+// have run next sharing a variable with the bindings — the ones the
+// planner could not have avoided at that point.
+int ForcedCartesianSteps(const ConjunctiveQuery& q, const Catalog& catalog) {
+  int forced = 0;
+  BoundVariables bound;
+  const std::vector<Literal>& body = q.body();
+  for (std::size_t k = 0; k < body.size(); ++k) {
+    if (IsCartesianStep(body[k], bound)) {
+      bool alternative = false;
+      for (std::size_t j = k + 1; j < body.size(); ++j) {
+        alternative = alternative ||
+                      (body[j].positive() &&
+                       CanExecuteNext(catalog, body[j], bound) &&
+                       !IsCartesianStep(body[j], bound));
+      }
+      if (!alternative) ++forced;
+    }
+    if (body[k].positive()) BindVariables(body[k], &bound);
+  }
+  return forced;
+}
+
+// The wide_frontier walk: C0 and C2 scannable, C1 probe-only.
+Catalog WalkCatalog() {
+  return Catalog::MustParse("C0/2: io oo\nC1/2: io\nC2/2: io oo\n");
+}
+
+TEST(ConnectivityRuleTest, WalkStartsAtTheEndThatKeepsTheJoinConnected) {
+  Catalog catalog = WalkCatalog();
+  ConjunctiveQuery q = MustParseRule(
+      "Q(v0, v3) :- C0(v0, v1), C1(v1, v2), C2(v2, v3).");
+  // C2's scan is marginally cheaper than C0's, so the greedy score alone
+  // starts at C2 — which leaves C0 to run as a Cartesian product. C1's
+  // probes are observed to be fast, so once C0 has run the adaptive model
+  // prefers probing C1 over scanning C2.
+  CardinalityEstimates estimates;
+  estimates.Set("C0", 512);
+  estimates.Set("C1", 256);
+  estimates.Set("C2", 510);
+  StatsCatalog stats;
+  RelationStats scan;
+  scan.calls = 10;
+  scan.tuples = 5110;
+  scan.p50_latency_micros = 100.0;
+  stats.Record("C0", scan);
+  stats.Record("C2", scan);
+  RelationStats probe;
+  probe.calls = 256;
+  probe.tuples = 256;
+  probe.p50_latency_micros = 1.0;
+  stats.Record("C1", probe);
+  AdaptiveCostModel adaptive(&stats, estimates);
+  StaticCostModel static_model(PatternPreference::kMostInputs, estimates);
+  for (const CostModel* model :
+       {static_cast<const CostModel*>(&adaptive),
+        static_cast<const CostModel*>(&static_model)}) {
+    BoundVariables none;
+    ASSERT_TRUE(BetterLiteralScore(
+        model->ScoreLiteral(catalog, q.body()[2], none, {}),
+        model->ScoreLiteral(catalog, q.body()[0], none, {})))
+        << model->name();
+    std::optional<ConjunctiveQuery> plan =
+        OptimizeLiteralOrder(q, catalog, *model);
+    ASSERT_TRUE(plan.has_value()) << model->name();
+    EXPECT_EQ(plan->body()[0].relation(), "C0") << model->name();
+    EXPECT_EQ(CartesianSteps(*plan), 0) << plan->ToString();
+    EXPECT_TRUE(IsExecutable(*plan, catalog));
+  }
+
+  // Control: once C1 is scannable too, starting at C2 strands nothing,
+  // and the cheaper scan goes first as before.
+  Catalog open =
+      Catalog::MustParse("C0/2: io oo\nC1/2: io oo\nC2/2: io oo\n");
+  estimates.Set("C1", 5000);
+  std::optional<ConjunctiveQuery> plan = OptimizeLiteralOrder(
+      q, open, StaticCostModel(PatternPreference::kMostInputs, estimates));
+  ASSERT_TRUE(plan.has_value());
+  EXPECT_EQ(plan->body()[0].relation(), "C2");
+}
+
+TEST(ConnectivityRuleTest, DisconnectedBodyKeepsTheGreedyOrder) {
+  Catalog catalog = Catalog::MustParse("R/1: o\nS/1: o\n");
+  CardinalityEstimates estimates;
+  estimates.Set("R", 20);
+  estimates.Set("S", 10);
+  std::optional<ConjunctiveQuery> plan = OptimizeLiteralOrder(
+      MustParseRule("Q(x, y) :- R(x), S(y)."), catalog, estimates);
+  ASSERT_TRUE(plan.has_value());
+  EXPECT_EQ(Relations(*plan), (std::vector<std::string>{"S", "R"}));
+
+  // A body that cannot avoid its Cartesian product keeps the greedy order
+  // at every step, even where moving the product earlier would reconnect
+  // the rest: the filter F(x) still runs before the product S(y).
+  Catalog wider =
+      Catalog::MustParse("R/1: o\nF/1: i\nS/1: o\nT/2: ii\n");
+  estimates.Set("R", 10);
+  estimates.Set("S", 20);
+  plan = OptimizeLiteralOrder(
+      MustParseRule("Q(x, y) :- T(x, y), S(y), F(x), R(x)."), wider,
+      estimates);
+  ASSERT_TRUE(plan.has_value());
+  EXPECT_EQ(Relations(*plan),
+            (std::vector<std::string>{"R", "F", "S", "T"}));
+}
+
+TEST(ConnectivityRuleTest, VoluntaryCrossProductKeepsTheGreedyOrder) {
+  // After R(x), probing Big(x, y) fans out to ~2000 rows per x while the
+  // scan of S(y) returns 50: the model prefers the cross product, and
+  // Big still joins afterwards (as a filter), so the rule lets it stand.
+  Catalog catalog = Catalog::MustParse("R/1: o\nBig/2: io\nS/1: o\n");
+  CardinalityEstimates estimates;
+  estimates.Set("R", 5);
+  estimates.Set("Big", 10000);
+  estimates.Set("S", 50);
+  std::optional<ConjunctiveQuery> plan = OptimizeLiteralOrder(
+      MustParseRule("Q(x, y) :- Big(x, y), S(y), R(x)."), catalog,
+      estimates);
+  ASSERT_TRUE(plan.has_value());
+  EXPECT_EQ(Relations(*plan), (std::vector<std::string>{"R", "S", "Big"}));
+  EXPECT_EQ(CartesianSteps(*plan), 1);
+  EXPECT_EQ(ForcedCartesianSteps(*plan, catalog), 0);
+}
+
+TEST(ConnectivityRuleTest, BodiesWiderThanTheMasksPlanGreedily) {
+  Catalog catalog = Catalog::MustParse("E/2: io oo\n");
+  // 40 literals over 80 variables, and a 70-literal walk.
+  for (const std::string& rule :
+       {[] {
+          std::string r = "Q(a0) :- ";
+          for (int i = 0; i < 40; ++i) {
+            r += (i ? ", E(a" : "E(a") + std::to_string(i) + ", b" +
+                 std::to_string(i) + ")";
+          }
+          return r + ".";
+        }(),
+        [] {
+          std::string r = "Q(v0) :- ";
+          for (int i = 69; i >= 0; --i) {
+            r += "E(v" + std::to_string(i) + ", v" + std::to_string(i + 1) +
+                 (i ? "), " : ").");
+          }
+          return r;
+        }()}) {
+    ConjunctiveQuery q = MustParseRule(rule);
+    std::optional<ConjunctiveQuery> plan =
+        OptimizeLiteralOrder(q, catalog, CardinalityEstimates());
+    ASSERT_TRUE(plan.has_value()) << rule;
+    EXPECT_EQ(plan->body().size(), q.body().size());
+    EXPECT_TRUE(IsExecutable(*plan, catalog));
+  }
+}
+
+// What brute force over every permutation of `q`'s body finds.
+struct OrderSearch {
+  bool executable = false;      // some order is executable
+  bool cartesian_free = false;  // some executable order has no Cartesian step
+};
+
+OrderSearch SearchOrders(const ConjunctiveQuery& q, const Catalog& catalog) {
+  OrderSearch found;
+  std::vector<std::size_t> perm(q.body().size());
+  std::iota(perm.begin(), perm.end(), 0);
+  do {
+    std::vector<Literal> body;
+    for (std::size_t i : perm) body.push_back(q.body()[i]);
+    ConjunctiveQuery ordered = q.WithBody(std::move(body));
+    if (!IsExecutable(ordered, catalog)) continue;
+    found.executable = true;
+    if (CartesianSteps(ordered) == 0) {
+      found.cartesian_free = true;
+      break;
+    }
+  } while (std::next_permutation(perm.begin(), perm.end()));
+  return found;
+}
+
+class ConnectivityPropertyTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(ConnectivityPropertyTest, NoForcedCartesianStepWhenAvoidable) {
+  std::mt19937 rng(static_cast<unsigned>(GetParam()) * 7919 + 13);
+  RandomSchemaOptions schema_options;
+  schema_options.min_arity = 2;
+  schema_options.input_slot_prob = 0.45;
+  RandomQueryOptions options;
+  options.shape = QueryShape::kChain;
+  options.num_variables = 5;
+  options.negation_prob = 0.2;
+  options.head_arity = 1;
+  int avoidable = 0;
+  for (int round = 0; round < 60; ++round) {
+    Catalog catalog = RandomCatalog(&rng, schema_options);
+    CardinalityEstimates estimates;
+    for (const RelationSchema* r : catalog.Relations()) {
+      estimates.Set(r->name(),
+                    std::uniform_int_distribution<int>(1, 2000)(rng));
+    }
+    StaticCostModel model(PatternPreference::kMostInputs, estimates);
+    options.num_literals = std::uniform_int_distribution<int>(2, 6)(rng);
+    UnionQuery u = RandomUcq(&rng, catalog, options, 2);
+    for (const ConjunctiveQuery& q : u.disjuncts()) {
+      std::optional<ConjunctiveQuery> plan =
+          OptimizeLiteralOrder(q, catalog, model);
+      const OrderSearch search = SearchOrders(q, catalog);
+      // A rejected orderable body must fail here, not drop out of the test.
+      EXPECT_EQ(plan.has_value(), search.executable) << q.ToString();
+      if (!plan.has_value()) continue;
+      EXPECT_TRUE(IsExecutable(*plan, catalog)) << plan->ToString();
+      if (!search.cartesian_free) continue;
+      ++avoidable;
+      EXPECT_EQ(ForcedCartesianSteps(*plan, catalog), 0)
+          << q.ToString() << " planned as " << plan->ToString();
+    }
+  }
+  EXPECT_GT(avoidable, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ConnectivityPropertyTest,
+                         ::testing::Range(0, 8));
 
 }  // namespace
 }  // namespace ucqn

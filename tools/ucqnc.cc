@@ -51,8 +51,10 @@
 // --stats-out); the default static model reproduces the classic
 // input-slot-count preference. With --shared-cache the adaptive model
 // also scales each relation's expected physical calls by its observed
-// cache miss rate. --explain prints, per plan literal, the chosen
-// pattern, the rejected candidates, and the cost the model gave each.
+// cache miss rate. --explain prints, per plan literal in the order
+// ANSWER* executes, the chosen pattern, the rejected candidates, and the
+// cost the model gave each; a step that joins no bound variable is
+// marked [cartesian].
 // --stats-out FILE writes the observed per-(relation, pattern) metrics of
 // this run as a stats snapshot for the next one (forces metering).
 //
@@ -84,6 +86,7 @@
 #include "eval/domain_enum.h"
 #include "eval/explain.h"
 #include "eval/op/lowering.h"
+#include "eval/planner.h"
 #include "feasibility/answerable.h"
 #include "feasibility/compile.h"
 #include "feasibility/plan_star.h"
@@ -831,7 +834,13 @@ int main(int argc, char** argv) {
   std::printf("%s\n", compiled.Report().c_str());
 
   if (explain_plans) {
+    // Explain the order ANSWER* executes: under --cost-model that is each
+    // PLAN* disjunct reordered by the model, not PLAN*'s body order.
     PlanStarResult plans = PlanStar(compiled.analyzed_query, *catalog);
+    if (exec.cost_model != nullptr) {
+      plans.under = ReorderForExecution(plans.under, *catalog, *model);
+      plans.over = ReorderForExecution(plans.over, *catalog, *model);
+    }
     const auto print_decisions = [&](const char* title,
                                      const UnionQuery& plan) {
       std::printf("\n%s plan decisions:\n", title);
