@@ -12,14 +12,12 @@
 //    measured on every scenario).
 //  * BM_JoinPipelineCache — a selective join re-executed against a slow
 //    simulated service; hit ratio and backend calls with/without cache.
-//  * BM_DictionaryEncodedWaves — the dictionary-encoding payoff on a
-//    wide-frontier join (thousands of live bindings, long constant
-//    names) with a negated literal and a warm shared-cache rerun: wave
-//    dedup, anti-join membership probes, and cache keys all run over
-//    flat uint32 ids instead of strings. Measures the encoded executor
-//    against the --no-dictionary string-path oracle on the same
-//    workload; `speedup` is the headline number (>= 1.5x required) with
-//    byte-identical answers at parallelism 1.
+//  * BM_DictionaryEncodedWaves — the encoded executor on a wide-frontier
+//    join (thousands of live bindings, long constant names) with a
+//    negated literal and a warm shared-cache rerun: wave dedup,
+//    anti-join membership probes, and cache keys all run over flat
+//    uint32 ids. Real time per cold+warm pair, with answers checked
+//    against the per-binding reference loop (`answers_match`).
 //  * BM_RetryUnderFaults — a flaky service (seeded transient failures)
 //    behind the retrying stack; measures attempts vs. logical calls and
 //    the virtual time spent backing off.
@@ -34,13 +32,12 @@
 //  * BM_OperatorDagDisjuncts — the operator-DAG executor's concurrency
 //    payoff: a three-disjunct UCQ¬ (each disjunct a scan fanning a
 //    6000-row combined frontier into keyed probes plus a negated
-//    anti-join probe) against a 500us/call simulated service. The legacy
-//    loop and the DAG at disjunct_concurrency 1 cost the same simulated
-//    wall-clock (byte-identical schedules); at disjunct_concurrency 3
-//    the three chains stage one wave each per round and resolve them in
-//    one overlap bracket, so each round costs its slowest lane —
-//    simulated wall-clock drops ~3x (>= 1.5x required) with identical
-//    answers.
+//    anti-join probe) against a 500us/call simulated service. At
+//    disjunct_concurrency 1 the chains run one after another; at 3 the
+//    three chains stage one wave each per round and resolve them in one
+//    overlap bracket, so each round costs its slowest lane — simulated
+//    wall-clock drops ~3x (>= 1.5x required) with answers equal to the
+//    per-binding reference loop's.
 //  * BM_DaemonWarmStart — two QueryDaemon lifetimes over one snapshot
 //    directory: the first serves a query cold and drains (spilling
 //    cache.json/stats.json), the second boots from those files over a
@@ -314,14 +311,15 @@ struct EncodedWavesRun {
   std::uint64_t warm_hits = 0;
 };
 
+// `batch` false runs the per-binding reference loop — the answers the
+// encoded waves are checked against.
 EncodedWavesRun RunEncodedWaves(const Catalog& catalog, const Database& db,
-                                bool dictionary) {
+                                bool batch) {
   const ConjunctiveQuery plan =
       MustParseRule("Q(x, v) :- Wide(x, m), Probe(m, v), not Banned(m).");
   DatabaseSource backend(&db, &catalog);
   ExecutionOptions options;
-  options.batch = true;
-  options.dictionary = dictionary;
+  options.batch = batch;
   options.runtime.cache = true;
   options.runtime.metering = true;
 
@@ -344,28 +342,25 @@ EncodedWavesRun RunEncodedWaves(const Catalog& catalog, const Database& db,
 }
 
 void BM_DictionaryEncodedWaves(benchmark::State& state) {
-  const bool dictionary = state.range(0) != 0;
   const Catalog catalog = EncodedWavesCatalog();
   const Database db = EncodedWavesDatabase();
 
   EncodedWavesRun run;
-  EncodedWavesRun oracle;
   for (auto _ : state) {
-    run = RunEncodedWaves(catalog, db, dictionary);
+    run = RunEncodedWaves(catalog, db, /*batch=*/true);
     if (!run.ok) {
       state.SkipWithError("execution failed or cold/warm answers diverged");
       return;
     }
   }
-  oracle = RunEncodedWaves(catalog, db, /*dictionary=*/false);
-  state.SetLabel(dictionary ? "encoded" : "string-path oracle");
-  state.counters["dictionary"] = dictionary ? 1.0 : 0.0;
+  const EncodedWavesRun reference =
+      RunEncodedWaves(catalog, db, /*batch=*/false);
   state.counters["answers"] = static_cast<double>(run.answers.size());
   state.counters["warm_hits"] = static_cast<double>(run.warm_hits);
   state.counters["answers_match"] =
-      run.answers == oracle.answers ? 1.0 : 0.0;
+      reference.ok && run.answers == reference.answers ? 1.0 : 0.0;
 }
-BENCHMARK(BM_DictionaryEncodedWaves)->Arg(0)->Arg(1);
+BENCHMARK(BM_DictionaryEncodedWaves);
 
 void BM_RetryUnderFaults(benchmark::State& state) {
   const double failure_probability =
@@ -654,9 +649,9 @@ struct OperatorDagRun {
 // Three structurally identical disjuncts — scan, keyed join, negated
 // probe — so every chain has the same per-round latency profile and the
 // overlap bracket's max-over-lanes is a clean 1/3 of the serial sum.
-// `dag=false` runs the legacy encoded loop (the --legacy-executor
-// oracle); concurrency is only meaningful on the DAG path.
-OperatorDagRun RunOperatorDag(bool dag, std::size_t concurrency) {
+// `batch` false runs the per-binding reference loop (the answers the DAG
+// is checked against); concurrency is only meaningful on the DAG path.
+OperatorDagRun RunOperatorDag(bool batch, std::size_t concurrency) {
   Catalog catalog = OperatorDagCatalog();
   Database db = OperatorDagDatabase();
   UnionQuery query = MustParseUnionQuery(R"(
@@ -670,7 +665,7 @@ OperatorDagRun RunOperatorDag(bool dag, std::size_t concurrency) {
   SimulatedClock clock;
   FaultInjectingSource slow(&backend, faults, &clock);
   ExecutionOptions options;
-  options.dag = dag;
+  options.batch = batch;
   options.disjunct_concurrency = concurrency;
   options.runtime.metering = true;
   options.runtime.clock = &clock;
@@ -687,13 +682,12 @@ OperatorDagRun RunOperatorDag(bool dag, std::size_t concurrency) {
 }
 
 void BM_OperatorDagDisjuncts(benchmark::State& state) {
-  // range(0): 0 = legacy loop, otherwise the DAG at that concurrency.
   const auto concurrency = static_cast<std::size_t>(state.range(0));
-  OperatorDagRun legacy = RunOperatorDag(/*dag=*/false, 1);
+  const OperatorDagRun reference = RunOperatorDag(/*batch=*/false, 1);
+  const OperatorDagRun serial = RunOperatorDag(/*batch=*/true, 1);
   OperatorDagRun run;
   for (auto _ : state) {
-    run = RunOperatorDag(/*dag=*/concurrency > 0,
-                         concurrency > 0 ? concurrency : 1);
+    run = RunOperatorDag(/*batch=*/true, concurrency);
     if (!run.ok) {
       state.SkipWithError("operator-DAG execution failed");
       return;
@@ -705,13 +699,14 @@ void BM_OperatorDagDisjuncts(benchmark::State& state) {
   state.counters["speedup"] =
       run.sim_wall_micros == 0
           ? 0.0
-          : static_cast<double>(legacy.sim_wall_micros) /
+          : static_cast<double>(serial.sim_wall_micros) /
                 static_cast<double>(run.sim_wall_micros);
   state.counters["morsels"] = static_cast<double>(run.morsels);
   state.counters["antijoin_build"] = static_cast<double>(run.antijoin_build);
-  state.counters["answers_match"] = run.answers == legacy.answers ? 1.0 : 0.0;
+  state.counters["answers_match"] =
+      reference.ok && run.answers == reference.answers ? 1.0 : 0.0;
 }
-BENCHMARK(BM_OperatorDagDisjuncts)->Arg(0)->Arg(1)->Arg(3);
+BENCHMARK(BM_OperatorDagDisjuncts)->Arg(1)->Arg(3);
 
 // --- daemon warm restart over spilled snapshots ---------------------------
 
@@ -964,33 +959,23 @@ void WriteBenchJson(const char* path) {
   {
     const Catalog catalog = EncodedWavesCatalog();
     const Database db = EncodedWavesDatabase();
-    // Best of a few repetitions per mode: the workload is CPU-bound on
+    // Best of a few repetitions: the workload is CPU-bound on
     // dedup/probe/key work, so min filters scheduler noise.
     EncodedWavesRun encoded;
-    EncodedWavesRun oracle;
     for (int rep = 0; rep < 5; ++rep) {
-      EncodedWavesRun e = RunEncodedWaves(catalog, db, /*dictionary=*/true);
-      EncodedWavesRun o = RunEncodedWaves(catalog, db, /*dictionary=*/false);
+      EncodedWavesRun e = RunEncodedWaves(catalog, db, /*batch=*/true);
       if (!encoded.ok || (e.ok && e.wall_micros < encoded.wall_micros)) {
         encoded = std::move(e);
       }
-      if (!oracle.ok || (o.ok && o.wall_micros < oracle.wall_micros)) {
-        oracle = std::move(o);
-      }
     }
-    const double speedup =
-        encoded.wall_micros == 0
-            ? 0.0
-            : static_cast<double>(oracle.wall_micros) /
-                  static_cast<double>(encoded.wall_micros);
+    const EncodedWavesRun reference =
+        RunEncodedWaves(catalog, db, /*batch=*/false);
     json += "{\"frontier_rows\": 6000, \"distinct_probes\": 96"
             ", \"encoded_wall_us\": " + std::to_string(encoded.wall_micros) +
-            ", \"string_wall_us\": " + std::to_string(oracle.wall_micros) +
-            ", \"speedup\": " + std::to_string(speedup) +
             ", \"warm_hits\": " + std::to_string(encoded.warm_hits) +
             ", \"answers\": " + std::to_string(encoded.answers.size()) +
             ", \"answers_match\": " +
-            (encoded.ok && oracle.ok && encoded.answers == oracle.answers
+            (encoded.ok && reference.ok && encoded.answers == reference.answers
                  ? "true"
                  : "false") +
             "}";
@@ -1020,33 +1005,25 @@ void WriteBenchJson(const char* path) {
           ", \"latency_us\": 500, \"runs\": [";
   first = true;
   {
-    OperatorDagRun legacy = RunOperatorDag(/*dag=*/false, 1);
-    struct Mode {
-      const char* executor;
-      bool dag;
-      std::size_t concurrency;
-    };
-    for (const Mode& mode :
-         {Mode{"legacy", false, 1}, Mode{"dag", true, 1},
-          Mode{"dag", true, 3}}) {
-      OperatorDagRun run = RunOperatorDag(mode.dag, mode.concurrency);
+    const OperatorDagRun reference = RunOperatorDag(/*batch=*/false, 1);
+    const OperatorDagRun serial = RunOperatorDag(/*batch=*/true, 1);
+    for (std::size_t concurrency : {std::size_t{1}, std::size_t{3}}) {
+      OperatorDagRun run = RunOperatorDag(/*batch=*/true, concurrency);
       if (!first) json += ", ";
       first = false;
       const double speedup =
           run.sim_wall_micros == 0
               ? 0.0
-              : static_cast<double>(legacy.sim_wall_micros) /
+              : static_cast<double>(serial.sim_wall_micros) /
                     static_cast<double>(run.sim_wall_micros);
-      json += "{\"executor\": \"" + std::string(mode.executor) +
-              "\", \"disjunct_concurrency\": " +
-              std::to_string(mode.concurrency) +
+      json += "{\"disjunct_concurrency\": " + std::to_string(concurrency) +
               ", \"calls\": " + std::to_string(run.backend_calls) +
               ", \"sim_wall_us\": " + std::to_string(run.sim_wall_micros) +
               ", \"speedup\": " + std::to_string(speedup) +
               ", \"morsels\": " + std::to_string(run.morsels) +
               ", \"antijoin_build\": " + std::to_string(run.antijoin_build) +
               ", \"answers_match\": " +
-              (run.ok && legacy.ok && run.answers == legacy.answers
+              (run.ok && reference.ok && run.answers == reference.answers
                    ? "true"
                    : "false") +
               "}";

@@ -1,12 +1,14 @@
 #include "eval/dag_executor.h"
 
 #include <algorithm>
-#include <deque>
+#include <cstdint>
+#include <limits>
 #include <optional>
 #include <utility>
 
 #include "cost/cost_model.h"
 #include "dict/term_dictionary.h"
+#include "eval/exec_common.h"
 #include "eval/frontier.h"
 #include "eval/op/lowering.h"
 #include "eval/op/operators.h"
@@ -15,58 +17,100 @@ namespace ucqn {
 
 namespace {
 
-const CostModel* ResolveCostModel(const ExecutionOptions& options,
-                                  std::optional<StaticCostModel>* storage) {
-  if (options.cost_model != nullptr) return options.cost_model;
-  storage->emplace(options.pattern_preference);
-  return &**storage;
-}
+// The rows waiting at one chain stage, first in first out. Every row at a
+// stage binds the same variables, so the queue is one columnar frontier
+// read from `head_`; the driver cuts morsels off its front.
+class RowQueue {
+ public:
+  std::size_t size() const { return size_; }
 
-// One disjunct's compiled chain plus its execution state: a FIFO morsel
-// queue in front of every fetch operator, and the sink. A chain is done
-// when every queue has drained (all its morsels either died or were
-// materialized).
+  // Appends `rows` after everything already queued.
+  void Push(ColumnarFrontier&& rows) {
+    if (rows.rows() == 0) return;
+    if (size_ == 0) {
+      buffer_ = std::move(rows);
+      head_ = 0;
+      size_ = buffer_.rows();
+      return;
+    }
+    for (std::size_t c = 0; c < buffer_.width(); ++c) {
+      std::vector<std::uint32_t>& column = buffer_.MutableColumn(c);
+      column.insert(column.end(), rows.Column(c).begin(),
+                    rows.Column(c).end());
+    }
+    buffer_.SetRows(buffer_.rows() + rows.rows());
+    size_ += rows.rows();
+  }
+
+  // Removes and returns the first min(cap, size()) rows, in order.
+  ColumnarFrontier Take(std::size_t cap) {
+    const std::size_t take = std::min(cap, size_);
+    if (head_ == 0 && take == buffer_.rows()) {
+      size_ = 0;
+      return std::move(buffer_);
+    }
+    ColumnarFrontier morsel;
+    for (const std::string& var : buffer_.vars()) morsel.AddVar(var);
+    for (std::size_t c = 0; c < buffer_.width(); ++c) {
+      const std::vector<std::uint32_t>& column = buffer_.Column(c);
+      morsel.MutableColumn(c).assign(column.begin() + head_,
+                                     column.begin() + head_ + take);
+    }
+    morsel.SetRows(take);
+    head_ += take;
+    size_ -= take;
+    if (head_ > size_) Compact();
+    return morsel;
+  }
+
+ private:
+  // Drops the consumed prefix once it outweighs the live rows, so a
+  // stage that is fed while it drains stays linear in what it holds.
+  void Compact() {
+    for (std::size_t c = 0; c < buffer_.width(); ++c) {
+      std::vector<std::uint32_t>& column = buffer_.MutableColumn(c);
+      column.erase(column.begin(), column.begin() + head_);
+    }
+    buffer_.SetRows(size_);
+    head_ = 0;
+  }
+
+  ColumnarFrontier buffer_;
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
+};
+
+// One disjunct's compiled chain plus its execution state: a row queue in
+// front of every fetch operator, and the sink. A chain is done when every
+// queue has drained (all its rows either died or were materialized).
 struct Chain {
-  const ConjunctiveQuery* q = nullptr;
   std::vector<FetchOperator> ops;
-  std::vector<std::deque<ColumnarFrontier>> queues;
+  std::vector<RowQueue> queues;
   MaterializeOp materialize;
   bool done = false;
 
-  static constexpr std::size_t kNoStage = static_cast<std::size_t>(-1);
-
-  // The deepest stage holding a pending morsel (draining deep-first
-  // bounds the rows parked mid-chain, as in the pipelined executor), or
-  // kNoStage when the chain has no work left.
-  std::size_t DeepestStage() const {
-    for (std::size_t i = queues.size(); i-- > 0;) {
-      if (!queues[i].empty()) return i;
+  // Up to `depth` of the deepest stages holding rows, ascending (draining
+  // deep-first bounds the rows parked mid-chain). Empty when the chain
+  // has no work left.
+  std::vector<std::size_t> DeepestStages(std::size_t depth) const {
+    std::vector<std::size_t> stages;
+    for (std::size_t i = queues.size(); i-- > 0 && stages.size() < depth;) {
+      if (queues[i].size() != 0) stages.push_back(i);
     }
-    return kNoStage;
+    std::reverse(stages.begin(), stages.end());
+    return stages;
   }
 };
 
-// Enqueues `out`, split into chunks of at most `morsel_rows` rows
-// (0 = unsplit — the byte-compatible default where a whole frontier is
-// one morsel). Chunks keep row order, so witness order survives
-// splitting.
-void EnqueueMorsels(ColumnarFrontier&& out, std::size_t morsel_rows,
-                    std::deque<ColumnarFrontier>* queue) {
-  if (morsel_rows == 0 || out.rows() <= morsel_rows) {
-    queue->push_back(std::move(out));
-    return;
+// Rows a stage may cut per round: morsel_rows when set; otherwise, when
+// pipelining, one chunk per parallel worker, so the waves of several
+// stages stay small enough to overlap; otherwise the whole queue.
+std::size_t MorselCap(const ExecutionOptions& options) {
+  if (options.morsel_rows != 0) return options.morsel_rows;
+  if (options.runtime.pipeline_depth > 1) {
+    return std::max<std::size_t>(options.runtime.parallelism, 1);
   }
-  for (std::size_t start = 0; start < out.rows(); start += morsel_rows) {
-    const std::size_t end = std::min(start + morsel_rows, out.rows());
-    ColumnarFrontier chunk;
-    for (const std::string& var : out.vars()) chunk.AddVar(var);
-    for (std::size_t c = 0; c < out.width(); ++c) {
-      chunk.MutableColumn(c).assign(out.Column(c).begin() + start,
-                                    out.Column(c).begin() + end);
-    }
-    chunk.SetRows(end - start);
-    queue->push_back(std::move(chunk));
-  }
+  return std::numeric_limits<std::size_t>::max();
 }
 
 }  // namespace
@@ -84,7 +128,6 @@ UnionChainsResult ExecuteChainsDag(
   chains.reserve(disjuncts.size());
   for (const ConjunctiveQuery* q : disjuncts) {
     Chain chain;
-    chain.q = q;
     const std::vector<Literal>& body = q->body();
     if (body.empty()) {
       // An empty body satisfies the one empty binding it started from.
@@ -100,12 +143,15 @@ UnionChainsResult ExecuteChainsDag(
       chain.ops.emplace_back(kinds[i], &body[i], &catalog, model, counters);
     }
     chain.queues.resize(body.size());
-    chain.queues[0].emplace_back();  // the unit frontier every plan seeds
+    chain.queues[0].Push(ColumnarFrontier());  // the unit frontier
     chains.push_back(std::move(chain));
   }
 
   const std::size_t concurrency =
       std::max<std::size_t>(options.disjunct_concurrency, 1);
+  const std::size_t depth =
+      std::max<std::size_t>(options.runtime.pipeline_depth, 1);
+  const std::size_t cap = MorselCap(options);
 
   struct Lane {
     Chain* chain = nullptr;
@@ -117,45 +163,51 @@ UnionChainsResult ExecuteChainsDag(
 
   while (true) {
     // Collect this round's lanes: the first `concurrency` chains (in
-    // disjunct order) with pending morsels each stage their deepest one.
-    // At concurrency 1 this degenerates to driving chain 0 to completion
-    // before chain 1 starts a wave — the sequential union order, so the
-    // shared cache observes the exact same call sequence.
+    // disjunct order) with queued rows each stage their `depth` deepest
+    // non-empty stages, ascending. At concurrency 1 this drives chain 0
+    // to completion before chain 1 starts a wave — the sequential union
+    // order, so a shared cache observes the same call sequence.
     std::vector<Lane> lanes;
+    std::size_t running = 0;
     for (Chain& chain : chains) {
-      if (lanes.size() == concurrency) break;
+      if (running == concurrency) break;
       if (chain.done) continue;
-      const std::size_t stage = chain.DeepestStage();
-      if (stage == Chain::kNoStage) {
+      const std::vector<std::size_t> stages = chain.DeepestStages(depth);
+      if (stages.empty()) {
         chain.done = true;
         ++counters->disjuncts_executed;
         continue;
       }
-      Lane lane;
-      lane.chain = &chain;
-      lane.stage = stage;
-      ColumnarFrontier morsel = std::move(chain.queues[stage].front());
-      chain.queues[stage].pop_front();
-      if (!chain.ops[stage].Stage(std::move(morsel), &lane.wave)) {
-        ++counters->disjuncts_executed;
-        result.error = chain.ops[stage].error();
-        return result;
+      ++running;
+      for (std::size_t stage : stages) {
+        RowQueue& queue = chain.queues[stage];
+        const std::size_t queued = queue.size();
+        Lane lane;
+        lane.chain = &chain;
+        lane.stage = stage;
+        if (!chain.ops[stage].Stage(queue.Take(cap), queued, &lane.wave)) {
+          ++counters->disjuncts_executed;
+          result.error = chain.ops[stage].error();
+          return result;
+        }
+        lanes.push_back(std::move(lane));
       }
-      lanes.push_back(std::move(lane));
     }
     if (lanes.empty()) break;
+    if (depth > 1) {
+      ++counters->pipeline_rounds;
+      if (lanes.size() >= 2) ++counters->pipeline_overlaps;
+    }
 
     if (lanes.size() == 1) {
-      // Synchronous wave: the same FetchBatch the sequential executor
-      // issues, so cache/retry/parallel ledgers stay byte-identical.
       Lane& lane = lanes.front();
       const FetchOperator& op = lane.chain->ops[lane.stage];
       lane.fetched = source->FetchBatch(op.literal().relation(),
                                         *op.pattern(), lane.wave.requests);
     } else {
-      // Concurrent waves: issue in ascending disjunct order, resolve all
-      // inside one overlap bracket (a SimulatedClock charges the round
-      // max-over-lanes; see runtime/clock.h).
+      // Issue in lane order, resolve all inside one overlap bracket (a
+      // SimulatedClock charges the round max-over-lanes; see
+      // runtime/clock.h).
       for (Lane& lane : lanes) {
         const FetchOperator& op = lane.chain->ops[lane.stage];
         lane.future =
@@ -171,9 +223,8 @@ UnionChainsResult ExecuteChainsDag(
       if (clock != nullptr) clock->EndOverlap();
     }
 
-    // Merge in ascending disjunct order; the first failing lane aborts
-    // the whole union, exactly like a failing disjunct of the sequential
-    // loop (no partial answers).
+    // Merge in lane order; the first failing lane aborts the whole
+    // execution (no partial answers).
     for (Lane& lane : lanes) {
       Chain& chain = *lane.chain;
       FetchOperator& op = chain.ops[lane.stage];
@@ -191,15 +242,14 @@ UnionChainsResult ExecuteChainsDag(
                        ") at literal " + op.literal().ToString();
         return result;
       }
-      // A dead morsel is simply not pushed downstream — later operators
-      // never see it, never choose a pattern, never error, reproducing
-      // the sequential loop's break on an empty frontier.
+      // Dead rows are simply not pushed downstream — a stage no row
+      // reaches never chooses a pattern and never errors, reproducing
+      // the reference loop's break on an empty frontier.
       if (out.rows() == 0) continue;
       if (lane.stage + 1 == chain.ops.size()) {
         chain.materialize.Push(out, dict);
       } else {
-        EnqueueMorsels(std::move(out), options.morsel_rows,
-                       &chain.queues[lane.stage + 1]);
+        chain.queues[lane.stage + 1].Push(std::move(out));
       }
     }
   }

@@ -18,27 +18,31 @@ namespace ucqn {
 // either every chain ran to completion (ok, one binding vector per
 // disjunct in input order, each in witness order), or some operator
 // failed and the whole execution aborted with its error — no partial
-// answers, matching the sequential executor's contract.
+// answers, matching the reference loop's contract.
 struct UnionChainsResult {
   bool ok = false;
   std::string error;
   std::vector<std::vector<Substitution>> bindings;
 };
 
-// The push-based DAG driver: lowers each disjunct into a chain of fetch
-// operators over ColumnarFrontier morsels (eval/op/) feeding a
-// Materialize sink, then drives all chains in rounds. Per round, up to
-// ExecutionOptions::disjunct_concurrency chains (ascending disjunct
-// order) each stage their deepest pending morsel; a single-lane round
-// issues its wave synchronously (the exact FetchBatch call sequence of
-// the sequential executor — this is what keeps every runtime ledger
-// byte-identical at concurrency 1), while a multi-lane round issues all
-// waves as FetchBatchAsync and resolves them inside one clock overlap
-// bracket, so a SimulatedClock charges racing disjuncts max-over-lanes.
-// All staging, fetching, and merging happens on the calling thread —
-// concurrency is overlap of waves in flight, not executor threads — so
-// answers are independent of `disjunct_concurrency` and, at the default
-// morsel_rows = 0, byte-identical to the legacy encoded loop.
+// The push-based DAG driver, which runs every batched execution: lowers
+// each disjunct into a chain of fetch operators over ColumnarFrontier
+// morsels (eval/op/) feeding a Materialize sink, with a FIFO row queue in
+// front of every operator, then drives all chains in rounds. Per round,
+// up to ExecutionOptions::disjunct_concurrency chains (ascending disjunct
+// order) each stage up to RuntimeOptions::pipeline_depth of their
+// deepest non-empty stages, in ascending stage order; each stage cuts up
+// to `cap` rows off the front of its queue (morsel_rows when set, else
+// max(1, parallelism) when pipelining, else the whole queue). A stage
+// prices its access pattern once, on first contact, with every row then
+// queued at it. A single-lane round issues its wave synchronously; a
+// multi-lane round issues all waves as FetchBatchAsync and resolves them
+// inside one clock overlap bracket, so a SimulatedClock charges the
+// round max-over-lanes. Lanes merge in issue order and append their rows
+// to the next stage's queue, so witness order is the left-to-right
+// derivation order at every setting. All staging, fetching, and merging
+// happens on the calling thread — concurrency is overlap of waves in
+// flight, not executor threads.
 //
 // `disjuncts` must be non-empty; empty-body disjuncts yield their single
 // empty binding (callers handle ground-head projection). `clock` may be

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "cost/cost_model.h"
+#include "eval/exec_common.h"
 #include "feasibility/plan_star.h"
 #include "schema/adornment.h"
 
@@ -70,44 +71,6 @@ std::optional<AppliedDelta> ApplyDelta(Database* db,
 }
 
 namespace {
-
-// These two mirror the executor's reference per-binding loop
-// (eval/executor.cc) exactly: maintenance fetches must produce the same
-// extensions a from-scratch run would, or maintained frontiers drift from
-// the oracle.
-
-std::vector<std::optional<Term>> FetchInputs(const Literal& literal,
-                                             const AccessPattern& pattern,
-                                             const Substitution& binding) {
-  std::vector<std::optional<Term>> inputs;
-  inputs.reserve(literal.args().size());
-  for (std::size_t j = 0; j < literal.args().size(); ++j) {
-    Term value = binding.Apply(literal.args()[j]);
-    if (pattern.IsInputSlot(j) && value.IsGround()) {
-      inputs.emplace_back(std::move(value));
-    } else {
-      inputs.emplace_back(std::nullopt);
-    }
-  }
-  return inputs;
-}
-
-std::optional<Substitution> UnifyWithTuple(const Literal& literal,
-                                           const Tuple& tuple,
-                                           const Substitution& binding) {
-  Substitution extended = binding;
-  const std::vector<Term>& args = literal.args();
-  if (args.size() != tuple.size()) return std::nullopt;
-  for (std::size_t j = 0; j < args.size(); ++j) {
-    Term value = extended.Apply(args[j]);
-    if (value.IsGround()) {
-      if (value != tuple[j]) return std::nullopt;
-    } else {
-      if (!extended.Bind(value, tuple[j])) return std::nullopt;
-    }
-  }
-  return extended;
-}
 
 // Extends one frontier row through one stage with an ordinary fetch,
 // appending the surviving extensions to `out`.

@@ -1,35 +1,20 @@
 #include "eval/executor.h"
 
 #include <algorithm>
-#include <cstring>
-#include <deque>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "ast/substitution.h"
 #include "cost/cost_model.h"
 #include "cost/stats_catalog.h"
-#include "dict/term_dictionary.h"
 #include "eval/dag_executor.h"
-#include "eval/frontier.h"
+#include "eval/exec_common.h"
 #include "eval/op/operator.h"
 #include "schema/adornment.h"
 
 namespace ucqn {
 
 namespace {
-
-// Resolves the model every pattern decision flows through: the caller's,
-// or a StaticCostModel built from the legacy preference knob. `storage`
-// keeps the fallback alive for the duration of the execution.
-const CostModel* ResolveCostModel(const ExecutionOptions& options,
-                                  std::optional<StaticCostModel>* storage) {
-  if (options.cost_model != nullptr) return options.cost_model;
-  storage->emplace(options.pattern_preference);
-  return &**storage;
-}
 
 // The runtime configuration actually used: a stats sink needs the meter,
 // so requesting one forces metering on.
@@ -39,572 +24,46 @@ RuntimeOptions EffectiveRuntime(const ExecutionOptions& options) {
   return runtime;
 }
 
-// Feeds one finished stack's observed metrics into the sink, if any.
-void DrainStats(const ExecutionOptions& options, SourceStack* stack) {
-  if (options.stats_sink != nullptr && stack->meter() != nullptr) {
-    options.stats_sink->Observe(*stack->meter());
-  }
-}
-
-// Builds the Fetch argument vector for `literal` under binding `binding`:
-// ground values in the pattern's input slots, empty elsewhere. Output
-// slots stay empty even when the binding knows their value — a source
-// only accepts its declared inputs (Definition 1; the executor filters
-// returned tuples against the binding itself), and leaking bound values
-// into output slots would split the wave dedup below into per-binding
-// calls for patterns that are not actually keyed on those values.
-std::vector<std::optional<Term>> FetchInputs(const Literal& literal,
-                                             const AccessPattern& pattern,
-                                             const Substitution& binding) {
-  std::vector<std::optional<Term>> inputs;
-  inputs.reserve(literal.args().size());
-  for (std::size_t j = 0; j < literal.args().size(); ++j) {
-    Term value = binding.Apply(literal.args()[j]);
-    if (pattern.IsInputSlot(j) && value.IsGround()) {
-      inputs.emplace_back(std::move(value));
-    } else {
-      inputs.emplace_back(std::nullopt);
-    }
-  }
-  return inputs;
-}
-
-// Extends `binding` so that the literal's arguments equal `tuple`;
-// returns nullopt on mismatch (covers repeated variables and arguments
-// already ground).
-std::optional<Substitution> UnifyWithTuple(const Literal& literal,
-                                           const Tuple& tuple,
-                                           const Substitution& binding) {
-  Substitution extended = binding;
-  const std::vector<Term>& args = literal.args();
-  if (args.size() != tuple.size()) return std::nullopt;
-  for (std::size_t j = 0; j < args.size(); ++j) {
-    Term value = extended.Apply(args[j]);
-    if (value.IsGround()) {
-      if (value != tuple[j]) return std::nullopt;
-    } else {
-      if (!extended.Bind(value, tuple[j])) return std::nullopt;
-    }
-  }
-  return extended;
-}
-
-// Dedup key for one wave request. Term::ToString is injective on ground
-// terms (constants are quoted) and 0x1f never occurs in a rendering, so
-// distinct input vectors get distinct keys.
-std::string RequestKey(const std::vector<std::optional<Term>>& inputs) {
-  std::string key;
-  for (const std::optional<Term>& value : inputs) {
-    if (value.has_value()) key += value->ToString();
-    key += '\x1f';
-  }
-  return key;
-}
-
-// Id-encoded dedup key for one wave request: four raw bytes per slot
-// (TermDictionary::kAbsentId for empty ones) instead of rendering every
-// value to a string. Groups requests exactly like RequestKey — the
-// dictionary is injective on spellings and keeps Δ-null distinct from
-// the constant "null" — just with integer hashing.
-std::string EncodedRequestKey(const std::vector<std::optional<Term>>& inputs) {
-  TermDictionary& dict = TermDictionary::Global();
-  std::string key;
-  key.resize(inputs.size() * sizeof(std::uint32_t));
-  char* raw = key.data();
-  for (const std::optional<Term>& value : inputs) {
-    const std::uint32_t id = value.has_value() ? dict.EncodeGround(*value)
-                                               : TermDictionary::kAbsentId;
-    std::memcpy(raw, &id, sizeof(id));
-    raw += sizeof(id);
-  }
-  return key;
-}
-
-std::string WaveDedupKey(const std::vector<std::optional<Term>>& inputs,
-                         bool dictionary) {
-  return dictionary ? EncodedRequestKey(inputs) : RequestKey(inputs);
-}
-
-// One literal's wave: the deduplicated source calls serving all live
-// bindings, issued as a single FetchBatch.
-struct Wave {
-  std::vector<FetchResult> fetched;  // one per distinct request
-  std::vector<std::size_t> slot_of;  // binding index -> slot in `fetched`
-};
-
-// Builds and issues the wave for `literal` across `bindings`: identical
-// (same ground input values) requests from different bindings collapse to
-// one call even without a cache in the stack. Returns the error of the
-// first failed call in request (first-occurrence) order, or nullopt.
-std::optional<std::string> RunWave(const Literal& literal,
-                                   const AccessPattern& pattern,
-                                   const std::vector<Substitution>& bindings,
-                                   Source* source, Wave* wave) {
-  std::vector<std::vector<std::optional<Term>>> requests;
-  std::unordered_map<std::string, std::size_t> index;
-  wave->slot_of.resize(bindings.size());
-  for (std::size_t b = 0; b < bindings.size(); ++b) {
-    std::vector<std::optional<Term>> inputs =
-        FetchInputs(literal, pattern, bindings[b]);
-    auto [it, fresh] = index.try_emplace(RequestKey(inputs), requests.size());
-    if (fresh) requests.push_back(std::move(inputs));
-    wave->slot_of[b] = it->second;
-  }
-  wave->fetched = source->FetchBatch(literal.relation(), pattern, requests);
-  for (const FetchResult& fetched : wave->fetched) {
-    if (!fetched.ok()) {
-      return "source call for literal " + literal.ToString() +
-             " failed: " + fetched.error;
-    }
-  }
-  return std::nullopt;
-}
-
-// What the pipelined loop did, merged into RuntimeStats by the public
-// entry points (the stack itself cannot see executor-side scheduling).
-struct PipelineCounters {
-  std::uint64_t rounds = 0;
-  std::uint64_t overlaps = 0;
-};
-
-// Executor-side scheduling counters -> the result's RuntimeStats. Folded
-// on every path, including executions that run no stack: the DAG
-// counters describe the executor, not the transport.
-void FoldExecutorCounters(RuntimeStats* stats,
-                          const PipelineCounters& pipeline,
-                          const OperatorCounters& ops) {
-  stats->pipeline_rounds = pipeline.rounds;
-  stats->pipeline_overlaps = pipeline.overlaps;
+// Executor-side counters -> the result's RuntimeStats. Folded on every
+// path, including executions that run no stack: the counters describe
+// the executor, not the transport.
+void FoldExecutorCounters(RuntimeStats* stats, const OperatorCounters& ops) {
+  stats->pipeline_rounds = ops.pipeline_rounds;
+  stats->pipeline_overlaps = ops.pipeline_overlaps;
   stats->disjuncts_executed = ops.disjuncts_executed;
   stats->morsels = ops.morsels;
   stats->antijoin_build_tuples = ops.antijoin_build_tuples;
 }
 
-// Inter-literal pipelining (RuntimeOptions::pipeline_depth > 1): instead
-// of draining literal i's full wave before literal i+1 issues anything,
-// each stage keeps a FIFO frontier of bindings waiting to run its
-// literal, and every round services up to `pipeline_depth` non-empty
-// stages at once — a chunk of at most max(1, parallelism) bindings per
-// stage, each chunk issued as one deduplicated FetchBatchAsync wave, all
-// of the round's waves resolved inside one clock overlap bracket so a
-// SimulatedClock charges them max-over-waves. Bindings that clear a
-// stage are appended to the next stage's frontier in order; because
-// every frontier is consumed and produced FIFO along a single chain, the
-// final bindings come out in exactly the depth-1 derivation order, and
-// the answer set is identical at every depth — pipelining only changes
-// transport scheduling.
-//
-// Differences from the one-wave-at-a-time path, by design:
-//   - wave dedup applies per chunk (a cache layer still dedups across
-//     chunks);
-//   - max_bindings bounds the *total* live bindings across all stages
-//     after each round (the honest measure of intermediate-result size
-//     when several stages hold bindings at once);
-//   - a failed call aborts with the error of the shallowest failing
-//     stage of the round that observed it, which may name a different
-//     literal than sequential execution would have reached first.
-BindingsResult ExecuteForBindingsPipelined(const ConjunctiveQuery& q,
-                                           const Catalog& catalog,
-                                           Source* source,
-                                           const ExecutionOptions& options,
-                                           Clock* clock,
-                                           PipelineCounters* counters) {
-  BindingsResult result;
-  const std::vector<Literal>& body = q.body();
-  const std::size_t n = body.size();
-  std::optional<StaticCostModel> fallback_model;
-  const CostModel* model = ResolveCostModel(options, &fallback_model);
-
-  // The variables bound before each stage depend only on literal order,
-  // not on data, so they can be precomputed.
-  std::vector<BoundVariables> bound_before(n);
-  for (std::size_t i = 0; i + 1 < n; ++i) {
-    bound_before[i + 1] = bound_before[i];
-    if (body[i].positive()) BindVariables(body[i], &bound_before[i + 1]);
+// Runs `run(source, clock, counters)` behind the configured runtime stack
+// (one stack per call, so a union's disjuncts share its cache and
+// budget) and reports what the stack and the executor did.
+template <typename Result, typename Run>
+Result WithRuntime(Source* source, const ExecutionOptions& options, Run run) {
+  const RuntimeOptions runtime = EffectiveRuntime(options);
+  OperatorCounters counters;
+  if (!runtime.Enabled()) {
+    // No stack, but a caller-supplied clock (runtime.clock) still drives
+    // overlap accounting for concurrent waves.
+    Result result = run(source, runtime.clock, &counters);
+    FoldExecutorCounters(&result.runtime, counters);
+    return result;
   }
-
-  std::vector<std::deque<Substitution>> frontier(n);
-  frontier[0].emplace_back();
-  std::deque<Substitution> done;
-  // Chosen lazily the first time bindings reach the stage (so an unusable
-  // pattern only fails executions whose bindings actually get there, as
-  // in the sequential path), then pinned for all of that stage's chunks.
-  std::vector<std::optional<AccessPattern>> chosen(n);
-
-  const std::size_t depth = options.runtime.pipeline_depth;
-  const std::size_t chunk =
-      std::max<std::size_t>(options.runtime.parallelism, 1);
-
-  while (true) {
-    // Service the deepest non-empty stages first: draining the pipe
-    // bounds the number of bindings parked mid-chain.
-    std::vector<std::size_t> stages;
-    for (std::size_t i = n; i-- > 0;) {
-      if (!frontier[i].empty()) {
-        stages.push_back(i);
-        if (stages.size() == depth) break;
-      }
-    }
-    if (stages.empty()) break;
-    std::sort(stages.begin(), stages.end());
-
-    for (std::size_t i : stages) {
-      if (chosen[i].has_value()) continue;
-      PlanContext context;
-      context.live_bindings = static_cast<double>(
-          std::max<std::size_t>(frontier[i].size(), 1));
-      chosen[i] = ChoosePattern(catalog, body[i], bound_before[i], *model,
-                                context);
-      if (!chosen[i].has_value()) {
-        result.error = "literal " + body[i].ToString() +
-                       " has no usable access pattern at its position";
-        result.bindings.clear();
-        return result;
-      }
-    }
-
-    // Issue one chunk per stage as an async wave (issue order: ascending
-    // literal), then resolve them all inside one overlap bracket.
-    struct Lane {
-      std::size_t stage = 0;
-      std::vector<Substitution> batch;
-      std::vector<std::size_t> slot_of;  // batch index -> request slot
-      FetchFuture future;
-    };
-    std::vector<Lane> lanes;
-    lanes.reserve(stages.size());
-    for (std::size_t i : stages) {
-      Lane lane;
-      lane.stage = i;
-      const std::size_t take = std::min(chunk, frontier[i].size());
-      lane.batch.reserve(take);
-      for (std::size_t k = 0; k < take; ++k) {
-        lane.batch.push_back(std::move(frontier[i].front()));
-        frontier[i].pop_front();
-      }
-      std::vector<std::vector<std::optional<Term>>> requests;
-      std::unordered_map<std::string, std::size_t> index;
-      lane.slot_of.resize(lane.batch.size());
-      for (std::size_t b = 0; b < lane.batch.size(); ++b) {
-        std::vector<std::optional<Term>> inputs =
-            FetchInputs(body[i], *chosen[i], lane.batch[b]);
-        // Dedup within the chunk by id signature (default) or rendered
-        // string — the grouping is identical either way.
-        auto [it, fresh] = index.try_emplace(
-            WaveDedupKey(inputs, options.dictionary), requests.size());
-        if (fresh) requests.push_back(std::move(inputs));
-        lane.slot_of[b] = it->second;
-      }
-      lane.future = source->FetchBatchAsync(body[i].relation(), *chosen[i],
-                                            std::move(requests));
-      lanes.push_back(std::move(lane));
-    }
-
-    ++counters->rounds;
-    const bool overlapped = lanes.size() >= 2;
-    if (overlapped) ++counters->overlaps;
-    if (overlapped && clock != nullptr) clock->BeginOverlap();
-    std::vector<std::vector<FetchResult>> resolved(lanes.size());
-    for (std::size_t l = 0; l < lanes.size(); ++l) {
-      if (overlapped && clock != nullptr) clock->BeginLane();
-      resolved[l] = lanes[l].future.Take();
-      if (overlapped && clock != nullptr) clock->EndLane();
-    }
-    if (overlapped && clock != nullptr) clock->EndOverlap();
-
-    // Merge in ascending literal order; the shallowest failing stage of
-    // the round reports its first failed request.
-    for (std::size_t l = 0; l < lanes.size(); ++l) {
-      Lane& lane = lanes[l];
-      const Literal& literal = body[lane.stage];
-      for (const FetchResult& fetched : resolved[l]) {
-        if (!fetched.ok()) {
-          result.error = "source call for literal " + literal.ToString() +
-                         " failed: " + fetched.error;
-          result.bindings.clear();
-          return result;
-        }
-      }
-      std::deque<Substitution>& out =
-          lane.stage + 1 == n ? done : frontier[lane.stage + 1];
-      for (std::size_t b = 0; b < lane.batch.size(); ++b) {
-        const Substitution& binding = lane.batch[b];
-        const FetchResult& fetched = resolved[l][lane.slot_of[b]];
-        if (literal.positive()) {
-          for (const Tuple& tuple : fetched.tuples) {
-            std::optional<Substitution> extended =
-                UnifyWithTuple(literal, tuple, binding);
-            if (extended.has_value()) out.push_back(std::move(*extended));
-          }
-        } else {
-          // All variables are bound (ChoosePattern guarantees it): probe
-          // for the instantiated tuple, keep the binding iff absent.
-          Tuple instantiated = binding.Apply(literal.args());
-          bool present = false;
-          for (const Tuple& tuple : fetched.tuples) {
-            if (tuple == instantiated) {
-              present = true;
-              break;
-            }
-          }
-          if (!present) out.push_back(binding);
-        }
-      }
-    }
-
-    if (options.max_bindings != 0) {
-      std::size_t live = done.size();
-      for (const std::deque<Substitution>& f : frontier) live += f.size();
-      if (live > options.max_bindings) {
-        result.error = "execution exceeded max_bindings (" +
-                       std::to_string(options.max_bindings) +
-                       ") across pipeline stages";
-        result.bindings.clear();
-        return result;
-      }
-    }
+  SourceStack stack(source, runtime);
+  Result result = run(stack.source(), stack.clock(), &counters);
+  result.runtime = stack.stats();
+  FoldExecutorCounters(&result.runtime, counters);
+  if (options.stats_sink != nullptr && stack.meter() != nullptr) {
+    options.stats_sink->Observe(*stack.meter());
   }
-
-  result.ok = true;
-  result.bindings.assign(std::make_move_iterator(done.begin()),
-                         std::make_move_iterator(done.end()));
   return result;
 }
 
-// The id-encoded batch loop (ExecutionOptions::dictionary): the same
-// wave structure as ExecuteForBindingsRaw's batch mode — one
-// deduplicated FetchBatch per literal across all live bindings, results
-// merged per binding in order — but the frontier lives in columnar id
-// form (one contiguous uint32 column per variable), wave dedup hashes
-// flat id signatures instead of rendered strings, joins compare ids
-// against columns, and negated literals probe an id-keyed hash set.
-// Requests on the wire, answers, witness order, and every runtime
-// ledger are byte-identical to the string path; strings are decoded
-// only for the distinct requests handed to the Source API and for the
-// final bindings.
-BindingsResult ExecuteForBindingsEncoded(const ConjunctiveQuery& q,
-                                         const Catalog& catalog,
-                                         Source* source,
-                                         const ExecutionOptions& options) {
-  BindingsResult result;
-  TermDictionary& dict = TermDictionary::Global();
-  ColumnarFrontier frontier;
-  BoundVariables bound;
-  std::optional<StaticCostModel> fallback_model;
-  const CostModel* model = ResolveCostModel(options, &fallback_model);
-
-  for (const Literal& literal : q.body()) {
-    PlanContext context;
-    context.live_bindings =
-        static_cast<double>(std::max<std::size_t>(frontier.rows(), 1));
-    std::optional<AccessPattern> pattern =
-        ChoosePattern(catalog, literal, bound, *model, context);
-    if (!pattern.has_value()) {
-      result.error = "literal " + literal.ToString() +
-                     " has no usable access pattern at its position";
-      result.bindings.clear();
-      return result;
-    }
-
-    // Classify each slot once; the per-row loops below are then pure
-    // integer work.
-    const std::vector<Term>& args = literal.args();
-    const std::size_t arity = args.size();
-    enum class Slot { kConst, kColumn, kBindFirst, kBindRepeat };
-    struct SlotPlan {
-      Slot kind = Slot::kConst;
-      std::uint32_t id = 0;    // kConst: the ground value's id
-      std::size_t column = 0;  // kColumn: frontier column of the variable
-      std::size_t first = 0;   // kBindRepeat: slot of the first occurrence
-    };
-    std::vector<SlotPlan> plan(arity);
-    std::vector<std::size_t> binder_slots;  // slots introducing new vars
-    std::unordered_map<std::string, std::size_t> first_occurrence;
-    bool binds_new = false;
-    for (std::size_t j = 0; j < arity; ++j) {
-      if (args[j].IsGround()) {
-        plan[j].kind = Slot::kConst;
-        plan[j].id = dict.EncodeGround(args[j]);
-        continue;
-      }
-      const std::size_t c = frontier.ColumnOf(args[j].name());
-      if (c != ColumnarFrontier::kNoColumn) {
-        plan[j].kind = Slot::kColumn;
-        plan[j].column = c;
-        continue;
-      }
-      auto [it, fresh] = first_occurrence.try_emplace(args[j].name(), j);
-      if (fresh) {
-        plan[j].kind = Slot::kBindFirst;
-        binder_slots.push_back(j);
-        binds_new = true;
-      } else {
-        plan[j].kind = Slot::kBindRepeat;
-        plan[j].first = it->second;
-      }
-    }
-
-    // Build the wave: one flat id signature per row (FetchInputs' rule
-    // in id form — input slots whose value is known before the call),
-    // deduplicated by integer hashing. Only the distinct signatures
-    // decode to Term vectors for the Source API, so the requests on the
-    // wire are equal to the string path's, in the same first-occurrence
-    // order.
-    std::unordered_map<EncodedTuple, std::size_t, EncodedTupleHash> index;
-    std::vector<std::vector<std::optional<Term>>> requests;
-    std::vector<std::size_t> slot_of(frontier.rows());
-    EncodedTuple signature(arity);
-    for (std::size_t r = 0; r < frontier.rows(); ++r) {
-      for (std::size_t j = 0; j < arity; ++j) {
-        std::uint32_t id = TermDictionary::kAbsentId;
-        if (pattern->IsInputSlot(j)) {
-          if (plan[j].kind == Slot::kConst) {
-            id = plan[j].id;
-          } else if (plan[j].kind == Slot::kColumn) {
-            id = frontier.Column(plan[j].column)[r];
-          }
-        }
-        signature[j] = id;
-      }
-      auto [it, fresh] = index.try_emplace(signature, requests.size());
-      if (fresh) {
-        std::vector<std::optional<Term>> request(arity);
-        for (std::size_t j = 0; j < arity; ++j) {
-          if (signature[j] != TermDictionary::kAbsentId) {
-            request[j] = dict.DecodeTerm(signature[j]);
-          }
-        }
-        requests.push_back(std::move(request));
-      }
-      slot_of[r] = it->second;
-    }
-
-    std::vector<FetchResult> fetched =
-        source->FetchBatch(literal.relation(), *pattern, requests);
-    for (const FetchResult& f : fetched) {
-      if (!f.ok()) {
-        result.error = "source call for literal " + literal.ToString() +
-                       " failed: " + f.error;
-        result.bindings.clear();
-        return result;
-      }
-    }
-
-    // Encode each distinct result set once. A tuple whose arity differs
-    // from the literal's can never unify, and a tuple carrying a
-    // variable is not a fact — both are dropped here exactly as the
-    // string path's unification would reject them.
-    std::vector<std::vector<EncodedTuple>> encoded(fetched.size());
-    for (std::size_t f = 0; f < fetched.size(); ++f) {
-      encoded[f].reserve(fetched[f].tuples.size());
-      for (const Tuple& tuple : fetched[f].tuples) {
-        if (tuple.size() != arity) continue;
-        bool ground = true;
-        for (const Term& term : tuple) {
-          if (!term.IsGround()) {
-            ground = false;
-            break;
-          }
-        }
-        if (!ground) continue;
-        EncodedTuple ids(arity);
-        for (std::size_t j = 0; j < arity; ++j) {
-          ids[j] = dict.EncodeGround(tuple[j]);
-        }
-        encoded[f].push_back(std::move(ids));
-      }
-    }
-
-    if (literal.positive()) {
-      // Join: stream rows in order through their request's tuples (in
-      // fetch order), appending matches column-wise — exactly the
-      // binding-order × tuple-order the string path derives witnesses
-      // in.
-      ColumnarFrontier next;
-      for (const std::string& var : frontier.vars()) next.AddVar(var);
-      for (std::size_t s : binder_slots) next.AddVar(args[s].name());
-      std::size_t out_rows = 0;
-      const std::size_t base = frontier.width();
-      for (std::size_t r = 0; r < frontier.rows(); ++r) {
-        for (const EncodedTuple& tuple : encoded[slot_of[r]]) {
-          bool match = true;
-          for (std::size_t j = 0; j < arity && match; ++j) {
-            switch (plan[j].kind) {
-              case Slot::kConst:
-                match = tuple[j] == plan[j].id;
-                break;
-              case Slot::kColumn:
-                match = tuple[j] == frontier.Column(plan[j].column)[r];
-                break;
-              case Slot::kBindFirst:
-                break;
-              case Slot::kBindRepeat:
-                match = tuple[j] == tuple[plan[j].first];
-                break;
-            }
-          }
-          if (!match) continue;
-          for (std::size_t c = 0; c < base; ++c) {
-            next.MutableColumn(c).push_back(frontier.Column(c)[r]);
-          }
-          for (std::size_t v = 0; v < binder_slots.size(); ++v) {
-            next.MutableColumn(base + v).push_back(tuple[binder_slots[v]]);
-          }
-          ++out_rows;
-        }
-      }
-      next.SetRows(out_rows);
-      frontier = std::move(next);
-      BindVariables(literal, &bound);
-    } else if (!binds_new) {
-      // Anti-join: probe each row's instantiated tuple against an
-      // id-keyed hash set of its request's result; keep the row iff
-      // absent (ChoosePattern guarantees all variables are bound here).
-      std::vector<std::unordered_set<EncodedTuple, EncodedTupleHash>> probe(
-          encoded.size());
-      for (std::size_t f = 0; f < encoded.size(); ++f) {
-        probe[f].insert(encoded[f].begin(), encoded[f].end());
-      }
-      std::vector<std::size_t> keep;
-      keep.reserve(frontier.rows());
-      EncodedTuple instantiated(arity);
-      for (std::size_t r = 0; r < frontier.rows(); ++r) {
-        for (std::size_t j = 0; j < arity; ++j) {
-          instantiated[j] = plan[j].kind == Slot::kConst
-                                ? plan[j].id
-                                : frontier.Column(plan[j].column)[r];
-        }
-        if (probe[slot_of[r]].count(instantiated) == 0) {
-          keep.push_back(r);
-        }
-      }
-      frontier.Retain(keep);
-    }
-    // A negated literal with an unbound variable (unreachable while
-    // ChoosePattern holds its guarantee) filters nothing: a ground
-    // tuple never equals a tuple containing a variable, so the string
-    // path keeps every binding and so do we.
-
-    if (options.max_bindings != 0 && frontier.rows() > options.max_bindings) {
-      result.error = "execution exceeded max_bindings (" +
-                     std::to_string(options.max_bindings) + ") at literal " +
-                     literal.ToString();
-      result.bindings.clear();
-      return result;
-    }
-    if (frontier.rows() == 0) break;  // negations cannot revive answers
-  }
-
-  result.ok = true;
-  result.bindings = frontier.DecodeAll(dict);
-  return result;
-}
-
-// The core left-to-right loop, talking to `source` directly (any runtime
-// stack has already been interposed by the public entry points).
-BindingsResult ExecuteForBindingsRaw(const ConjunctiveQuery& q,
-                                     const Catalog& catalog, Source* source,
-                                     const ExecutionOptions& options) {
+// The reference semantics (ExecutionOptions::batch off): one source call
+// per live binding per literal, in order.
+BindingsResult ExecuteReference(const ConjunctiveQuery& q,
+                                const Catalog& catalog, Source* source,
+                                const ExecutionOptions& options) {
   BindingsResult result;
   result.bindings.emplace_back();
   BoundVariables bound;
@@ -623,75 +82,24 @@ BindingsResult ExecuteForBindingsRaw(const ConjunctiveQuery& q,
       return result;
     }
     std::vector<Substitution> next;
-    if (options.batch) {
-      // Wave mode (default): every live binding's call for this literal
-      // flies as one batched, deduplicated FetchBatch, then the results
-      // are merged per binding in the original order — the answer set is
-      // identical to the per-binding loop below, only the transport
-      // scheduling differs.
-      Wave wave;
-      std::optional<std::string> error =
-          RunWave(literal, *pattern, result.bindings, source, &wave);
-      if (error.has_value()) {
-        result.error = std::move(*error);
+    for (const Substitution& binding : result.bindings) {
+      FetchResult fetched = source->Fetch(
+          literal.relation(), *pattern, FetchInputs(literal, *pattern, binding));
+      if (!fetched.ok()) {
+        result.error = "source call for literal " + literal.ToString() +
+                       " failed: " + fetched.error;
         result.bindings.clear();
         return result;
       }
-      for (std::size_t b = 0; b < result.bindings.size(); ++b) {
-        const Substitution& binding = result.bindings[b];
-        const FetchResult& fetched = wave.fetched[wave.slot_of[b]];
-        if (literal.positive()) {
-          for (const Tuple& tuple : fetched.tuples) {
-            std::optional<Substitution> extended =
-                UnifyWithTuple(literal, tuple, binding);
-            if (extended.has_value()) next.push_back(std::move(*extended));
-          }
-        } else {
-          // All variables are bound (ChoosePattern guarantees it): probe
-          // for the instantiated tuple, keep the binding iff absent.
-          Tuple instantiated = binding.Apply(literal.args());
-          bool present = false;
-          for (const Tuple& tuple : fetched.tuples) {
-            if (tuple == instantiated) {
-              present = true;
-              break;
-            }
-          }
-          if (!present) next.push_back(binding);
-        }
-      }
-      if (literal.positive()) BindVariables(literal, &bound);
-    } else if (literal.positive()) {
-      for (const Substitution& binding : result.bindings) {
-        FetchResult fetched = source->Fetch(literal.relation(), *pattern,
-                                            FetchInputs(literal, *pattern,
-                                                        binding));
-        if (!fetched.ok()) {
-          result.error = "source call for literal " + literal.ToString() +
-                         " failed: " + fetched.error;
-          result.bindings.clear();
-          return result;
-        }
+      if (literal.positive()) {
         for (const Tuple& tuple : fetched.tuples) {
           std::optional<Substitution> extended =
               UnifyWithTuple(literal, tuple, binding);
           if (extended.has_value()) next.push_back(std::move(*extended));
         }
-      }
-      BindVariables(literal, &bound);
-    } else {
-      // All variables are bound (ChoosePattern guarantees it): probe for
-      // the instantiated tuple and keep the binding iff it is absent.
-      for (const Substitution& binding : result.bindings) {
-        FetchResult fetched = source->Fetch(literal.relation(), *pattern,
-                                            FetchInputs(literal, *pattern,
-                                                        binding));
-        if (!fetched.ok()) {
-          result.error = "source call for literal " + literal.ToString() +
-                         " failed: " + fetched.error;
-          result.bindings.clear();
-          return result;
-        }
+      } else {
+        // All variables are bound (ChoosePattern guarantees it): probe
+        // for the instantiated tuple and keep the binding iff absent.
         Tuple instantiated = binding.Apply(literal.args());
         bool present = false;
         for (const Tuple& tuple : fetched.tuples) {
@@ -703,6 +111,7 @@ BindingsResult ExecuteForBindingsRaw(const ConjunctiveQuery& q,
         if (!present) next.push_back(binding);
       }
     }
+    if (literal.positive()) BindVariables(literal, &bound);
     result.bindings = std::move(next);
     if (options.max_bindings != 0 &&
         result.bindings.size() > options.max_bindings) {
@@ -718,41 +127,32 @@ BindingsResult ExecuteForBindingsRaw(const ConjunctiveQuery& q,
   return result;
 }
 
-// Routes a body to the pipelined loop when it can actually pipeline
-// (depth > 1, wave mode, and at least two literals to overlap), to the
-// operator-DAG driver for the default encoded batch mode, to the
-// pre-DAG encoded loop when the DAG is off (--legacy-executor — kept as
-// the byte-compatibility oracle), and to the historical string path
-// otherwise — all four produce identical answers in identical witness
-// order.
-BindingsResult ExecuteBodyRaw(const ConjunctiveQuery& q,
-                              const Catalog& catalog, Source* source,
-                              const ExecutionOptions& options, Clock* clock,
-                              PipelineCounters* counters,
-                              OperatorCounters* op_counters) {
-  if (options.batch && options.runtime.pipeline_depth > 1 &&
-      q.body().size() >= 2) {
-    return ExecuteForBindingsPipelined(q, catalog, source, options, clock,
-                                       counters);
+// Runs the bodies of `disjuncts` (all non-empty) to their witnesses: the
+// reference loop one body after another when `batch` is off, otherwise
+// one operator-DAG drive.
+UnionChainsResult ExecuteBodies(
+    const std::vector<const ConjunctiveQuery*>& disjuncts,
+    const Catalog& catalog, Source* source, const ExecutionOptions& options,
+    Clock* clock, OperatorCounters* counters) {
+  if (options.batch) {
+    return ExecuteChainsDag(disjuncts, catalog, source, options, clock,
+                            counters);
   }
-  if (options.batch && options.dictionary && options.dag) {
-    UnionChainsResult chains = ExecuteChainsDag({&q}, catalog, source,
-                                                options, clock, op_counters);
-    BindingsResult result;
-    result.ok = chains.ok;
-    result.error = std::move(chains.error);
-    if (chains.ok) result.bindings = std::move(chains.bindings.front());
-    return result;
+  UnionChainsResult result;
+  for (const ConjunctiveQuery* q : disjuncts) {
+    BindingsResult body = ExecuteReference(*q, catalog, source, options);
+    if (!body.ok) {
+      result.error = std::move(body.error);
+      result.bindings.clear();
+      return result;
+    }
+    result.bindings.push_back(std::move(body.bindings));
   }
-  if (options.batch && options.dictionary) {
-    return ExecuteForBindingsEncoded(q, catalog, source, options);
-  }
-  return ExecuteForBindingsRaw(q, catalog, source, options);
+  result.ok = true;
+  return result;
 }
 
 // Empty body: the head must already be ground (overestimate null rows).
-// Shared by the sequential per-disjunct loop and the concurrent union
-// path, which handles true-queries inline before racing the chains.
 ExecutionResult ExecuteTrueQuery(const ConjunctiveQuery& q) {
   ExecutionResult result;
   for (const Term& t : q.head_terms()) {
@@ -794,21 +194,36 @@ bool ProjectHead(const ConjunctiveQuery& q,
   return true;
 }
 
-ExecutionResult ExecuteRaw(const ConjunctiveQuery& q, const Catalog& catalog,
-                           Source* source, const ExecutionOptions& options,
-                           Clock* clock, PipelineCounters* counters,
-                           OperatorCounters* op_counters) {
-  if (q.IsTrueQuery()) return ExecuteTrueQuery(q);
-
+// Executes every disjunct and unions the projected heads. Empty-body
+// disjuncts resolve inline, in disjunct order; the rest run their bodies
+// together, and heads project in disjunct order afterwards.
+ExecutionResult ExecuteDisjuncts(
+    const std::vector<const ConjunctiveQuery*>& disjuncts,
+    const Catalog& catalog, Source* source, const ExecutionOptions& options,
+    Clock* clock, OperatorCounters* counters) {
   ExecutionResult result;
-  BindingsResult body = ExecuteBodyRaw(q, catalog, source, options, clock,
-                                       counters, op_counters);
-  if (!body.ok) {
-    result.error = std::move(body.error);
-    return result;
-  }
   result.ok = true;
-  ProjectHead(q, body.bindings, &result);
+  std::vector<const ConjunctiveQuery*> bodies;
+  for (const ConjunctiveQuery* q : disjuncts) {
+    if (!q->IsTrueQuery()) {
+      bodies.push_back(q);
+      continue;
+    }
+    ExecutionResult part = ExecuteTrueQuery(*q);
+    if (!part.ok) return part;
+    result.tuples.insert(part.tuples.begin(), part.tuples.end());
+  }
+  if (bodies.empty()) return result;
+  UnionChainsResult chains =
+      ExecuteBodies(bodies, catalog, source, options, clock, counters);
+  if (!chains.ok) {
+    ExecutionResult failed;
+    failed.error = std::move(chains.error);
+    return failed;
+  }
+  for (std::size_t i = 0; i < bodies.size(); ++i) {
+    if (!ProjectHead(*bodies[i], chains.bindings[i], &result)) break;
+  }
   return result;
 }
 
@@ -817,133 +232,42 @@ ExecutionResult ExecuteRaw(const ConjunctiveQuery& q, const Catalog& catalog,
 BindingsResult ExecuteForBindings(const ConjunctiveQuery& q,
                                   const Catalog& catalog, Source* source,
                                   const ExecutionOptions& options) {
-  const RuntimeOptions runtime = EffectiveRuntime(options);
-  PipelineCounters counters;
-  OperatorCounters op_counters;
-  if (!runtime.Enabled()) {
-    // No stack, but a caller-supplied clock (runtime.clock) still drives
-    // overlap accounting for concurrent waves.
-    BindingsResult result = ExecuteBodyRaw(q, catalog, source, options,
-                                           runtime.clock, &counters,
-                                           &op_counters);
-    FoldExecutorCounters(&result.runtime, counters, op_counters);
-    return result;
-  }
-  SourceStack stack(source, runtime);
-  BindingsResult result = ExecuteBodyRaw(q, catalog, stack.source(), options,
-                                         stack.clock(), &counters,
-                                         &op_counters);
-  result.runtime = stack.stats();
-  FoldExecutorCounters(&result.runtime, counters, op_counters);
-  DrainStats(options, &stack);
-  return result;
+  return WithRuntime<BindingsResult>(
+      source, options,
+      [&](Source* effective, Clock* clock, OperatorCounters* counters) {
+        BindingsResult result;
+        UnionChainsResult chains =
+            ExecuteBodies({&q}, catalog, effective, options, clock, counters);
+        result.ok = chains.ok;
+        result.error = std::move(chains.error);
+        if (chains.ok) result.bindings = std::move(chains.bindings.front());
+        return result;
+      });
 }
 
 ExecutionResult Execute(const ConjunctiveQuery& q, const Catalog& catalog,
                         Source* source, const ExecutionOptions& options) {
-  const RuntimeOptions runtime = EffectiveRuntime(options);
-  PipelineCounters counters;
-  OperatorCounters op_counters;
-  if (!runtime.Enabled()) {
-    ExecutionResult result = ExecuteRaw(q, catalog, source, options,
-                                        runtime.clock, &counters,
-                                        &op_counters);
-    FoldExecutorCounters(&result.runtime, counters, op_counters);
-    return result;
-  }
-  SourceStack stack(source, runtime);
-  ExecutionResult result = ExecuteRaw(q, catalog, stack.source(), options,
-                                      stack.clock(), &counters, &op_counters);
-  result.runtime = stack.stats();
-  FoldExecutorCounters(&result.runtime, counters, op_counters);
-  DrainStats(options, &stack);
-  return result;
+  return WithRuntime<ExecutionResult>(
+      source, options,
+      [&](Source* effective, Clock* clock, OperatorCounters* counters) {
+        return ExecuteDisjuncts({&q}, catalog, effective, options, clock,
+                                counters);
+      });
 }
 
 ExecutionResult Execute(const UnionQuery& q, const Catalog& catalog,
                         Source* source, const ExecutionOptions& options) {
-  // One stack for the whole union: the cache carries results across
-  // disjuncts (they typically share relations) and the budget is a
-  // per-query, not per-disjunct, limit.
-  const RuntimeOptions runtime = EffectiveRuntime(options);
-  std::optional<SourceStack> stack;
-  Source* effective = source;
-  Clock* clock = runtime.clock;
-  if (runtime.Enabled()) {
-    stack.emplace(source, runtime);
-    effective = stack->source();
-    clock = stack->clock();
-  }
-  PipelineCounters counters;
-  OperatorCounters op_counters;
-  ExecutionResult result;
-  result.ok = true;
-
-  const auto finish = [&](ExecutionResult* r) {
-    if (stack.has_value()) {
-      r->runtime = stack->stats();
-      FoldExecutorCounters(&r->runtime, counters, op_counters);
-      DrainStats(options, &*stack);
-    } else {
-      FoldExecutorCounters(&r->runtime, counters, op_counters);
-    }
-  };
-
-  if (options.batch && options.dictionary && options.dag &&
-      options.disjunct_concurrency > 1 && runtime.pipeline_depth <= 1) {
-    // Concurrent disjuncts: true-queries resolve inline (in disjunct
-    // order), then every remaining chain races through one DAG drive —
-    // each round overlaps one wave per runnable chain. Heads project in
-    // disjunct order afterwards, so the answer set (and every error
-    // string) matches the sequential loop below.
-    std::vector<const ConjunctiveQuery*> bodies;
-    std::vector<std::size_t> body_index;  // disjunct index of bodies[i]
-    const std::vector<ConjunctiveQuery>& disjuncts = q.disjuncts();
-    for (std::size_t d = 0; d < disjuncts.size(); ++d) {
-      if (disjuncts[d].IsTrueQuery()) {
-        ExecutionResult part = ExecuteTrueQuery(disjuncts[d]);
-        if (!part.ok) {
-          finish(&part);
-          return part;
-        }
-        result.tuples.insert(part.tuples.begin(), part.tuples.end());
-      } else {
-        bodies.push_back(&disjuncts[d]);
-        body_index.push_back(d);
-      }
-    }
-    if (!bodies.empty()) {
-      UnionChainsResult chains = ExecuteChainsDag(
-          bodies, catalog, effective, options, clock, &op_counters);
-      if (!chains.ok) {
-        ExecutionResult part;
-        part.error = std::move(chains.error);
-        finish(&part);
-        return part;
-      }
-      for (std::size_t i = 0; i < bodies.size(); ++i) {
-        if (!ProjectHead(disjuncts[body_index[i]], chains.bindings[i],
-                         &result)) {
-          finish(&result);
-          return result;
-        }
-      }
-    }
-    finish(&result);
-    return result;
-  }
-
+  std::vector<const ConjunctiveQuery*> disjuncts;
+  disjuncts.reserve(q.disjuncts().size());
   for (const ConjunctiveQuery& disjunct : q.disjuncts()) {
-    ExecutionResult part = ExecuteRaw(disjunct, catalog, effective, options,
-                                      clock, &counters, &op_counters);
-    if (!part.ok) {
-      finish(&part);
-      return part;
-    }
-    result.tuples.insert(part.tuples.begin(), part.tuples.end());
+    disjuncts.push_back(&disjunct);
   }
-  finish(&result);
-  return result;
+  return WithRuntime<ExecutionResult>(
+      source, options,
+      [&](Source* effective, Clock* clock, OperatorCounters* counters) {
+        return ExecuteDisjuncts(disjuncts, catalog, effective, options, clock,
+                                counters);
+      });
 }
 
 }  // namespace ucqn

@@ -40,46 +40,30 @@ struct ExecutionOptions {
   // it fails the execution rather than exhausting memory on a hostile
   // plan/source combination. 0 = unlimited.
   std::size_t max_bindings = 0;
-  // Collect each literal's source calls across all live bindings into one
-  // batched wave (deduplicated, then issued via Source::FetchBatch so a
-  // parallel dispatcher can overlap them). Answers are identical to the
-  // per-binding reference loop — waves only change transport scheduling —
-  // so this is on by default; turn it off to run the reference semantics.
+  // The executor has two paths. On (default), every disjunct runs
+  // through the operator DAG (eval/dag_executor.h): each literal's calls
+  // for a morsel of live bindings fly as one deduplicated wave over
+  // dictionary-encoded columnar frontiers, issued via Source::FetchBatch
+  // so a parallel dispatcher can overlap them. Off runs the per-binding
+  // reference loop — one call per binding per literal — kept as the
+  // semantic oracle. Answers and witness order are identical; waves only
+  // change transport scheduling.
   bool batch = true;
-  // Run the batch path dictionary-encoded (default): constants intern
-  // into the process-wide TermDictionary, the binding frontier is stored
-  // columnar (eval/frontier.h), wave dedup hashes flat id signatures,
-  // and negated literals probe an id-keyed hash set — strings are
-  // decoded only at result materialization. Answers, witness order, and
-  // runtime ledgers are byte-identical to the string path (the
-  // regression corpus pins this); turn it off to run the string-path
-  // oracle. Ignored when `batch` is off (the reference loop is always
-  // string-based).
-  bool dictionary = true;
-  // Run the encoded batch path through the push-based operator DAG
-  // (eval/op/, eval/dag_executor.h) — the default executor. Each
-  // disjunct lowers to a chain of fetch operators over ColumnarFrontier
-  // morsels, which is what `morsel_rows` and `disjunct_concurrency`
-  // below schedule. Answers, witness order, and runtime ledgers are
-  // byte-identical to the pre-DAG encoded loop at the defaults (the
-  // regression corpus pins this); turn it off (--legacy-executor) to run
-  // that loop as the oracle. Ignored when `batch` or `dictionary` is
-  // off, or when runtime.pipeline_depth > 1 (inter-literal pipelining
-  // has its own loop).
-  bool dag = true;
-  // Rows per morsel pushed through the DAG. 0 (default) keeps each
-  // whole frontier as one morsel — the byte-compatible schedule. When
+  // Rows per morsel a DAG stage cuts from its queue per round. 0
+  // (default) cuts the whole queue — one wave per literal — or, when
+  // runtime.pipeline_depth > 1, max(1, runtime.parallelism) rows. When
   // set, wide frontiers split into chunks of at most this many rows
   // (witness order preserved), so one literal's work feeds the parallel
-  // dispatcher as several waves instead of one.
+  // dispatcher as several waves instead of one. Scheduling only: each
+  // stage prices its access pattern once, with every row queued there on
+  // first contact, so the pattern does not depend on the morsel size.
   std::size_t morsel_rows = 0;
-  // How many disjunct chains of a union may stage waves in the same
-  // round. 1 (default) drives disjuncts to completion in order — the
-  // sequential union, byte-identical ledgers. Values >= 2 let disjuncts
-  // race: each round issues one wave per runnable chain and resolves
-  // them inside one clock overlap bracket, so a SimulatedClock charges
-  // the round max-over-lanes. Answers are identical at every setting —
-  // concurrency only changes transport scheduling.
+  // How many disjunct chains of a union take part in each DAG round. 1
+  // (default) drives disjuncts to completion in order — the sequential
+  // union. Values >= 2 let disjuncts race: each round stages waves for
+  // every participating chain and resolves them inside one clock overlap
+  // bracket, so a SimulatedClock charges the round max-over-lanes.
+  // Answers are identical at every setting.
   std::size_t disjunct_concurrency = 1;
   // Source-access runtime configuration (src/runtime/): call caching,
   // retry/backoff, call/deadline budgets, metrics. Disabled by default —

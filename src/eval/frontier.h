@@ -21,8 +21,8 @@ namespace ucqn {
 //
 // Row order is the paper's witness order (left-to-right derivation):
 // every operation here preserves it, which is what lets the encoded
-// executor decode back to exactly the Substitution sequence the string
-// path produces.
+// executor decode back to exactly the Substitution sequence the
+// per-binding reference loop produces.
 class ColumnarFrontier {
  public:
   static constexpr std::size_t kNoColumn = static_cast<std::size_t>(-1);
@@ -61,8 +61,8 @@ class ColumnarFrontier {
   // negated literal.
   void Retain(const std::vector<std::size_t>& selection);
 
-  // Decodes row `row` back into the Substitution the string-path
-  // executor would have built — the result-materialization boundary.
+  // Decodes row `row` back into the Substitution the reference loop
+  // would have built — the result-materialization boundary.
   Substitution DecodeRow(std::size_t row, const TermDictionary& dict) const;
 
   // All rows, in witness order.

@@ -25,7 +25,7 @@ enum class OperatorKind {
   // Positive literal with every variable already bound: probes the
   // fetched tuples without adding columns (a duplicate-preserving
   // semi-join — one output row per matching fetched tuple, exactly the
-  // string path's witness multiplicity).
+  // reference loop's witness multiplicity).
   kFilter,
   // Negated literal: builds an id-keyed hash set per distinct request
   // from the fetched tuples and keeps exactly the frontier rows whose
@@ -56,6 +56,11 @@ struct OperatorCounters {
   // Tuples inserted into anti-join build-side hash sets (distinct per
   // request).
   std::uint64_t antijoin_build_tuples = 0;
+  // Driver rounds run with RuntimeOptions::pipeline_depth > 1, and how
+  // many of them resolved >= 2 waves inside one overlap bracket. Both
+  // stay 0 at depth 1.
+  std::uint64_t pipeline_rounds = 0;
+  std::uint64_t pipeline_overlaps = 0;
 };
 
 }  // namespace ucqn

@@ -8,12 +8,13 @@ namespace ucqn {
 
 // The pattern decision and slot classification happen on first contact
 // with the frontier — not at lowering time — so that (a) a literal no
-// morsel ever reaches never errors, exactly like the legacy loop's
+// row ever reaches never errors, exactly like the reference loop's
 // early-out on an empty frontier, and (b) an adaptive cost model prices
-// the decision with the *actual* live-binding count, not the planner's
-// estimate. The frontier's column set is fixed per chain stage, so one
-// preparation serves every later morsel.
-bool FetchOperator::Prepare(const ColumnarFrontier& frontier) {
+// the decision with the *actual* live-binding count (every row queued at
+// the stage), not the planner's estimate. The frontier's column set is
+// fixed per chain stage, so one preparation serves every later morsel.
+bool FetchOperator::Prepare(const ColumnarFrontier& frontier,
+                            std::size_t live_rows) {
   TermDictionary& dict = TermDictionary::Global();
   // The variables bound before this literal are exactly the frontier's
   // columns: positive literals add their new variables as columns, and
@@ -21,7 +22,7 @@ bool FetchOperator::Prepare(const ColumnarFrontier& frontier) {
   BoundVariables bound(frontier.vars().begin(), frontier.vars().end());
   PlanContext context;
   context.live_bindings =
-      static_cast<double>(std::max<std::size_t>(frontier.rows(), 1));
+      static_cast<double>(std::max<std::size_t>(live_rows, 1));
   pattern_ = ChoosePattern(*catalog_, *literal_, bound, *model_, context);
   if (!pattern_.has_value()) {
     return Fail("literal " + literal_->ToString() +
@@ -29,7 +30,7 @@ bool FetchOperator::Prepare(const ColumnarFrontier& frontier) {
   }
 
   // Classify each slot once; the per-row loops below are then pure
-  // integer work (the encoded executor's plan, verbatim).
+  // integer work.
   const std::vector<Term>& args = literal_->args();
   const std::size_t arity = args.size();
   plan_.assign(arity, SlotPlan{});
@@ -60,8 +61,9 @@ bool FetchOperator::Prepare(const ColumnarFrontier& frontier) {
   return true;
 }
 
-bool FetchOperator::Stage(ColumnarFrontier&& morsel, PendingWave* wave) {
-  if (!prepared_ && !Prepare(morsel)) return false;
+bool FetchOperator::Stage(ColumnarFrontier&& morsel, std::size_t queued_rows,
+                          PendingWave* wave) {
+  if (!prepared_ && !Prepare(morsel, queued_rows)) return false;
   ++counters_->morsels;
   TermDictionary& dict = TermDictionary::Global();
   const std::size_t arity = literal_->args().size();
@@ -69,8 +71,8 @@ bool FetchOperator::Stage(ColumnarFrontier&& morsel, PendingWave* wave) {
   // Build the wave: one flat id signature per row (input slots whose
   // value is known before the call), deduplicated by integer hashing.
   // Only the distinct signatures decode to Term vectors for the Source
-  // API, so the requests on the wire equal the legacy loop's, in the
-  // same first-occurrence order.
+  // API, in first-occurrence order — the order every runtime ledger is
+  // keyed on.
   std::unordered_map<EncodedTuple, std::size_t, EncodedTupleHash> index;
   wave->requests.clear();
   wave->slot_of.assign(morsel.rows(), 0);
@@ -121,8 +123,8 @@ bool FetchOperator::Absorb(PendingWave&& wave,
 
   // Encode each distinct result set once. A tuple whose arity differs
   // from the literal's can never unify, and a tuple carrying a variable
-  // is not a fact — both are dropped here exactly as string-path
-  // unification would reject them.
+  // is not a fact — both are dropped here exactly as the reference
+  // loop's unification would reject them.
   std::vector<std::vector<EncodedTuple>> encoded(fetched.size());
   for (std::size_t f = 0; f < fetched.size(); ++f) {
     encoded[f].reserve(fetched[f].tuples.size());

@@ -31,12 +31,10 @@ struct PendingWave {
 
 // A source-literal operator of the DAG (AccessScan / HashJoin / Filter /
 // HashAntiJoin — the kind is a lowering-time classification; all four
-// share the fetch-and-merge core, which is exactly what keeps the DAG
-// byte-identical to the encoded loop it replaces). Push-based with an
-// explicit seam: Stage(morsel) chooses the access pattern (first morsel
-// only; live_bindings = that morsel's rows, the same actual count the
-// legacy loop passed) and builds the deduplicated wave; the driver
-// fetches; Absorb(wave, results) merges into the output morsel.
+// share the fetch-and-merge core). Push-based with an explicit seam:
+// Stage(morsel) chooses the access pattern on first contact and builds
+// the deduplicated wave; the driver fetches; Absorb(wave, results)
+// merges into the output morsel.
 //
 // Not thread-safe; one instance belongs to one execution's chain.
 class FetchOperator {
@@ -55,15 +53,19 @@ class FetchOperator {
   const Literal& literal() const { return *literal_; }
   // Set by the first successful Stage.
   const std::optional<AccessPattern>& pattern() const { return pattern_; }
-  // Cumulative output rows across all absorbed morsels — the DAG's
-  // reading of the legacy per-literal frontier size, which max_bindings
-  // bounds.
+  // Cumulative output rows across all absorbed morsels — the literal's
+  // intermediate-result size, which max_bindings bounds.
   std::size_t rows_out() const { return rows_out_; }
   const std::string& error() const { return error_; }
 
   // Classifies slots and chooses the pattern on first contact, then
-  // builds `morsel`'s deduplicated wave. False on failure (error()).
-  bool Stage(ColumnarFrontier&& morsel, PendingWave* wave);
+  // builds `morsel`'s deduplicated wave. `queued_rows` is how many rows
+  // were waiting at this stage when `morsel` was cut from them; the
+  // first contact prices the pattern with it (live_bindings), so how the
+  // driver cuts morsels never changes which pattern runs. False on
+  // failure (error()).
+  bool Stage(ColumnarFrontier&& morsel, std::size_t queued_rows,
+             PendingWave* wave);
 
   // Merges one fetched wave into `out` (join kinds append matched rows
   // column-wise; the anti-join retains non-members), preserving row
@@ -72,8 +74,7 @@ class FetchOperator {
               ColumnarFrontier* out);
 
  private:
-  // The encoded executor's slot classification, verbatim: how each
-  // argument position of the literal maps onto the frontier.
+  // How each argument position of the literal maps onto the frontier.
   enum class Slot { kConst, kColumn, kBindFirst, kBindRepeat };
   struct SlotPlan {
     Slot kind = Slot::kConst;
@@ -82,7 +83,7 @@ class FetchOperator {
     std::size_t first = 0;   // kBindRepeat: slot of the first occurrence
   };
 
-  bool Prepare(const ColumnarFrontier& frontier);
+  bool Prepare(const ColumnarFrontier& frontier, std::size_t live_rows);
   bool Fail(std::string error) {
     error_ = std::move(error);
     return false;

@@ -36,8 +36,9 @@ class Clock {
   virtual void BeginWave(std::size_t workers) { (void)workers; }
   virtual void EndWave() {}
 
-  // Brackets a group of *different literals'* waves resolved back-to-back
-  // by the pipelined executor (eval/executor.cc, pipeline_depth > 1).
+  // Brackets a group of waves resolved back-to-back by one round of the
+  // operator-DAG driver (eval/dag_executor.h: pipelined literals or racing
+  // disjuncts).
   // Each wave's resolution runs inside its own BeginLane/EndLane pair;
   // EndOverlap charges the group max-over-lanes, the wall-clock model of
   // futures genuinely in flight together. Inside a lane, sleeps (and any

@@ -38,12 +38,11 @@ struct RuntimeOptions {
   // (see ParallelSource). 1 = sequential dispatch, no threads.
   std::size_t parallelism = 1;
   // How many *different literals'* waves the executor may keep in flight
-  // at once (inter-literal pipelining, eval/executor.cc): bindings that
-  // cleared literal i advance to literal i+1 and issue its probes while
-  // literal i's remaining wave is still resolving, up to this many
-  // pipeline stages deep. 1 (and 0) = today's one-wave-at-a-time
-  // execution, bit-identical answers and scheduling. Values > 1 change
-  // only transport scheduling, never the answer set.
+  // at once (inter-literal pipelining, eval/dag_executor.h): bindings
+  // that cleared literal i advance to literal i+1 and issue its probes
+  // while literal i's remaining rows are still being fetched, up to this
+  // many pipeline stages deep. 1 (and 0) = one wave at a time. Values > 1
+  // change only transport scheduling, never the answers or their order.
   std::size_t pipeline_depth = 1;
   // Time source shared with whatever sits *under* the stack (e.g. a
   // latency-injecting test source). Not owned; may be null, in which case
@@ -81,8 +80,8 @@ struct RuntimeStats {
   std::uint64_t parallel_waves = 0;
   std::uint64_t batched_requests = 0;
   // Inter-literal pipelining (executor-side, filled in by the executor
-  // when pipeline_depth > 1): rounds the pipelined loop ran, and how many
-  // of them had >= 2 literals' waves genuinely in flight together.
+  // when pipeline_depth > 1): DAG rounds run, and how many of them had
+  // >= 2 waves genuinely in flight together.
   std::uint64_t pipeline_rounds = 0;
   std::uint64_t pipeline_overlaps = 0;
   // Operator-DAG executor counters (executor-side, filled in when the

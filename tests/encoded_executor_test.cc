@@ -1,9 +1,8 @@
-// Regression corpus for the dictionary-encoded executor: across the
-// paper's worked examples (gen/scenarios.h, Examples 1-10) and the
-// parallelism x pipeline-depth grid, the encoded columnar path must be
-// byte-identical to the string-path oracle (--no-dictionary) — answer
-// sets, ANSWER* brackets and summaries, witness order, runtime ledgers,
-// and error messages.
+// The dictionary-encoded executor against the per-binding reference loop
+// (batch off): across the paper's worked examples (gen/scenarios.h,
+// Examples 1-10) and the parallelism x pipeline-depth grid, the encoded
+// columnar path must reproduce the reference witness order, answers and
+// error messages. Byte-level ledgers are pinned by golden_executor_test.
 
 #include <gtest/gtest.h>
 
@@ -19,14 +18,19 @@
 namespace ucqn {
 namespace {
 
-ExecutionOptions GridOptions(bool dictionary, std::size_t parallelism,
+ExecutionOptions GridOptions(std::size_t parallelism,
                              std::size_t pipeline_depth) {
   ExecutionOptions options;
   options.batch = true;
-  options.dictionary = dictionary;
   options.runtime.metering = true;  // force a stack so depth > 1 engages
   options.runtime.parallelism = parallelism;
   options.runtime.pipeline_depth = pipeline_depth;
+  return options;
+}
+
+ExecutionOptions ReferenceOptions() {
+  ExecutionOptions options;
+  options.batch = false;
   return options;
 }
 
@@ -39,110 +43,80 @@ std::vector<std::string> BindingStrings(const BindingsResult& result) {
   return order;
 }
 
-TEST(EncodedExecutorTest, AnswerStarBracketsMatchTheOracleAcrossTheGrid) {
-  for (const Scenario& scenario : AllScenarios()) {
-    for (std::size_t parallelism : {std::size_t{1}, std::size_t{4}}) {
-      for (std::size_t depth : {std::size_t{1}, std::size_t{2}}) {
-        SCOPED_TRACE(scenario.name + " parallelism=" +
-                     std::to_string(parallelism) +
-                     " depth=" + std::to_string(depth));
-
-        DatabaseSource oracle_backend(&scenario.database, &scenario.catalog);
-        AnswerStarReport oracle =
-            AnswerStar(scenario.query, scenario.catalog, &oracle_backend,
-                       GridOptions(/*dictionary=*/false, parallelism, depth));
-        ASSERT_TRUE(oracle.ok) << oracle.error;
-
-        DatabaseSource encoded_backend(&scenario.database, &scenario.catalog);
-        AnswerStarReport encoded =
-            AnswerStar(scenario.query, scenario.catalog, &encoded_backend,
-                       GridOptions(/*dictionary=*/true, parallelism, depth));
-        ASSERT_TRUE(encoded.ok) << encoded.error;
-
-        // The full bracket, byte for byte — including the null-padded
-        // overestimate rows (Ex. 7) that exercise the Δ-null sentinel.
-        EXPECT_EQ(encoded.under, oracle.under);
-        EXPECT_EQ(encoded.over, oracle.over);
-        EXPECT_EQ(encoded.delta, oracle.delta);
-        EXPECT_EQ(encoded.complete, oracle.complete);
-        EXPECT_EQ(encoded.delta_has_nulls, oracle.delta_has_nulls);
-        EXPECT_EQ(encoded.completeness_lower_bound,
-                  oracle.completeness_lower_bound);
-        EXPECT_EQ(encoded.Summary(), oracle.Summary());
-        // Same physical calls: encoding changes representation, not the
-        // call waves the dedup produces.
-        EXPECT_EQ(encoded.runtime.source_calls, oracle.runtime.source_calls);
-      }
-    }
-  }
-}
-
-TEST(EncodedExecutorTest, WitnessOrderMatchesTheOracleAcrossTheGrid) {
+TEST(EncodedExecutorTest, WitnessOrderMatchesTheReferenceAcrossTheGrid) {
   for (const Scenario& scenario : AllScenarios()) {
     const PlanStarResult plans = PlanStar(scenario.query, scenario.catalog);
     // Both estimate plans are executable by construction; every disjunct
-    // must replay the oracle's witness sequence exactly, not just its set.
+    // must replay the reference loop's witness sequence exactly, not just
+    // its set — including the Δ-null rows of Ex. 7.
     std::vector<ConjunctiveQuery> bodies;
     bodies.insert(bodies.end(), plans.under.disjuncts().begin(),
                   plans.under.disjuncts().end());
     bodies.insert(bodies.end(), plans.over.disjuncts().begin(),
                   plans.over.disjuncts().end());
     for (std::size_t i = 0; i < bodies.size(); ++i) {
+      DatabaseSource reference_backend(&scenario.database, &scenario.catalog);
+      BindingsResult reference = ExecuteForBindings(
+          bodies[i], scenario.catalog, &reference_backend, ReferenceOptions());
       for (std::size_t parallelism : {std::size_t{1}, std::size_t{4}}) {
         for (std::size_t depth : {std::size_t{1}, std::size_t{2}}) {
           SCOPED_TRACE(scenario.name + " disjunct=" + std::to_string(i) +
                        " parallelism=" + std::to_string(parallelism) +
                        " depth=" + std::to_string(depth));
-
-          DatabaseSource oracle_backend(&scenario.database, &scenario.catalog);
-          BindingsResult oracle = ExecuteForBindings(
-              bodies[i], scenario.catalog, &oracle_backend,
-              GridOptions(/*dictionary=*/false, parallelism, depth));
-
           DatabaseSource encoded_backend(&scenario.database,
                                          &scenario.catalog);
-          BindingsResult encoded = ExecuteForBindings(
-              bodies[i], scenario.catalog, &encoded_backend,
-              GridOptions(/*dictionary=*/true, parallelism, depth));
-
-          ASSERT_EQ(encoded.ok, oracle.ok) << encoded.error << " vs "
-                                           << oracle.error;
-          if (!oracle.ok) {
-            EXPECT_EQ(encoded.error, oracle.error);
+          BindingsResult encoded =
+              ExecuteForBindings(bodies[i], scenario.catalog,
+                                 &encoded_backend,
+                                 GridOptions(parallelism, depth));
+          ASSERT_EQ(encoded.ok, reference.ok) << encoded.error << " vs "
+                                              << reference.error;
+          if (!reference.ok) {
+            EXPECT_EQ(encoded.error, reference.error);
             continue;
           }
-          EXPECT_EQ(BindingStrings(encoded), BindingStrings(oracle));
+          EXPECT_EQ(BindingStrings(encoded), BindingStrings(reference));
         }
       }
     }
   }
 }
 
-TEST(EncodedExecutorTest, EncodedPathMatchesTheReferenceLoop) {
-  // Against the per-binding reference semantics (batch off), not just the
-  // batched string path: the two oracles agree, so this pins the encoded
-  // path to the paper's left-to-right reading directly.
+TEST(EncodedExecutorTest, AnswerStarBracketsMatchTheReferenceAcrossTheGrid) {
+  // The full ANSWER* bracket against the per-binding reference semantics
+  // — the paper's left-to-right reading directly — including the
+  // null-padded overestimate rows (Ex. 7) that exercise the Δ-null
+  // sentinel.
   for (const Scenario& scenario : AllScenarios()) {
-    SCOPED_TRACE(scenario.name);
-    const PlanStarResult plans = PlanStar(scenario.query, scenario.catalog);
-
     DatabaseSource reference_backend(&scenario.database, &scenario.catalog);
-    ExecutionOptions reference_options;
-    reference_options.batch = false;
-    ExecutionResult reference = Execute(plans.under, scenario.catalog,
-                                        &reference_backend, reference_options);
+    AnswerStarReport reference =
+        AnswerStar(scenario.query, scenario.catalog, &reference_backend,
+                   ReferenceOptions());
     ASSERT_TRUE(reference.ok) << reference.error;
-
-    DatabaseSource encoded_backend(&scenario.database, &scenario.catalog);
-    ExecutionResult encoded =
-        Execute(plans.under, scenario.catalog, &encoded_backend,
-                GridOptions(/*dictionary=*/true, 1, 1));
-    ASSERT_TRUE(encoded.ok) << encoded.error;
-    EXPECT_EQ(encoded.tuples, reference.tuples);
+    for (std::size_t parallelism : {std::size_t{1}, std::size_t{4}}) {
+      for (std::size_t depth : {std::size_t{1}, std::size_t{2}}) {
+        SCOPED_TRACE(scenario.name + " parallelism=" +
+                     std::to_string(parallelism) +
+                     " depth=" + std::to_string(depth));
+        DatabaseSource encoded_backend(&scenario.database, &scenario.catalog);
+        AnswerStarReport encoded =
+            AnswerStar(scenario.query, scenario.catalog, &encoded_backend,
+                       GridOptions(parallelism, depth));
+        ASSERT_TRUE(encoded.ok) << encoded.error;
+        EXPECT_EQ(encoded.under, reference.under);
+        EXPECT_EQ(encoded.over, reference.over);
+        EXPECT_EQ(encoded.delta, reference.delta);
+        EXPECT_EQ(encoded.complete, reference.complete);
+        EXPECT_EQ(encoded.delta_has_nulls, reference.delta_has_nulls);
+        EXPECT_EQ(encoded.completeness_lower_bound,
+                  reference.completeness_lower_bound);
+        EXPECT_EQ(encoded.Summary(), reference.Summary());
+      }
+    }
   }
 }
 
-TEST(EncodedExecutorTest, ErrorMessagesMatchTheOracle) {
+TEST(EncodedExecutorTest, ErrorMessagesMatchTheReference) {
   const Catalog catalog = Catalog::MustParse("R/2: oo\nT/2: io\n");
   const Database db = Database::MustParseFacts(R"(
     R("a", "b").
@@ -153,10 +127,10 @@ TEST(EncodedExecutorTest, ErrorMessagesMatchTheOracle) {
   const ConjunctiveQuery query = MustParseRule("Q(x, w) :- R(x, z), T(z, w).");
 
   // max_bindings trips at the same literal with the same message.
-  for (bool dictionary : {false, true}) {
-    SCOPED_TRACE(dictionary ? "encoded" : "oracle");
+  for (bool batch : {false, true}) {
+    SCOPED_TRACE(batch ? "encoded" : "reference");
     DatabaseSource backend(&db, &catalog);
-    ExecutionOptions options = GridOptions(dictionary, 1, 1);
+    ExecutionOptions options = batch ? GridOptions(1, 1) : ReferenceOptions();
     options.max_bindings = 2;
     ExecutionResult result = Execute(query, catalog, &backend, options);
     EXPECT_FALSE(result.ok);
@@ -166,26 +140,23 @@ TEST(EncodedExecutorTest, ErrorMessagesMatchTheOracle) {
 
   // A literal with no usable pattern fails identically.
   const ConjunctiveQuery gap = MustParseRule("Q(x, w) :- T(z, w), R(x, z).");
-  std::string oracle_error;
-  for (bool dictionary : {false, true}) {
-    DatabaseSource backend(&db, &catalog);
-    ExecutionResult result =
-        Execute(gap, catalog, &backend, GridOptions(dictionary, 1, 1));
-    EXPECT_FALSE(result.ok);
-    if (!dictionary) {
-      oracle_error = result.error;
-      EXPECT_NE(oracle_error.find("no usable access pattern"),
-                std::string::npos);
-    } else {
-      EXPECT_EQ(result.error, oracle_error);
-    }
-  }
+  DatabaseSource reference_backend(&db, &catalog);
+  ExecutionResult reference =
+      Execute(gap, catalog, &reference_backend, ReferenceOptions());
+  EXPECT_FALSE(reference.ok);
+  EXPECT_NE(reference.error.find("no usable access pattern"),
+            std::string::npos);
+  DatabaseSource encoded_backend(&db, &catalog);
+  ExecutionResult encoded =
+      Execute(gap, catalog, &encoded_backend, GridOptions(1, 1));
+  EXPECT_FALSE(encoded.ok);
+  EXPECT_EQ(encoded.error, reference.error);
 }
 
-TEST(EncodedExecutorTest, SharedCacheLedgerMatchesTheOracle) {
-  // With the shared cache on, hit/miss/insert counts are part of the
-  // byte-identical contract: the packed id keys must group calls exactly
-  // like the textual keys did.
+TEST(EncodedExecutorTest, SharedCacheLedgerIsPinned) {
+  // With the cache on, hit/miss counts are part of the contract: the
+  // packed id keys group calls by input values, so the three R rows'
+  // two distinct z values cost two T calls.
   const Catalog catalog = Catalog::MustParse("R/2: oo io\nT/2: io\nS/1: o\n");
   const Database db = Database::MustParseFacts(R"(
     R("a", "b").
@@ -198,21 +169,15 @@ TEST(EncodedExecutorTest, SharedCacheLedgerMatchesTheOracle) {
   const ConjunctiveQuery query =
       MustParseRule("Q(x, w) :- R(x, z), T(z, w), not S(z).");
 
-  std::uint64_t oracle_calls = 0;
-  for (bool dictionary : {false, true}) {
-    SCOPED_TRACE(dictionary ? "encoded" : "oracle");
-    DatabaseSource backend(&db, &catalog);
-    ExecutionOptions options = GridOptions(dictionary, 1, 1);
-    options.runtime.cache = true;
-    ExecutionResult result = Execute(query, catalog, &backend, options);
-    ASSERT_TRUE(result.ok) << result.error;
-    EXPECT_EQ(result.tuples.size(), 2u);  // Q("a","t1"), Q("c","t1")
-    if (!dictionary) {
-      oracle_calls = result.runtime.source_calls;
-    } else {
-      EXPECT_EQ(result.runtime.source_calls, oracle_calls);
-    }
-  }
+  DatabaseSource backend(&db, &catalog);
+  ExecutionOptions options = GridOptions(1, 1);
+  options.runtime.cache = true;
+  ExecutionResult result = Execute(query, catalog, &backend, options);
+  ASSERT_TRUE(result.ok) << result.error;
+  EXPECT_EQ(result.tuples.size(), 2u);  // Q("a","t1"), Q("c","t1")
+  EXPECT_EQ(result.runtime.source_calls, 4u);
+  EXPECT_EQ(result.runtime.cache_hits, 0u);
+  EXPECT_EQ(result.runtime.cache_misses, 4u);
 }
 
 }  // namespace

@@ -24,8 +24,6 @@ namespace {
 ExecutionOptions DagOptions(std::size_t disjunct_concurrency) {
   ExecutionOptions options;
   options.batch = true;
-  options.dictionary = true;
-  options.dag = true;
   options.disjunct_concurrency = disjunct_concurrency;
   options.runtime.metering = true;  // force a stack
   return options;

@@ -1,9 +1,9 @@
-// Regression corpus for the push-based operator-DAG executor: across the
-// paper's worked examples (gen/scenarios.h, Examples 1-10) and the
-// parallelism grid, the DAG path (the default) must be byte-identical to
-// the pre-DAG encoded loop (--legacy-executor) — answer sets, ANSWER*
-// brackets and summaries, witness order, runtime ledgers, and error
-// messages. Morsel splitting must preserve answers and witness order.
+// The push-based operator-DAG executor's scheduling knobs: morsel
+// splitting must preserve answers and witness order, must not change
+// which access pattern runs, and the DAG's counters and lowering render
+// are pinned. Byte-level ledgers over Examples 1-10 are pinned by
+// golden_executor_test; witness order against the reference loop by
+// encoded_executor_test.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 
 #include "ast/parser.h"
 #include "cost/cost_model.h"
-#include "eval/answer_star.h"
 #include "eval/executor.h"
 #include "eval/op/lowering.h"
 #include "feasibility/plan_star.h"
@@ -21,13 +20,9 @@
 namespace ucqn {
 namespace {
 
-ExecutionOptions GridOptions(bool dag, std::size_t parallelism) {
+ExecutionOptions MeteredOptions() {
   ExecutionOptions options;
-  options.batch = true;
-  options.dictionary = true;
-  options.dag = dag;
   options.runtime.metering = true;  // force a stack so ledgers are live
-  options.runtime.parallelism = parallelism;
   return options;
 }
 
@@ -40,76 +35,22 @@ std::vector<std::string> BindingStrings(const BindingsResult& result) {
   return order;
 }
 
-TEST(OperatorDagTest, AnswerStarBracketsMatchTheLegacyOracleAcrossTheGrid) {
-  for (const Scenario& scenario : AllScenarios()) {
-    for (std::size_t parallelism : {std::size_t{1}, std::size_t{4}}) {
-      SCOPED_TRACE(scenario.name +
-                   " parallelism=" + std::to_string(parallelism));
+// Forwards every call and records the access pattern it went through.
+class PatternRecorder : public Source {
+ public:
+  explicit PatternRecorder(Source* inner) : inner_(inner) {}
 
-      DatabaseSource oracle_backend(&scenario.database, &scenario.catalog);
-      AnswerStarReport oracle =
-          AnswerStar(scenario.query, scenario.catalog, &oracle_backend,
-                     GridOptions(/*dag=*/false, parallelism));
-      ASSERT_TRUE(oracle.ok) << oracle.error;
-
-      DatabaseSource dag_backend(&scenario.database, &scenario.catalog);
-      AnswerStarReport dag =
-          AnswerStar(scenario.query, scenario.catalog, &dag_backend,
-                     GridOptions(/*dag=*/true, parallelism));
-      ASSERT_TRUE(dag.ok) << dag.error;
-
-      // The full bracket, byte for byte — including the null-padded
-      // overestimate rows (Ex. 7) that exercise the Δ-null sentinel.
-      EXPECT_EQ(dag.under, oracle.under);
-      EXPECT_EQ(dag.over, oracle.over);
-      EXPECT_EQ(dag.delta, oracle.delta);
-      EXPECT_EQ(dag.complete, oracle.complete);
-      EXPECT_EQ(dag.delta_has_nulls, oracle.delta_has_nulls);
-      EXPECT_EQ(dag.completeness_lower_bound,
-                oracle.completeness_lower_bound);
-      EXPECT_EQ(dag.Summary(), oracle.Summary());
-      // Same physical calls: the DAG changes who drives the loop, not
-      // the call waves the dedup produces.
-      EXPECT_EQ(dag.runtime.source_calls, oracle.runtime.source_calls);
-    }
+  FetchResult Fetch(const std::string& relation, const AccessPattern& pattern,
+                    const std::vector<std::optional<Term>>& inputs) override {
+    calls_.push_back(relation + "^" + pattern.word());
+    return inner_->Fetch(relation, pattern, inputs);
   }
-}
+  const std::vector<std::string>& calls() const { return calls_; }
 
-TEST(OperatorDagTest, WitnessOrderMatchesTheLegacyOracleAcrossTheGrid) {
-  for (const Scenario& scenario : AllScenarios()) {
-    const PlanStarResult plans = PlanStar(scenario.query, scenario.catalog);
-    std::vector<ConjunctiveQuery> bodies;
-    bodies.insert(bodies.end(), plans.under.disjuncts().begin(),
-                  plans.under.disjuncts().end());
-    bodies.insert(bodies.end(), plans.over.disjuncts().begin(),
-                  plans.over.disjuncts().end());
-    for (std::size_t i = 0; i < bodies.size(); ++i) {
-      for (std::size_t parallelism : {std::size_t{1}, std::size_t{4}}) {
-        SCOPED_TRACE(scenario.name + " disjunct=" + std::to_string(i) +
-                     " parallelism=" + std::to_string(parallelism));
-
-        DatabaseSource oracle_backend(&scenario.database, &scenario.catalog);
-        BindingsResult oracle =
-            ExecuteForBindings(bodies[i], scenario.catalog, &oracle_backend,
-                               GridOptions(/*dag=*/false, parallelism));
-
-        DatabaseSource dag_backend(&scenario.database, &scenario.catalog);
-        BindingsResult dag =
-            ExecuteForBindings(bodies[i], scenario.catalog, &dag_backend,
-                               GridOptions(/*dag=*/true, parallelism));
-
-        ASSERT_EQ(dag.ok, oracle.ok) << dag.error << " vs " << oracle.error;
-        if (!oracle.ok) {
-          EXPECT_EQ(dag.error, oracle.error);
-          continue;
-        }
-        // The witness sequence exactly, not just its set: Materialize
-        // must replay the legacy loop's left-to-right derivation order.
-        EXPECT_EQ(BindingStrings(dag), BindingStrings(oracle));
-      }
-    }
-  }
-}
+ private:
+  Source* inner_;
+  std::vector<std::string> calls_;
+};
 
 TEST(OperatorDagTest, MorselSplittingPreservesWitnessOrder) {
   // Splitting wide frontiers into morsels reshapes the call waves (one
@@ -119,14 +60,14 @@ TEST(OperatorDagTest, MorselSplittingPreservesWitnessOrder) {
     for (const ConjunctiveQuery& body : plans.under.disjuncts()) {
       DatabaseSource whole_backend(&scenario.database, &scenario.catalog);
       BindingsResult whole = ExecuteForBindings(
-          body, scenario.catalog, &whole_backend, GridOptions(true, 1));
+          body, scenario.catalog, &whole_backend, MeteredOptions());
 
       for (std::size_t morsel_rows :
            {std::size_t{1}, std::size_t{2}, std::size_t{3}}) {
         SCOPED_TRACE(scenario.name +
                      " morsel_rows=" + std::to_string(morsel_rows));
         DatabaseSource backend(&scenario.database, &scenario.catalog);
-        ExecutionOptions options = GridOptions(/*dag=*/true, 1);
+        ExecutionOptions options = MeteredOptions();
         options.morsel_rows = morsel_rows;
         BindingsResult split =
             ExecuteForBindings(body, scenario.catalog, &backend, options);
@@ -138,77 +79,58 @@ TEST(OperatorDagTest, MorselSplittingPreservesWitnessOrder) {
   }
 }
 
-TEST(OperatorDagTest, ErrorMessagesMatchTheLegacyOracle) {
-  const Catalog catalog = Catalog::MustParse("R/2: oo\nT/2: io\n");
+TEST(OperatorDagTest, MorselSizeDoesNotChangeWhichPatternRuns) {
+  // B can be probed per binding (io) or scanned once (oo). Under the
+  // adaptive model's defaults a probe is cheaper for one live binding and
+  // a scan for two or more — so pricing a 1-row morsel instead of the six
+  // rows queued at B would flip the pattern and the physical calls.
+  const Catalog catalog = Catalog::MustParse("A/2: oo\nB/2: oo io\n");
   const Database db = Database::MustParseFacts(R"(
-    R("a", "b").
-    R("c", "d").
-    R("e", "f").
-    T("b", "t1").
-  )");
-  const ConjunctiveQuery query = MustParseRule("Q(x, w) :- R(x, z), T(z, w).");
-
-  // max_bindings trips at the same literal with the same message.
-  for (bool dag : {false, true}) {
-    SCOPED_TRACE(dag ? "dag" : "legacy");
-    DatabaseSource backend(&db, &catalog);
-    ExecutionOptions options = GridOptions(dag, 1);
-    options.max_bindings = 2;
-    ExecutionResult result = Execute(query, catalog, &backend, options);
-    EXPECT_FALSE(result.ok);
-    EXPECT_EQ(result.error,
-              "execution exceeded max_bindings (2) at literal R(x, z)");
-  }
-
-  // A literal with no usable pattern fails identically.
-  const ConjunctiveQuery gap = MustParseRule("Q(x, w) :- T(z, w), R(x, z).");
-  std::string oracle_error;
-  for (bool dag : {false, true}) {
-    DatabaseSource backend(&db, &catalog);
-    ExecutionResult result =
-        Execute(gap, catalog, &backend, GridOptions(dag, 1));
-    EXPECT_FALSE(result.ok);
-    if (!dag) {
-      oracle_error = result.error;
-      EXPECT_NE(oracle_error.find("no usable access pattern"),
-                std::string::npos);
-    } else {
-      EXPECT_EQ(result.error, oracle_error);
-    }
-  }
-}
-
-TEST(OperatorDagTest, SharedCacheLedgerMatchesTheLegacyOracle) {
-  // With caching on, hit/miss/insert counts are part of the contract:
-  // the DAG's staged waves must group calls exactly like the loop did.
-  const Catalog catalog = Catalog::MustParse("R/2: oo io\nT/2: io\nS/1: o\n");
-  const Database db = Database::MustParseFacts(R"(
-    R("a", "b").
-    R("c", "b").
-    R("e", "d").
-    T("b", "t1").
-    T("d", "t2").
-    S("d").
+    A("a1", "b1").
+    A("a2", "b2").
+    A("a3", "b3").
+    A("a4", "b4").
+    A("a5", "b5").
+    A("a6", "b6").
+    B("b1", "c1").
+    B("b3", "c3").
+    B("b6", "c6").
   )");
   const ConjunctiveQuery query =
-      MustParseRule("Q(x, w) :- R(x, z), T(z, w), not S(z).");
+      MustParseRule("Q(x, w) :- A(x, y), B(y, w).");
+  const AdaptiveCostModel model(nullptr);
 
-  std::uint64_t oracle_calls = 0;
-  std::uint64_t oracle_hits = 0;
-  for (bool dag : {false, true}) {
-    SCOPED_TRACE(dag ? "dag" : "legacy");
-    DatabaseSource backend(&db, &catalog);
-    ExecutionOptions options = GridOptions(dag, 1);
-    options.runtime.cache = true;
-    ExecutionResult result = Execute(query, catalog, &backend, options);
-    ASSERT_TRUE(result.ok) << result.error;
-    EXPECT_EQ(result.tuples.size(), 2u);  // Q("a","t1"), Q("c","t1")
-    if (!dag) {
-      oracle_calls = result.runtime.source_calls;
-      oracle_hits = result.runtime.cache_hits;
-    } else {
-      EXPECT_EQ(result.runtime.source_calls, oracle_calls);
-      EXPECT_EQ(result.runtime.cache_hits, oracle_hits);
+  const Literal& b = query.body()[1];
+  BoundVariables bound;
+  BindVariables(query.body()[0], &bound);
+  PlanContext one;
+  one.live_bindings = 1.0;
+  PlanContext six;
+  six.live_bindings = 6.0;
+  ASSERT_EQ(ChoosePattern(catalog, b, bound, model, one)->word(), "io");
+  ASSERT_EQ(ChoosePattern(catalog, b, bound, model, six)->word(), "oo");
+
+  for (std::size_t depth : {std::size_t{1}, std::size_t{2}}) {
+    for (std::size_t morsel_rows :
+         {std::size_t{0}, std::size_t{1}, std::size_t{3}}) {
+      SCOPED_TRACE("depth=" + std::to_string(depth) +
+                   " morsel_rows=" + std::to_string(morsel_rows));
+      DatabaseSource backend(&db, &catalog);
+      PatternRecorder recorder(&backend);
+      ExecutionOptions options = MeteredOptions();
+      options.cost_model = &model;
+      options.morsel_rows = morsel_rows;
+      options.runtime.pipeline_depth = depth;
+      // Each morsel issues its own wave, so repeated scans of B reach the
+      // cache; the recorder below the stack sees physical calls only.
+      options.runtime.cache = true;
+      ExecutionResult result = Execute(query, catalog, &recorder, options);
+      ASSERT_TRUE(result.ok) << result.error;
+      EXPECT_EQ(result.tuples.size(), 3u);
+      // One A scan, one B scan — whatever the morsel size or depth.
+      EXPECT_EQ(result.runtime.source_calls, 2u);
+      EXPECT_EQ(recorder.calls(),
+                (std::vector<std::string>{"A^oo", "B^oo"}));
     }
   }
 }
@@ -227,22 +149,24 @@ TEST(OperatorDagTest, ExecutorCountersAccumulate) {
 
   DatabaseSource backend(&db, &catalog);
   ExecutionResult result =
-      Execute(query, catalog, &backend, GridOptions(/*dag=*/true, 1));
+      Execute(query, catalog, &backend, MeteredOptions());
   ASSERT_TRUE(result.ok) << result.error;
   EXPECT_EQ(result.tuples.size(), 1u);  // Q("c") — S filters away "b"
   EXPECT_EQ(result.runtime.disjuncts_executed, 1u);
   EXPECT_GE(result.runtime.morsels, 2u);  // R scan + S anti-join
   EXPECT_EQ(result.runtime.antijoin_build_tuples, 1u);  // S("b") only
 
-  // The legacy loop runs no operators; its counters stay zero. This is
-  // what makes `--legacy-executor` distinguishable in `--metrics`.
-  DatabaseSource legacy_backend(&db, &catalog);
-  ExecutionResult legacy =
-      Execute(query, catalog, &legacy_backend, GridOptions(/*dag=*/false, 1));
-  ASSERT_TRUE(legacy.ok) << legacy.error;
-  EXPECT_EQ(legacy.tuples, result.tuples);
-  EXPECT_EQ(legacy.runtime.disjuncts_executed, 0u);
-  EXPECT_EQ(legacy.runtime.morsels, 0u);
+  // The reference loop runs no operators; its counters stay zero. This
+  // is what makes `--no-batch` distinguishable in `--metrics`.
+  DatabaseSource reference_backend(&db, &catalog);
+  ExecutionOptions reference_options = MeteredOptions();
+  reference_options.batch = false;
+  ExecutionResult reference =
+      Execute(query, catalog, &reference_backend, reference_options);
+  ASSERT_TRUE(reference.ok) << reference.error;
+  EXPECT_EQ(reference.tuples, result.tuples);
+  EXPECT_EQ(reference.runtime.disjuncts_executed, 0u);
+  EXPECT_EQ(reference.runtime.morsels, 0u);
 }
 
 TEST(OperatorDagTest, LoweringRendersTheCompiledChain) {

@@ -1,8 +1,9 @@
-// Inter-literal pipelining (RuntimeOptions::pipeline_depth): answers and
-// witness order must be byte-identical at every depth across every
-// runtime layer combination, overlapping waves must shrink simulated
-// wall-clock on a latency-bound chain, and the error/budget edges of the
-// pipelined loop must fail as cleanly as the one-wave-at-a-time path.
+// Inter-literal pipelining (RuntimeOptions::pipeline_depth, a scheduling
+// policy of the operator DAG): answers and witness order must be
+// byte-identical at every depth across every runtime layer combination,
+// overlapping waves must shrink simulated wall-clock on a latency-bound
+// chain, and the error/budget edges must fail as cleanly as the
+// one-wave-at-a-time schedule.
 
 #include <gtest/gtest.h>
 
@@ -43,9 +44,9 @@ class PipelineExecutorTest : public ::testing::Test {
     return result.tuples;
   }
 
-  // The witness sequence as an ordered string list — the pipelined loop
-  // promises not just the same answer *set* but the same derivation
-  // *order* as depth 1 (its frontiers are FIFO along a single chain).
+  // The witness sequence as an ordered string list — pipelining promises
+  // not just the same answer *set* but the same derivation *order* as
+  // depth 1 (its row queues are FIFO along a single chain).
   std::vector<std::string> BindingOrder(const ExecutionOptions& options) {
     DatabaseSource backend(&db_, &catalog_);
     BindingsResult result =
@@ -241,9 +242,9 @@ TEST_F(PipelineExecutorTest, BudgetFailureSurfacesThroughThePipeline) {
 }
 
 TEST_F(PipelineExecutorTest, UnusablePatternFailsLazilyLikeDepthOne) {
-  // B requires its first slot bound, and nothing binds it: the pipelined
-  // loop must report the same no-usable-pattern failure as depth 1 — and
-  // only when bindings actually reach the stage.
+  // B requires its first slot bound, and nothing binds it: depth 2 must
+  // report the same no-usable-pattern failure as depth 1 — and only when
+  // bindings actually reach the stage.
   const Catalog gap_catalog = Catalog::MustParse("A/2: oo\nB/2: io\n");
   const Database gap_db = Database::MustParseFacts(R"(A("x", "y").)");
   const ConjunctiveQuery gap =
@@ -257,18 +258,24 @@ TEST_F(PipelineExecutorTest, UnusablePatternFailsLazilyLikeDepthOne) {
   EXPECT_NE(result.error.find("no usable access pattern"), std::string::npos);
 }
 
-TEST_F(PipelineExecutorTest, MaxBindingsBoundsTheWholePipe) {
-  // R alone yields 4 live bindings; a cap of 2 must stop the pipelined
-  // execution with the cross-stage message, whatever the depth.
-  DatabaseSource backend(&db_, &catalog_);
-  ExecutionOptions options;
-  options.max_bindings = 2;
-  options.runtime.metering = true;
-  options.runtime.pipeline_depth = 3;
-  ExecutionResult result = Execute(query_, catalog_, &backend, options);
-  EXPECT_FALSE(result.ok);
-  EXPECT_NE(result.error.find("max_bindings"), std::string::npos);
-  EXPECT_TRUE(result.tuples.empty());
+TEST_F(PipelineExecutorTest, MaxBindingsBoundsEachLiteralAtEveryDepth) {
+  // R alone yields 4 bindings; a cap of 2 bounds each literal's
+  // cumulative output, so R trips it at every depth — pipelining chunks
+  // R's output but does not change what the cap measures.
+  for (std::size_t pipeline_depth :
+       {std::size_t{1}, std::size_t{2}, std::size_t{3}}) {
+    SCOPED_TRACE("depth=" + std::to_string(pipeline_depth));
+    DatabaseSource backend(&db_, &catalog_);
+    ExecutionOptions options;
+    options.max_bindings = 2;
+    options.runtime.metering = true;
+    options.runtime.pipeline_depth = pipeline_depth;
+    ExecutionResult result = Execute(query_, catalog_, &backend, options);
+    EXPECT_FALSE(result.ok);
+    EXPECT_EQ(result.error,
+              "execution exceeded max_bindings (2) at literal R(x, z)");
+    EXPECT_TRUE(result.tuples.empty());
+  }
 }
 
 TEST_F(PipelineExecutorTest, UnionSharesTheStackAndAccumulatesCounters) {

@@ -41,6 +41,7 @@
 #include <string>
 #include <vector>
 
+#include "flag_parse.h"
 #include "gen/workload.h"
 #include "gen/workload_replay.h"
 #include "server/protocol.h"
@@ -375,8 +376,10 @@ int main(int argc, char** argv) {
       slot = argv[++i];
       return true;
     };
-    // Strict numerics, same contract as ucqnd: the whole token must parse
-    // and be in range, or the flag is named in a one-line diagnostic.
+    // Strict numerics: the whole token must parse and be in range, or the
+    // flag is named in a one-line diagnostic. Counts that must be
+    // positive go through NextCount (flag_parse.h), shared with ucqnc and
+    // ucqnd.
     auto next_u64 = [&](std::uint64_t& slot) {
       const char* flag = argv[i];
       const char* text = nullptr;
@@ -514,11 +517,13 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--retry") == 0) {
       if (!next_int(replay.retry_attempts, 1)) return Usage();
     } else if (std::strcmp(argv[i], "--parallelism") == 0) {
-      if (!next_size(replay.parallelism)) return Usage();
+      if (!NextCount(argc, argv, &i, &replay.parallelism)) return Usage();
     } else if (std::strcmp(argv[i], "--pipeline-depth") == 0) {
-      if (!next_size(replay.pipeline_depth)) return Usage();
+      if (!NextCount(argc, argv, &i, &replay.pipeline_depth)) return Usage();
     } else if (std::strcmp(argv[i], "--disjunct-concurrency") == 0) {
-      if (!next_size(replay.disjunct_concurrency)) return Usage();
+      if (!NextCount(argc, argv, &i, &replay.disjunct_concurrency)) {
+        return Usage();
+      }
     } else if (std::strcmp(argv[i], "--cache-ttl-ms") == 0) {
       std::uint64_t ms = 0;
       if (!next_u64(ms)) return Usage();

@@ -20,10 +20,9 @@
 // failures up to N attempts with backoff, --max-calls N caps the total
 // calls per run, --parallelism N overlaps each literal's batched wave of
 // source calls on N worker threads, --no-batch reverts the executor to
-// the per-binding reference loop (--batch restores the default),
-// --no-dictionary runs the string-path oracle instead of the
-// dictionary-encoded columnar executor, and --metrics prints the
-// per-relation call/tuple/latency table (text) or its JSON export.
+// the per-binding reference loop (--batch restores the default), and
+// --metrics prints the per-relation call/tuple/latency table (text) or
+// its JSON export.
 //
 // --queries FILE runs a multi-query session: the file holds one query per
 // block, blocks separated by lines containing only `---`, executed in
@@ -63,8 +62,6 @@
 // mediator pipeline). File formats are the library's textual formats (see
 // README.md).
 
-#include <cerrno>
-#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -90,6 +87,7 @@
 #include "feasibility/answerable.h"
 #include "feasibility/compile.h"
 #include "feasibility/plan_star.h"
+#include "flag_parse.h"
 #include "mediator/unfold.h"
 #include "runtime/shared_cache.h"
 #include "runtime/source_stack.h"
@@ -148,12 +146,6 @@ constexpr char kUsage[] =
     "                       flight at once (1 = classic one-wave-at-a-time)\n"
     "  --batch | --no-batch batched waves (default) or the per-binding\n"
     "                       reference loop\n"
-    "  --no-dictionary      run the string-path executor instead of the\n"
-    "                       dictionary-encoded columnar default (answers\n"
-    "                       and witness order are identical either way)\n"
-    "  --legacy-executor    run the pre-DAG encoded loop instead of the\n"
-    "                       operator-DAG executor (kept as the\n"
-    "                       byte-compatibility oracle)\n"
     "  --disjunct-concurrency N\n"
     "                       overlap up to N disjunct chains' waves per\n"
     "                       round (operator DAG; 1 = sequential disjuncts,\n"
@@ -256,28 +248,8 @@ int main(int argc, char** argv) {
       slot = argv[++i];
       return true;
     };
-    // Strict numeric flag values: the whole token must be a positive
-    // decimal integer in range. Garbage ("banana"), trailing junk
-    // ("10x"), zero/negative values, overflow, and a missing value each
-    // get a one-line diagnostic naming the flag, then the usage text.
     auto next_count = [&](std::size_t& slot) {
-      const char* flag = argv[i];
-      const char* text = nullptr;
-      if (!next(text)) {
-        std::fprintf(stderr, "%s expects a positive integer value\n", flag);
-        return false;
-      }
-      char* end = nullptr;
-      errno = 0;
-      const long long value = std::strtoll(text, &end, 10);
-      if (end == text || *end != '\0' || errno == ERANGE || value <= 0 ||
-          value == LLONG_MAX) {
-        std::fprintf(stderr, "%s expects a positive integer, got \"%s\"\n",
-                     flag, text);
-        return false;
-      }
-      slot = static_cast<std::size_t>(value);
-      return true;
+      return NextCount(argc, argv, &i, &slot);
     };
     if (std::strcmp(argv[i], "--help") == 0) {
       std::printf("%s", kUsage);
@@ -333,10 +305,6 @@ int main(int argc, char** argv) {
       exec.batch = true;
     } else if (std::strcmp(argv[i], "--no-batch") == 0) {
       exec.batch = false;
-    } else if (std::strcmp(argv[i], "--no-dictionary") == 0) {
-      exec.dictionary = false;
-    } else if (std::strcmp(argv[i], "--legacy-executor") == 0) {
-      exec.dag = false;
     } else if (std::strcmp(argv[i], "--disjunct-concurrency") == 0) {
       if (!next_count(exec.disjunct_concurrency)) return Usage();
     } else if (std::strcmp(argv[i], "--morsel-rows") == 0) {

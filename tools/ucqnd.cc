@@ -37,6 +37,7 @@
 
 #include "ast/parser.h"
 #include "eval/database.h"
+#include "flag_parse.h"
 #include "schema/catalog.h"
 #include "server/daemon.h"
 #include "server/listener.h"
@@ -138,27 +139,8 @@ int main(int argc, char** argv) {
       slot = argv[++i];
       return true;
     };
-    // Strict numeric values, same contract as ucqnc: the whole token must
-    // be a positive decimal integer in range, or the flag is named in a
-    // one-line diagnostic followed by the usage text.
     auto next_count = [&](std::size_t& slot) {
-      const char* flag = argv[i];
-      const char* text = nullptr;
-      if (!next(text)) {
-        std::fprintf(stderr, "%s expects a positive integer value\n", flag);
-        return false;
-      }
-      char* end = nullptr;
-      errno = 0;
-      const long long value = std::strtoll(text, &end, 10);
-      if (end == text || *end != '\0' || errno == ERANGE || value <= 0 ||
-          value == LLONG_MAX) {
-        std::fprintf(stderr, "%s expects a positive integer, got \"%s\"\n",
-                     flag, text);
-        return false;
-      }
-      slot = static_cast<std::size_t>(value);
-      return true;
+      return NextCount(argc, argv, &i, &slot);
     };
     if (std::strcmp(argv[i], "--help") == 0) {
       std::printf("%s", kUsage);
