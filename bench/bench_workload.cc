@@ -343,7 +343,7 @@ void WriteDeltaBlock(const char* path) {
                      fresh.error.c_str());
         return;
       }
-      const StandingAnswers maintained = standing[i]->Answers();
+      const AnswerBracket maintained = standing[i]->Answers();
       if (maintained.under != fresh.under || maintained.over != fresh.over ||
           maintained.delta != fresh.delta ||
           maintained.complete != fresh.complete) {

@@ -1,6 +1,8 @@
 #include "eval/answer_star.h"
 
 #include <algorithm>
+#include <iterator>
+#include <utility>
 
 #include "cost/cost_model.h"
 #include "cost/stats_catalog.h"
@@ -69,37 +71,40 @@ AnswerStarReport AnswerStar(const UnionQuery& q, const Catalog& catalog,
   report.runtime.morsels = under.runtime.morsels + over.runtime.morsels;
   report.runtime.antijoin_build_tuples = under.runtime.antijoin_build_tuples +
                                          over.runtime.antijoin_build_tuples;
-  if (!under.ok || !over.ok) {
-    report.error = !under.ok ? "underestimate plan failed: " + under.error
-                             : "overestimate plan failed: " + over.error;
-    return report;
-  }
-  report.ok = true;
-
-  report.under = std::move(under.tuples);
-  report.over = std::move(over.tuples);
-  std::set_difference(report.over.begin(), report.over.end(),
-                      report.under.begin(), report.under.end(),
-                      std::inserter(report.delta, report.delta.begin()));
-  report.complete = report.delta.empty();
-  for (const Tuple& tuple : report.delta) {
-    for (const Term& t : tuple) {
-      if (t.IsNull()) {
-        report.delta_has_nulls = true;
-        break;
-      }
-    }
-    if (report.delta_has_nulls) break;
-  }
-  if (!report.complete && !report.delta_has_nulls && !report.over.empty()) {
-    report.completeness_lower_bound =
-        static_cast<double>(report.under.size()) /
-        static_cast<double>(report.over.size());
-  }
+  AssembleBracket(std::move(under), std::move(over), &report);
   return report;
 }
 
-std::string AnswerStarReport::Summary() const {
+void AssembleBracket(ExecutionResult under, ExecutionResult over,
+                     AnswerBracket* out) {
+  if (!under.ok || !over.ok) {
+    out->error = !under.ok ? "underestimate plan failed: " + under.error
+                           : "overestimate plan failed: " + over.error;
+    return;
+  }
+  out->ok = true;
+  out->under = std::move(under.tuples);
+  out->over = std::move(over.tuples);
+  std::set_difference(out->over.begin(), out->over.end(), out->under.begin(),
+                      out->under.end(),
+                      std::inserter(out->delta, out->delta.begin()));
+  out->complete = out->delta.empty();
+  for (const Tuple& tuple : out->delta) {
+    for (const Term& t : tuple) {
+      if (t.IsNull()) {
+        out->delta_has_nulls = true;
+        break;
+      }
+    }
+    if (out->delta_has_nulls) break;
+  }
+  if (!out->complete && !out->delta_has_nulls && !out->over.empty()) {
+    out->completeness_lower_bound = static_cast<double>(out->under.size()) /
+                                    static_cast<double>(out->over.size());
+  }
+}
+
+std::string AnswerBracket::Summary() const {
   if (!ok) return "ANSWER* failed: " + error;
   std::string out = TupleSetToString(under);
   if (!out.empty()) out += "\n";

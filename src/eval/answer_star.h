@@ -12,14 +12,17 @@
 
 namespace ucqn {
 
-// Output of algorithm ANSWER* (Fig. 4): runtime under-/over-estimates of
-// the exact answer plus the completeness information reported to the user.
-struct AnswerStarReport {
+// The ANSWER* bracket (Fig. 4): runtime under-/over-estimates of the
+// exact answer plus the completeness information reported to the user.
+// AnswerStar and a maintained StandingQuery (eval/delta.h) both report
+// it, filled by the one AssembleBracket below, so a maintained bracket is
+// byte-identical to a fresh run's.
+struct AnswerBracket {
   // False only when a source call failed (transient error past its
-  // retries, or an exhausted call/deadline budget); `error` says why. The
-  // estimate sets are empty in that case. With infallible sources (the
-  // in-memory ones) this is always true: PLAN*'s plans are executable by
-  // construction.
+  // retries, or an exhausted call/deadline budget) or a standing query
+  // could not be kept current; `error` says why. The estimate sets are
+  // empty in that case. With infallible sources (the in-memory ones) this
+  // is always true: PLAN*'s plans are executable by construction.
   bool ok = false;
   std::string error;
   // ansᵤ = ANSWER(Qᵘ, D): every tuple here is a guaranteed answer.
@@ -37,14 +40,24 @@ struct AnswerStarReport {
   // |ansᵤ| / |ansₒ|, reported only when Δ is non-empty and null-free — the
   // "answer is at least X complete" message of Fig. 4.
   std::optional<double> completeness_lower_bound;
+
+  // The user-facing messages of Fig. 4, verbatim in spirit.
+  std::string Summary() const;
+};
+
+// Fills `out` from the executions of Qᵘ and Qᵒ: the failure of the first
+// plan that failed, otherwise both answer sets with Δ and the
+// completeness verdict derived from them.
+void AssembleBracket(ExecutionResult under, ExecutionResult over,
+                     AnswerBracket* out);
+
+// Output of algorithm ANSWER*: the bracket plus how it was computed.
+struct AnswerStarReport : AnswerBracket {
   // The compiled plans, for diagnostics.
   PlanStarResult plans;
   // What the source-access runtime did across both plan executions, when
   // ExecutionOptions::runtime enabled any of its layers.
   RuntimeStats runtime;
-
-  // The user-facing messages of Fig. 4, verbatim in spirit.
-  std::string Summary() const;
 };
 
 // Algorithm ANSWER*: compiles Q with PLAN*, evaluates both plans against

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "ast/substitution.h"
 #include "cost/cost_model.h"
 #include "eval/exec_common.h"
 #include "feasibility/plan_star.h"
@@ -72,94 +73,38 @@ std::optional<AppliedDelta> ApplyDelta(Database* db,
 
 namespace {
 
-// Extends one frontier row through one stage with an ordinary fetch,
-// appending the surviving extensions to `out`.
-bool ExtendRow(const MaintainedStage& stage, const Substitution& row,
-               Source* source, std::vector<Substitution>* out,
-               std::string* error) {
-  FetchResult fetched =
-      source->Fetch(stage.literal.relation(), stage.pattern,
-                    FetchInputs(stage.literal, stage.pattern, row));
-  if (!fetched.ok()) {
-    *error = "source call for literal " + stage.literal.ToString() +
-             " failed: " + fetched.error;
-    return false;
-  }
-  if (stage.literal.positive()) {
-    for (const Tuple& tuple : fetched.tuples) {
-      std::optional<Substitution> extended =
-          UnifyWithTuple(stage.literal, tuple, row);
-      if (extended.has_value()) out->push_back(std::move(*extended));
-    }
-    return true;
-  }
-  // Negative literal: all variables are bound (ChoosePattern guarantees
-  // it), so the instantiated atom either appears among the fetched tuples
-  // (row blocked) or not (row passes unchanged).
-  const Tuple instantiated = row.Apply(stage.literal.args());
-  for (const Tuple& tuple : fetched.tuples) {
-    if (tuple == instantiated) return true;
-  }
-  out->push_back(row);
-  return true;
-}
+// One stage of a materialized chain: the literal and the access pattern it
+// was compiled with. Patterns never change the answer set (only the call
+// cost), so the Build-time choice is recorded once and reused for every
+// maintenance and rebuild fetch.
+struct MaintainedStage {
+  Literal literal;
+  AccessPattern pattern;
+};
 
-}  // namespace
-
-std::optional<MaintainedChain> BuildMaintainedChain(
-    const ConjunctiveQuery& plan, const Catalog& catalog, Source* source,
-    std::string* error) {
-  MaintainedChain chain;
-  chain.plan = plan;
-  chain.frontiers.emplace_back(1);  // the single empty binding
-  BoundVariables bound;
-  // Pattern choice never changes the answer set, only the call cost, so
-  // the static model's pick is as good as any for maintenance fetches.
-  const StaticCostModel model;
-  std::size_t position = 0;
-  for (const Literal& literal : plan.body()) {
-    ++position;
-    std::optional<AccessPattern> pattern =
-        ChoosePattern(catalog, literal, bound, model);
-    if (!pattern.has_value()) {
-      *error = "literal " + literal.ToString() +
-               " has no usable access pattern at its position";
-      return std::nullopt;
-    }
-    chain.stages.push_back({literal, *pattern});
-    std::vector<Substitution> next;
-    for (const Substitution& row : chain.frontiers.back()) {
-      if (!ExtendRow(chain.stages.back(), row, source, &next, error)) {
-        return std::nullopt;
-      }
-    }
-    // Unlike the executor, an empty frontier does not end the walk: every
-    // stage keeps a (possibly empty) frontier so a later insert can revive
-    // the chain from any position.
-    chain.frontiers.push_back(std::move(next));
-    if (literal.positive()) BindVariables(literal, &bound);
-  }
-  return chain;
-}
-
-DeltaApplier::DeltaApplier(const std::vector<AppliedDelta>& deltas) {
-  for (const AppliedDelta& delta : deltas) {
-    if (!delta.empty()) by_relation_[delta.relation] = &delta;
-  }
-}
-
-bool DeltaApplier::Unaffected(const MaintainedChain& chain) const {
-  for (const MaintainedStage& stage : chain.stages) {
-    if (by_relation_.count(stage.literal.relation()) > 0) return false;
-  }
-  return true;
-}
-
-namespace {
+// One PLAN* disjunct with every intermediate binding frontier retained —
+// the chain-granular build-side state of the operator DAG (AccessScan →
+// HashJoin → HashAntiJoin → Materialize), kept as per-stage substitution
+// frontiers. frontiers[k] holds the rows surviving stages [0, k):
+// frontiers[0] is the single empty binding, frontiers[n] the full witness
+// set. Rows are duplicate-free derivations — each row bijectively
+// determines the tuple it used at every earlier positive stage — so set
+// maintenance needs no multiplicity counters: deleting a base tuple
+// deletes exactly the rows whose recorded derivation used it.
+struct MaintainedChain {
+  ConjunctiveQuery plan;
+  // In both Qᵘ and Qᵒ (a fully answerable disjunct), or only in Qᵒ (the
+  // null-padded answerable part of a partially answerable one).
+  bool exact = false;
+  std::vector<MaintainedStage> stages;
+  std::vector<std::vector<Substitution>> frontiers;
+};
 
 // Appends `rows` to frontiers[from] and extends them through the remaining
-// stages with ordinary fetches (the database already holds the post-update
-// state), appending the survivors at every level.
+// stages with ordinary fetches against the current instance, appending
+// the survivors at every level. The only fetch loop of maintenance: it
+// fills a chain at build and rebuild time and carries fresh rows forward
+// during repair.
 bool PropagateForward(MaintainedChain* chain, std::size_t from,
                       std::vector<Substitution> rows, Source* source,
                       std::string* error) {
@@ -167,9 +112,11 @@ bool PropagateForward(MaintainedChain* chain, std::size_t from,
     std::vector<Substitution>& frontier = chain->frontiers[s];
     frontier.insert(frontier.end(), rows.begin(), rows.end());
     if (rows.empty() || s == chain->stages.size()) return true;
+    const MaintainedStage& stage = chain->stages[s];
     std::vector<Substitution> next;
     for (const Substitution& row : rows) {
-      if (!ExtendRow(chain->stages[s], row, source, &next, error)) {
+      if (!ExtendRow(stage.literal, stage.pattern, row, source, &next,
+                     error)) {
         return false;
       }
     }
@@ -177,18 +124,50 @@ bool PropagateForward(MaintainedChain* chain, std::size_t from,
   }
 }
 
-}  // namespace
+// Discards every frontier of `chain` and re-derives them from the single
+// empty binding — a full evaluation of the chain's recorded stages.
+// Unlike the executor, an empty frontier does not end the walk: every
+// stage keeps a (possibly empty) frontier so a later insert can revive
+// the chain from any position.
+bool FillChain(MaintainedChain* chain, Source* source, std::string* error) {
+  chain->frontiers.assign(chain->stages.size() + 1, {});
+  return PropagateForward(chain, 0, {Substitution()}, source, error);
+}
 
-bool DeltaApplier::Maintain(MaintainedChain* chain, Source* source,
-                            std::string* error) const {
+// The maintenance engine: applies one normalized multi-relation update
+// batch to a materialized chain. Per affected chain it runs
+//
+//   1. a delete pass — drop every row whose derivation used a deleted tuple
+//      at a positive stage, or whose anti-join probe now finds an inserted
+//      tuple (anti-join inputs flip sign: an insert *deletes* downstream
+//      rows);
+//   2. an insert pass over the affected positions in ascending order —
+//      delta-join the surviving base rows of frontiers[k] against the
+//      inserted tuples (positive stage), or revive the base rows whose
+//      probe tuple was deleted (negated stage), then propagate each fresh
+//      row forward through the remaining stages with ordinary fetches
+//      against the post-update database.
+//
+// Rows appended by step 2 are excluded from later positions' delta-joins
+// (their forward propagation already saw the fully-updated relations), so
+// each new derivation is produced exactly once even under self-joins and
+// multi-relation batches. The database behind `source` must already hold
+// the post-update state for *every* relation in the batch. On a source
+// failure returns false, sets `*error`, and leaves the chain in an
+// unspecified state — refill it with FillChain.
+bool MaintainChain(const std::vector<AppliedDelta>& deltas,
+                   MaintainedChain* chain, Source* source,
+                   std::string* error) {
   const std::size_t n = chain->stages.size();
   std::vector<const AppliedDelta*> delta_at(n, nullptr);
   bool affected = false;
   for (std::size_t k = 0; k < n; ++k) {
-    auto it = by_relation_.find(chain->stages[k].literal.relation());
-    if (it != by_relation_.end()) {
-      delta_at[k] = it->second;
-      affected = true;
+    for (const AppliedDelta& delta : deltas) {
+      if (!delta.empty() &&
+          delta.relation == chain->stages[k].literal.relation()) {
+        delta_at[k] = &delta;
+        affected = true;
+      }
     }
   }
   if (!affected) return true;
@@ -263,114 +242,96 @@ bool DeltaApplier::Maintain(MaintainedChain* chain, Source* source,
   return true;
 }
 
-namespace {
-
-// Mirrors the executor's ProjectHead/ExecuteTrueQuery handling for one
-// plan: empty-body disjuncts contribute their (ground) head directly;
-// chain disjuncts are compiled and materialized.
-bool AddPlanDisjuncts(const UnionQuery& plan, const Catalog& catalog,
-                      Source* source, std::vector<MaintainedChain>* chains,
-                      std::set<Tuple>* fixed, std::string* error) {
-  for (const ConjunctiveQuery& disjunct : plan.disjuncts()) {
-    if (disjunct.IsTrueQuery()) {
-      for (const Term& t : disjunct.head_terms()) {
-        if (!t.IsGround()) {
-          *error = "empty-body rule with non-ground head is not a plan";
-          return false;
-        }
-      }
-      fixed->insert(disjunct.head_terms());
-      continue;
-    }
-    std::optional<MaintainedChain> chain =
-        BuildMaintainedChain(disjunct, catalog, source, error);
-    if (!chain.has_value()) return false;
-    chains->push_back(std::move(*chain));
-  }
-  return true;
-}
-
-void ProjectChain(const MaintainedChain& chain, std::set<Tuple>* out) {
-  const std::vector<Substitution>& witnesses = chain.frontiers.back();
-  for (const Substitution& row : witnesses) {
-    Tuple head = row.Apply(chain.plan.head_terms());
-    bool ground = true;
-    for (const Term& t : head) ground = ground && t.IsGround();
-    // PLAN* only emits executable plans (head variables bound by the body,
-    // or replaced by Δ-null in the overestimate), so this never fires for
-    // chains built through Build().
-    if (ground) out->insert(std::move(head));
-  }
-}
-
 }  // namespace
+
+struct StandingQuery::Chains {
+  std::vector<MaintainedChain> all;
+};
+
+StandingQuery::StandingQuery() : chains_(std::make_unique<Chains>()) {}
+
+StandingQuery::~StandingQuery() = default;
 
 std::unique_ptr<StandingQuery> StandingQuery::Build(const UnionQuery& q,
                                                     const Catalog& catalog,
                                                     Source* source,
                                                     std::string* error) {
   std::unique_ptr<StandingQuery> standing(new StandingQuery());
-  standing->query_ = q;
-  const PlanStarResult plans = PlanStar(q, catalog);
-  if (!AddPlanDisjuncts(plans.under, catalog, source,
-                        &standing->under_chains_, &standing->under_fixed_,
-                        error) ||
-      !AddPlanDisjuncts(plans.over, catalog, source, &standing->over_chains_,
-                        &standing->over_fixed_, error)) {
-    return nullptr;
-  }
-  for (const std::vector<MaintainedChain>* chains :
-       {&standing->under_chains_, &standing->over_chains_}) {
-    for (const MaintainedChain& chain : *chains) {
-      for (const MaintainedStage& stage : chain.stages) {
-        standing->relations_.insert(stage.literal.relation());
+  // Pattern choice never changes the answer set, only the call cost, so
+  // the static model's pick is as good as any for maintenance fetches.
+  const StaticCostModel model;
+  for (const DisjunctPlan& disjunct : PlanStar(q, catalog).disjuncts) {
+    // An unsatisfiable disjunct is in neither plan; otherwise `over` is the
+    // disjunct's Qᵒ plan, and the disjunct is exact when PLAN* put the same
+    // plan into Qᵘ.
+    if (!disjunct.over.has_value()) continue;
+    MaintainedChain chain{*disjunct.over, disjunct.under.has_value(), {}, {}};
+    if (chain.plan.IsTrueQuery()) {
+      ExecutionResult head = ExecuteTrueQuery(chain.plan);
+      if (!head.ok) {
+        *error = head.error;
+        return nullptr;
       }
     }
+    BoundVariables bound;
+    for (const Literal& literal : chain.plan.body()) {
+      std::optional<AccessPattern> pattern =
+          ChoosePattern(catalog, literal, bound, model);
+      if (!pattern.has_value()) {
+        *error = "literal " + literal.ToString() +
+                 " has no usable access pattern at its position";
+        return nullptr;
+      }
+      chain.stages.push_back({literal, *pattern});
+      standing->relations_.insert(literal.relation());
+      if (literal.positive()) BindVariables(literal, &bound);
+    }
+    if (!FillChain(&chain, source, error)) return nullptr;
+    standing->chains_->all.push_back(std::move(chain));
   }
   return standing;
 }
 
 bool StandingQuery::ApplyDeltas(const std::vector<AppliedDelta>& deltas,
                                 Source* source, std::string* error) {
-  const DeltaApplier applier(deltas);
-  for (std::vector<MaintainedChain>* chains : {&under_chains_, &over_chains_}) {
-    for (MaintainedChain& chain : *chains) {
-      if (!applier.Maintain(&chain, source, error)) return false;
+  for (MaintainedChain& chain : chains_->all) {
+    std::string maintain_error;
+    std::string rebuild_error;
+    if (MaintainChain(deltas, &chain, source, &maintain_error) ||
+        FillChain(&chain, source, &rebuild_error)) {
+      continue;
     }
+    error_ = "maintenance failed (" + maintain_error +
+             "); rebuild failed: " + rebuild_error;
+    // Parked: no frontier is read again, and later batches find no chain
+    // to maintain.
+    chains_->all.clear();
+    break;
   }
-  return true;
+  if (error_.empty()) return true;
+  *error = error_;
+  return false;
 }
 
-StandingAnswers StandingQuery::Answers() const {
-  StandingAnswers out;
-  out.under = under_fixed_;
-  out.over = over_fixed_;
-  for (const MaintainedChain& chain : under_chains_) {
-    ProjectChain(chain, &out.under);
+AnswerBracket StandingQuery::Answers() const {
+  AnswerBracket bracket;
+  if (!error_.empty()) {
+    bracket.error = error_;
+    return bracket;
   }
-  for (const MaintainedChain& chain : over_chains_) {
-    ProjectChain(chain, &out.over);
-  }
-  // Identical to AnswerStar's report assembly, so re-emitted standing
-  // answers are byte-for-byte what a fresh run would print.
-  std::set_difference(out.over.begin(), out.over.end(), out.under.begin(),
-                      out.under.end(),
-                      std::inserter(out.delta, out.delta.begin()));
-  out.complete = out.delta.empty();
-  for (const Tuple& tuple : out.delta) {
-    for (const Term& t : tuple) {
-      if (t.IsNull()) {
-        out.delta_has_nulls = true;
-        break;
-      }
+  // The executor's head rule over the retained witnesses: Qᵘ is the
+  // exact chains, Qᵒ every chain.
+  ExecutionResult under;
+  ExecutionResult over;
+  under.ok = over.ok = true;
+  for (const MaintainedChain& chain : chains_->all) {
+    if (chain.exact && under.ok) {
+      ProjectHead(chain.plan, chain.frontiers.back(), &under);
     }
-    if (out.delta_has_nulls) break;
+    if (over.ok) ProjectHead(chain.plan, chain.frontiers.back(), &over);
   }
-  if (!out.complete && !out.delta_has_nulls && !out.over.empty()) {
-    out.completeness_lower_bound = static_cast<double>(out.under.size()) /
-                                   static_cast<double>(out.over.size());
-  }
-  return out;
+  AssembleBracket(std::move(under), std::move(over), &bracket);
+  return bracket;
 }
 
 }  // namespace ucqn

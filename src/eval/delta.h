@@ -1,7 +1,6 @@
 #ifndef UCQN_EVAL_DELTA_H_
 #define UCQN_EVAL_DELTA_H_
 
-#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -9,7 +8,7 @@
 #include <vector>
 
 #include "ast/query.h"
-#include "ast/substitution.h"
+#include "eval/answer_star.h"
 #include "eval/database.h"
 #include "eval/source.h"
 #include "schema/catalog.h"
@@ -56,95 +55,17 @@ struct AppliedDelta {
 std::optional<AppliedDelta> ApplyDelta(Database* db, const RelationDelta& delta,
                                        std::string* error = nullptr);
 
-// One stage of a materialized chain: the literal and the access pattern it
-// was compiled with. Patterns never change the answer set (only the call
-// cost), so the Build-time choice is recorded once and reused for every
-// maintenance fetch.
-struct MaintainedStage {
-  Literal literal;
-  AccessPattern pattern;
-};
-
-// One executable plan disjunct with every intermediate binding frontier
-// retained — the chain-granular build-side state of the operator DAG
-// (AccessScan → HashJoin → HashAntiJoin → Materialize), kept as per-stage
-// substitution frontiers. frontiers[k] holds the rows surviving stages
-// [0, k): frontiers[0] is the single empty binding, frontiers[n] the full
-// witness set. Rows are duplicate-free derivations — each row bijectively
-// determines the tuple it used at every earlier positive stage — so set
-// maintenance needs no multiplicity counters: deleting a base tuple deletes
-// exactly the rows whose recorded derivation used it.
-struct MaintainedChain {
-  ConjunctiveQuery plan;
-  std::vector<MaintainedStage> stages;
-  std::vector<std::vector<Substitution>> frontiers;
-};
-
-// Compiles `plan` (an executable PLAN* disjunct) into a chain and
-// materializes every frontier against `source`. Returns nullopt and sets
-// `*error` when a literal has no usable pattern at its position or a
-// source call fails.
-std::optional<MaintainedChain> BuildMaintainedChain(
-    const ConjunctiveQuery& plan, const Catalog& catalog, Source* source,
-    std::string* error);
-
-// The maintenance engine: applies one normalized multi-relation update
-// batch to a materialized chain. Per affected chain it runs
-//
-//   1. a delete pass — drop every row whose derivation used a deleted tuple
-//      at a positive stage, or whose anti-join probe now finds an inserted
-//      tuple (anti-join inputs flip sign: an insert *deletes* downstream
-//      rows);
-//   2. an insert pass over the affected positions in ascending order —
-//      delta-join the surviving base rows of frontiers[k] against the
-//      inserted tuples (positive stage), or revive the base rows whose
-//      probe tuple was deleted (negated stage), then propagate each fresh
-//      row forward through the remaining stages with ordinary fetches
-//      against the post-update database.
-//
-// Rows appended by step 2 are excluded from later positions' delta-joins
-// (their forward propagation already saw the fully-updated relations), so
-// each new derivation is produced exactly once even under self-joins and
-// multi-relation batches. The database behind `source` must already hold
-// the post-update state for *every* relation in the batch before the first
-// Maintain call.
-class DeltaApplier {
- public:
-  // Does not own `deltas`; it must outlive the applier.
-  explicit DeltaApplier(const std::vector<AppliedDelta>& deltas);
-
-  // True when no effective delta touches any stage relation of `chain`.
-  bool Unaffected(const MaintainedChain& chain) const;
-
-  // Incrementally re-establishes every frontier of `chain`. On a source
-  // failure returns false, sets `*error`, and leaves the chain in an
-  // unspecified state — rebuild it from scratch.
-  bool Maintain(MaintainedChain* chain, Source* source,
-                std::string* error) const;
-
- private:
-  std::map<std::string, const AppliedDelta*> by_relation_;
-};
-
-// The maintained ANSWER* report of a standing query: certain answers,
-// possible answers, and the completeness verdict, shaped exactly like
-// AnswerStarReport so re-emitted answers are byte-identical to a fresh run.
-struct StandingAnswers {
-  std::set<Tuple> under;
-  std::set<Tuple> over;
-  std::set<Tuple> delta;  // over \ under
-  bool complete = false;
-  bool delta_has_nulls = false;
-  std::optional<double> completeness_lower_bound;
-};
-
-// A registered standing query: the PLAN* under- and over-plans compiled
-// into materialized chains whose frontiers are kept current under delta
-// feeds. Build once (a full evaluation), then ApplyDeltas after each
-// update batch; Answers() projects the retained frontiers without touching
-// any source.
+// A registered standing query: one materialized chain per satisfiable
+// PLAN* disjunct, every intermediate binding frontier retained and kept
+// current under delta feeds. A chain is *exact* (a fully answerable
+// disjunct, in both Qᵘ and Qᵒ) or *padded* (null-padded, Qᵒ only), so
+// each disjunct is built and maintained once. Build once (a full
+// evaluation), then ApplyDeltas after each update batch; Answers()
+// projects the retained frontiers without touching any source.
 class StandingQuery {
  public:
+  ~StandingQuery();
+
   // Compiles `q` with PLAN* and materializes every chain against `source`.
   // Returns nullptr and sets `*error` on an unanswerable disjunct position
   // or a source failure.
@@ -153,7 +74,6 @@ class StandingQuery {
                                               Source* source,
                                               std::string* error);
 
-  const UnionQuery& query() const { return query_; }
   // Relations any maintained stage reads — the standing query's read set.
   const std::set<std::string>& relations() const { return relations_; }
 
@@ -161,25 +81,29 @@ class StandingQuery {
   // `source` must already hold the post-update state for all relations in
   // `deltas` (apply the whole batch with ApplyDelta first, then call this
   // once — not once per relation with interleaved database updates).
-  // Returns false and sets `*error` on a source failure; the query is then
-  // in an unspecified state and must be rebuilt (see Build).
+  // A chain whose incremental repair fails is rebuilt from its recorded
+  // stages against `source`; if that fails too, the query parks: it
+  // returns false and sets `*error`, and from then on Answers() reports
+  // the error and later batches are refused the same way.
   bool ApplyDeltas(const std::vector<AppliedDelta>& deltas, Source* source,
                    std::string* error);
 
-  // Projects the maintained frontiers into the ANSWER*-shaped report.
-  StandingAnswers Answers() const;
+  // Projects the maintained frontiers into the ANSWER* bracket —
+  // byte-identical to a fresh AnswerStar on the current instance, or
+  // ok = false with the error once the query has parked.
+  AnswerBracket Answers() const;
 
  private:
-  StandingQuery() = default;
+  // The materialized chains; defined in delta.cc, which owns the chain
+  // machinery.
+  struct Chains;
 
-  UnionQuery query_;
-  std::vector<MaintainedChain> under_chains_;
-  std::vector<MaintainedChain> over_chains_;
-  // Ground answers contributed by true-query (empty-body) disjuncts; fixed
-  // at build time, immune to deltas.
-  std::set<Tuple> under_fixed_;
-  std::set<Tuple> over_fixed_;
+  StandingQuery();
+
+  std::unique_ptr<Chains> chains_;
   std::set<std::string> relations_;
+  // Non-empty once the query has parked.
+  std::string error_;
 };
 
 }  // namespace ucqn

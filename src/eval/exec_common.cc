@@ -37,6 +37,75 @@ std::optional<Substitution> UnifyWithTuple(const Literal& literal,
   return extended;
 }
 
+bool ExtendRow(const Literal& literal, const AccessPattern& pattern,
+               const Substitution& row, Source* source,
+               std::vector<Substitution>* out, std::string* error) {
+  FetchResult fetched = source->Fetch(literal.relation(), pattern,
+                                      FetchInputs(literal, pattern, row));
+  if (!fetched.ok()) {
+    *error = "source call for literal " + literal.ToString() +
+             " failed: " + fetched.error;
+    return false;
+  }
+  if (literal.positive()) {
+    for (const Tuple& tuple : fetched.tuples) {
+      std::optional<Substitution> extended =
+          UnifyWithTuple(literal, tuple, row);
+      if (extended.has_value()) out->push_back(std::move(*extended));
+    }
+    return true;
+  }
+  const Tuple instantiated = row.Apply(literal.args());
+  for (const Tuple& tuple : fetched.tuples) {
+    if (tuple == instantiated) return true;
+  }
+  out->push_back(row);
+  return true;
+}
+
+// Empty body: the head must already be ground (overestimate null rows).
+ExecutionResult ExecuteTrueQuery(const ConjunctiveQuery& q) {
+  ExecutionResult result;
+  for (const Term& t : q.head_terms()) {
+    if (!t.IsGround()) {
+      result.error = "empty-body rule with non-ground head is not a plan: " +
+                     q.ToString();
+      return result;
+    }
+  }
+  result.ok = true;
+  result.tuples.insert(q.head_terms());
+  return result;
+}
+
+// Projects the body's witnesses through `q`'s head into `result`'s tuple
+// set (set semantics). False — with the error set and the tuples cleared
+// — when some witness leaves a head term non-ground.
+bool ProjectHead(const ConjunctiveQuery& q,
+                 const std::vector<Substitution>& bindings,
+                 ExecutionResult* result) {
+  for (const Substitution& binding : bindings) {
+    Tuple head = binding.Apply(q.head_terms());
+    bool ground = true;
+    for (const Term& t : head) {
+      if (!t.IsGround()) {
+        ground = false;
+        break;
+      }
+    }
+    if (!ground) {
+      result->ok = false;
+      result->error = "head not fully bound by executable body: " +
+                      q.ToString();
+      result->tuples.clear();
+      return false;
+    }
+    result->tuples.insert(std::move(head));
+  }
+  return true;
+}
+
+
 const CostModel* ResolveCostModel(const ExecutionOptions& options,
                                   std::optional<StaticCostModel>* storage) {
   if (options.cost_model != nullptr) return options.cost_model;

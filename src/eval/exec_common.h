@@ -2,20 +2,22 @@
 #define UCQN_EVAL_EXEC_COMMON_H_
 
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "ast/query.h"
 #include "ast/substitution.h"
 #include "cost/cost_model.h"
 #include "eval/executor.h"
+#include "eval/source.h"
 #include "schema/access_pattern.h"
 
 namespace ucqn {
 
-// Per-literal primitives of the paper's left-to-right reading, shared by
-// the reference executor (eval/executor.cc) and standing-query
-// maintenance (eval/delta.cc). Maintenance must extend rows exactly as a
-// from-scratch run would, so both call these one definitions.
+// Per-literal and per-head primitives of the paper's left-to-right
+// reading, shared by the executor (eval/executor.cc) and standing-query
+// maintenance (eval/delta.cc): maintenance must extend rows and project
+// heads exactly as a from-scratch run would.
 
 // The Fetch argument vector for `literal` under `binding`: ground values
 // in the pattern's input slots, empty elsewhere. Output slots stay empty
@@ -32,6 +34,25 @@ std::vector<std::optional<Term>> FetchInputs(const Literal& literal,
 std::optional<Substitution> UnifyWithTuple(const Literal& literal,
                                            const Tuple& tuple,
                                            const Substitution& binding);
+
+// One row step: fetches `literal` under `pattern` for `row` and appends
+// the surviving extensions to `out` — every unifying tuple for a positive
+// literal, `row` itself when the instantiated atom is absent for a
+// negated one (ChoosePattern binds all of its variables first). False,
+// with `*error` set, when the source call fails.
+bool ExtendRow(const Literal& literal, const AccessPattern& pattern,
+               const Substitution& row, Source* source,
+               std::vector<Substitution>* out, std::string* error);
+
+// Empty body: the head must already be ground (overestimate null rows).
+ExecutionResult ExecuteTrueQuery(const ConjunctiveQuery& q);
+
+// Projects the body's witnesses through `q`'s head into `result`'s tuple
+// set (set semantics). False — with the error set and the tuples cleared
+// — when some witness leaves a head term non-ground.
+bool ProjectHead(const ConjunctiveQuery& q,
+                 const std::vector<Substitution>& bindings,
+                 ExecutionResult* result);
 
 // The model every pattern decision of an execution flows through: the
 // caller's, or a StaticCostModel built from the legacy preference knob.

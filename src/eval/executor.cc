@@ -83,32 +83,10 @@ BindingsResult ExecuteReference(const ConjunctiveQuery& q,
     }
     std::vector<Substitution> next;
     for (const Substitution& binding : result.bindings) {
-      FetchResult fetched = source->Fetch(
-          literal.relation(), *pattern, FetchInputs(literal, *pattern, binding));
-      if (!fetched.ok()) {
-        result.error = "source call for literal " + literal.ToString() +
-                       " failed: " + fetched.error;
+      if (!ExtendRow(literal, *pattern, binding, source, &next,
+                     &result.error)) {
         result.bindings.clear();
         return result;
-      }
-      if (literal.positive()) {
-        for (const Tuple& tuple : fetched.tuples) {
-          std::optional<Substitution> extended =
-              UnifyWithTuple(literal, tuple, binding);
-          if (extended.has_value()) next.push_back(std::move(*extended));
-        }
-      } else {
-        // All variables are bound (ChoosePattern guarantees it): probe
-        // for the instantiated tuple and keep the binding iff absent.
-        Tuple instantiated = binding.Apply(literal.args());
-        bool present = false;
-        for (const Tuple& tuple : fetched.tuples) {
-          if (tuple == instantiated) {
-            present = true;
-            break;
-          }
-        }
-        if (!present) next.push_back(binding);
       }
     }
     if (literal.positive()) BindVariables(literal, &bound);
@@ -150,48 +128,6 @@ UnionChainsResult ExecuteBodies(
   }
   result.ok = true;
   return result;
-}
-
-// Empty body: the head must already be ground (overestimate null rows).
-ExecutionResult ExecuteTrueQuery(const ConjunctiveQuery& q) {
-  ExecutionResult result;
-  for (const Term& t : q.head_terms()) {
-    if (!t.IsGround()) {
-      result.error = "empty-body rule with non-ground head is not a plan: " +
-                     q.ToString();
-      return result;
-    }
-  }
-  result.ok = true;
-  result.tuples.insert(q.head_terms());
-  return result;
-}
-
-// Projects the body's witnesses through `q`'s head into `result`'s tuple
-// set (set semantics). False — with the error set and the tuples cleared
-// — when some witness leaves a head term non-ground.
-bool ProjectHead(const ConjunctiveQuery& q,
-                 const std::vector<Substitution>& bindings,
-                 ExecutionResult* result) {
-  for (const Substitution& binding : bindings) {
-    Tuple head = binding.Apply(q.head_terms());
-    bool ground = true;
-    for (const Term& t : head) {
-      if (!t.IsGround()) {
-        ground = false;
-        break;
-      }
-    }
-    if (!ground) {
-      result->ok = false;
-      result->error = "head not fully bound by executable body: " +
-                      q.ToString();
-      result->tuples.clear();
-      return false;
-    }
-    result->tuples.insert(std::move(head));
-  }
-  return true;
 }
 
 // Executes every disjunct and unions the projected heads. Empty-body

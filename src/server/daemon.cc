@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "ast/parser.h"
-#include "feasibility/compile.h"
 #include "server/snapshot.h"
 
 namespace ucqn {
@@ -28,28 +27,7 @@ ServiceResponse QueryDaemon::Submit(const ServiceRequest& request) {
   response.tenant = request.tenant;
   response.include_answers = request.include_answers;
 
-  // Tenant quota first (cheap, per-tenant), then the global admission
-  // gate — a tenant over its own cap never occupies a queue slot that a
-  // within-quota tenant could use.
-  if (!tenants_.TryEnter(request.tenant)) {
-    response.status = ServiceResponse::Status::kQuotaRefused;
-    response.error = "tenant over max_concurrent quota";
-    return response;
-  }
-  switch (admission_.Enter()) {
-    case AdmissionController::Outcome::kShed:
-      tenants_.Leave(request.tenant);
-      response.status = ServiceResponse::Status::kShed;
-      response.error = "admission queue full";
-      return response;
-    case AdmissionController::Outcome::kDraining:
-      tenants_.Leave(request.tenant);
-      response.status = ServiceResponse::Status::kDraining;
-      response.error = "daemon is draining";
-      return response;
-    case AdmissionController::Outcome::kAdmitted:
-      break;
-  }
+  if (!Admit(request.tenant, &response)) return response;
 
   SessionEnv env;
   env.catalog = catalog_;
@@ -73,13 +51,33 @@ ServiceResponse QueryDaemon::Submit(const ServiceRequest& request) {
     }
   }
 
-  admission_.Leave();
-  tenants_.Leave(request.tenant);
+  Release(request.tenant);
   {
     std::lock_guard<std::mutex> lock(served_mu_);
     ++queries_served_;
   }
   return response;
+}
+
+bool QueryDaemon::Admit(const std::string& tenant, ServiceResponse* response) {
+  if (!tenants_.TryEnter(tenant)) {
+    response->status = ServiceResponse::Status::kQuotaRefused;
+    response->error = "tenant over max_concurrent quota";
+    return false;
+  }
+  const AdmissionController::Outcome outcome = admission_.Enter();
+  if (outcome == AdmissionController::Outcome::kAdmitted) return true;
+  tenants_.Leave(tenant);
+  const bool shed = outcome == AdmissionController::Outcome::kShed;
+  response->status = shed ? ServiceResponse::Status::kShed
+                          : ServiceResponse::Status::kDraining;
+  response->error = shed ? "admission queue full" : "daemon is draining";
+  return false;
+}
+
+void QueryDaemon::Release(const std::string& tenant) {
+  admission_.Leave();
+  tenants_.Leave(tenant);
 }
 
 std::string QueryDaemon::SubmitLine(const std::string& line) {
@@ -149,11 +147,13 @@ ServiceResponse QueryDaemon::RunAdminOp(const ServiceRequest& request) {
       if (it == standing_.end()) {
         response.status = ServiceResponse::Status::kError;
         response.error = "no standing query \"" + key + "\"";
-      } else if (it->second.standing == nullptr) {
+        break;
+      }
+      AnswerBracket answers = it->second->Answers();
+      if (!answers.ok) {
         response.status = ServiceResponse::Status::kError;
-        response.error = it->second.error;
+        response.error = std::move(answers.error);
       } else {
-        StandingAnswers answers = it->second.standing->Answers();
         response.include_answers = request.include_answers;
         response.under = std::move(answers.under);
         response.over = std::move(answers.over);
@@ -185,21 +185,14 @@ void QueryDaemon::RegisterStanding(const ServiceRequest& request,
     response->error = "a standing query needs an \"id\" to register under";
     return;
   }
-  // Mirror the session's pipeline exactly (parse → cover → compile) so
-  // the maintained plans are the ones the session just ran; the shared
-  // cache is hot with this session's calls, so the build mostly replays
-  // them without touching the backend.
+  // The session just parsed and schema-checked the same text, so this is
+  // the query it ran; the shared cache is hot with the session's calls,
+  // so the build mostly replays them without touching the backend.
   std::string error;
-  std::optional<UnionQuery> query = ParseUnionQuery(request.query, &error);
-  if (!query || !catalog_->CoversQuery(*query, &error)) {
-    response->status = ServiceResponse::Status::kError;
-    response->error = "standing registration failed: " + error;
-    return;
-  }
-  CompileResult compiled = Compile(*query, *catalog_, {});
+  const UnionQuery query = *ParseUnionQuery(request.query, &error);
   SourceStack stack(backend_, MaintenanceRuntime());
-  std::unique_ptr<StandingQuery> standing = StandingQuery::Build(
-      compiled.analyzed_query, *catalog_, stack.source(), &error);
+  std::unique_ptr<StandingQuery> standing =
+      StandingQuery::Build(query, *catalog_, stack.source(), &error);
   if (standing == nullptr) {
     response->status = ServiceResponse::Status::kError;
     response->error = "standing registration failed: " + error;
@@ -207,8 +200,7 @@ void QueryDaemon::RegisterStanding(const ServiceRequest& request,
   }
   const std::string key = request.tenant + "/" + request.id;
   std::lock_guard<std::mutex> lock(standing_mu_);
-  standing_[key] =
-      StandingEntry{compiled.analyzed_query, std::move(standing), ""};
+  standing_[key] = std::move(standing);
 }
 
 ServiceResponse QueryDaemon::RunDeltaOp(const ServiceRequest& request) {
@@ -246,25 +238,7 @@ ServiceResponse QueryDaemon::RunDeltaOp(const ServiceRequest& request) {
   // A delta is a write-side request: it pays the same tenant quota and
   // admission toll as a query, so update feeds cannot starve readers past
   // what the admission policy allows.
-  if (!tenants_.TryEnter(request.tenant)) {
-    response.status = ServiceResponse::Status::kQuotaRefused;
-    response.error = "tenant over max_concurrent quota";
-    return response;
-  }
-  switch (admission_.Enter()) {
-    case AdmissionController::Outcome::kShed:
-      tenants_.Leave(request.tenant);
-      response.status = ServiceResponse::Status::kShed;
-      response.error = "admission queue full";
-      return response;
-    case AdmissionController::Outcome::kDraining:
-      tenants_.Leave(request.tenant);
-      response.status = ServiceResponse::Status::kDraining;
-      response.error = "daemon is draining";
-      return response;
-    case AdmissionController::Outcome::kAdmitted:
-      break;
-  }
+  if (!Admit(request.tenant, &response)) return response;
 
   {
     std::unique_lock<std::shared_mutex> backend_lock(backend_mu_);
@@ -290,29 +264,13 @@ ServiceResponse QueryDaemon::RunDeltaOp(const ServiceRequest& request) {
       if (!applied->empty()) {
         const std::vector<AppliedDelta> batch{*applied};
         std::lock_guard<std::mutex> lock(standing_mu_);
-        for (auto& [key, entry] : standing_) {
-          if (entry.standing == nullptr) continue;
-          if (entry.standing->relations().count(request.relation) == 0) {
-            continue;
-          }
+        for (auto& [key, standing] : standing_) {
+          if (standing->relations().count(request.relation) == 0) continue;
           SourceStack stack(backend_, MaintenanceRuntime());
           std::string maintain_error;
-          if (!entry.standing->ApplyDeltas(batch, stack.source(),
-                                           &maintain_error)) {
-            // Maintenance left the frontiers unspecified; fall back to a
-            // from-scratch rebuild, and park the entry in an error state
-            // if even that fails (the next `answers` op reports it).
-            std::string rebuild_error;
-            entry.standing = StandingQuery::Build(
-                entry.query, *catalog_, stack.source(), &rebuild_error);
-            if (entry.standing == nullptr) {
-              entry.error = "maintenance failed (" + maintain_error +
-                            "); rebuild failed: " + rebuild_error;
-              physical_calls += stack.stats().source_calls;
-              continue;
-            }
+          if (standing->ApplyDeltas(batch, stack.source(), &maintain_error)) {
+            ++standing_updated;
           }
-          ++standing_updated;
           physical_calls += stack.stats().source_calls;
         }
       }
@@ -327,8 +285,7 @@ ServiceResponse QueryDaemon::RunDeltaOp(const ServiceRequest& request) {
     }
   }
 
-  admission_.Leave();
-  tenants_.Leave(request.tenant);
+  Release(request.tenant);
   return response;
 }
 

@@ -108,10 +108,16 @@ class QueryDaemon {
   AdmissionController* admission() { return &admission_; }
   const Options& options() const { return options_; }
   std::uint64_t queries_served() const;
-  // Registered standing queries (including broken ones awaiting rebuild).
+  // Registered standing queries (including parked ones).
   std::size_t standing_count() const;
 
  private:
+  // Tenant quota first (cheap, per-tenant), then the global admission
+  // gate — a tenant over its own cap never occupies a queue slot that a
+  // within-quota tenant could use. False, with the refusal in `response`,
+  // when either refuses; otherwise the caller must Release(tenant).
+  bool Admit(const std::string& tenant, ServiceResponse* response);
+  void Release(const std::string& tenant);
   ServiceResponse RunAdminOp(const ServiceRequest& request);
   // The `delta` op: updates the attached database, scopes cache
   // invalidation to the changed tuples, and maintains every standing
@@ -143,13 +149,8 @@ class QueryDaemon {
   // sessions take it shared. Acquired before standing_mu_.
   mutable std::shared_mutex backend_mu_;
 
-  struct StandingEntry {
-    UnionQuery query;  // the compiled query, kept for rebuilds
-    std::unique_ptr<StandingQuery> standing;  // null = broken, see `error`
-    std::string error;
-  };
   // Keyed "tenant/id". Guarded by standing_mu_.
-  std::map<std::string, StandingEntry> standing_;
+  std::map<std::string, std::unique_ptr<StandingQuery>> standing_;
   mutable std::mutex standing_mu_;
 };
 

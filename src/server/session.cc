@@ -9,7 +9,6 @@
 #include "cost/cost_model.h"
 #include "cost/estimates.h"
 #include "eval/answer_star.h"
-#include "feasibility/compile.h"
 
 namespace ucqn {
 
@@ -44,7 +43,6 @@ ServiceResponse RunQuerySession(const SessionEnv& env,
     response.error = "schema mismatch: " + error;
     return response;
   }
-  CompileResult compiled = Compile(*query, *env.catalog, {});
 
   // The per-session stack: a fresh view (budgets, meter, hit/miss ledger)
   // over the shared store. Metering is forced on so physical calls are
@@ -89,7 +87,7 @@ ServiceResponse RunQuerySession(const SessionEnv& env,
   SourceStack stack(env.backend, runtime);
   exec.runtime.clock = stack.clock();
   AnswerStarReport report =
-      AnswerStar(compiled.analyzed_query, *env.catalog, stack.source(), exec);
+      AnswerStar(*query, *env.catalog, stack.source(), exec);
 
   const RuntimeStats stats = stack.stats();
   response.physical_calls =

@@ -54,7 +54,7 @@ struct SessionEnv {
 };
 
 // Runs one already-admitted query request end to end: parse, schema
-// check, compile, ANSWER* against a fresh SourceStack view over the
+// check, ANSWER* against a fresh SourceStack view over the
 // shared store, then feed the observed metrics back into env.stats.
 // Never throws; all failure modes land in the response's status/error.
 ServiceResponse RunQuerySession(const SessionEnv& env,

@@ -33,7 +33,7 @@ void ExpectMatchesOracle(const StandingQuery& standing, const UnionQuery& query,
   DatabaseSource backend(&db, &catalog);
   const AnswerStarReport fresh = AnswerStar(query, catalog, &backend);
   ASSERT_TRUE(fresh.ok) << context << ": " << fresh.error;
-  const StandingAnswers maintained = standing.Answers();
+  const AnswerBracket maintained = standing.Answers();
   EXPECT_EQ(maintained.under, fresh.under) << context;
   EXPECT_EQ(maintained.over, fresh.over) << context;
   EXPECT_EQ(maintained.delta, fresh.delta) << context;

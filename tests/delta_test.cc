@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -16,6 +17,7 @@
 #include "ast/parser.h"
 #include "eval/answer_star.h"
 #include "feasibility/compile.h"
+#include "feasibility/plan_star.h"
 #include "runtime/shared_cache.h"
 
 namespace ucqn {
@@ -133,7 +135,7 @@ void ExpectMatchesFreshRun(const StandingQuery& standing,
   const AnswerStarReport fresh =
       AnswerStar(compiled, catalog, &backend, ExecutionOptions{});
   ASSERT_TRUE(fresh.ok) << fresh.error;
-  const StandingAnswers maintained = standing.Answers();
+  const AnswerBracket maintained = standing.Answers();
   EXPECT_EQ(maintained.under, fresh.under);
   EXPECT_EQ(maintained.over, fresh.over);
   EXPECT_EQ(maintained.delta, fresh.delta);
@@ -178,8 +180,133 @@ struct StandingFixture {
         << error;
   }
 
+  // Like Apply, but maintains through `source` and reports instead of
+  // asserting.
+  bool ApplyVia(Source* source, const std::vector<RelationDelta>& batch,
+                std::string* error) {
+    std::vector<AppliedDelta> applied;
+    for (const RelationDelta& group : batch) {
+      std::optional<AppliedDelta> one = ApplyDelta(&db, group, error);
+      if (!one.has_value()) return false;
+      if (!one->empty()) applied.push_back(std::move(*one));
+    }
+    return standing->ApplyDeltas(applied, source, error);
+  }
+
   void ExpectFresh() { ExpectMatchesFreshRun(*standing, compiled, catalog, db); }
 };
+
+// Forwards to `inner`, except that calls numbered [first, first + count)
+// (1-based) fail as transient errors.
+class FlakySource : public Source {
+ public:
+  FlakySource(Source* inner, std::uint64_t first, std::uint64_t count)
+      : inner_(inner), first_(first), count_(count) {}
+
+  FetchResult Fetch(const std::string& relation, const AccessPattern& pattern,
+                    const std::vector<std::optional<Term>>& inputs) override {
+    ++calls_;
+    if (calls_ >= first_ && calls_ - first_ < count_) {
+      return FetchResult::TransientError("injected failure");
+    }
+    return inner_->Fetch(relation, pattern, inputs);
+  }
+
+ private:
+  Source* inner_;
+  std::uint64_t first_;
+  std::uint64_t count_;
+  std::uint64_t calls_ = 0;
+};
+
+constexpr const char* kJoinSchema = "L/1: o\nB/2: io\n";
+constexpr const char* kJoinFacts = R"(
+  L("a"). L("b").
+  B("a", "x"). B("b", "y"). B("c", "z").
+)";
+constexpr const char* kJoinQuery = "Q(x, y) :- L(x), B(x, y).";
+
+TEST(StandingQueryTest, BuildEvaluatesEachExactDisjunctOnce) {
+  // PLAN* puts the fully answerable disjunct into both Qᵘ and Qᵒ; the
+  // standing query keeps one chain for it, so building it costs exactly
+  // one execution of Qᵘ over an uncached source.
+  const Catalog catalog = Catalog::MustParse(kJoinSchema);
+  const Database db = Database::MustParseFacts(kJoinFacts);
+  std::string error;
+  std::optional<UnionQuery> query = ParseUnionQuery(kJoinQuery, &error);
+  ASSERT_TRUE(query.has_value()) << error;
+
+  DatabaseSource executed(&db, &catalog);
+  const ExecutionResult under =
+      Execute(PlanStar(*query, catalog).under, catalog, &executed);
+  ASSERT_TRUE(under.ok) << under.error;
+
+  DatabaseSource built(&db, &catalog);
+  ASSERT_NE(StandingQuery::Build(*query, catalog, &built, &error), nullptr)
+      << error;
+  EXPECT_EQ(built.stats().calls, executed.stats().calls);
+  EXPECT_EQ(built.stats().calls, 3u);
+}
+
+TEST(StandingQueryTest, FailedRepairIsRebuiltFromTheRecordedStages) {
+  StandingFixture fx(kJoinSchema, kJoinFacts, kJoinQuery);
+  // The repair's first call (B for the inserted "c") fails; the rebuild
+  // that follows sees a healthy source and must land on the fresh bracket.
+  FlakySource flaky(fx.backend.get(), 1, 1);
+  std::string error;
+  ASSERT_TRUE(fx.ApplyVia(&flaky, {RelationDelta{"L", {T1("c")}, {}}}, &error))
+      << error;
+  ASSERT_TRUE(fx.standing->Answers().ok) << fx.standing->Answers().error;
+  fx.ExpectFresh();
+  EXPECT_EQ(fx.standing->Answers().under.count(T2("c", "z")), 1u);
+
+  // Later batches maintain incrementally again.
+  fx.Apply({RelationDelta{"B", {T2("a", "x2")}, {}}});
+  fx.ExpectFresh();
+}
+
+TEST(StandingQueryTest, QueryParksWhenTheRebuildFailsToo) {
+  StandingFixture fx(kJoinSchema, kJoinFacts, kJoinQuery);
+  FlakySource broken(fx.backend.get(), 1, 1000);
+  std::string error;
+  EXPECT_FALSE(
+      fx.ApplyVia(&broken, {RelationDelta{"L", {T1("c")}, {}}}, &error));
+  EXPECT_NE(error.find("rebuild failed"), std::string::npos) << error;
+
+  // No half-maintained bracket is ever readable: the query reports the
+  // failure instead.
+  const AnswerBracket parked = fx.standing->Answers();
+  EXPECT_FALSE(parked.ok);
+  EXPECT_EQ(parked.error, error);
+  EXPECT_TRUE(parked.under.empty());
+  EXPECT_TRUE(parked.over.empty());
+
+  // A parked query stays parked, even once the source is healthy again.
+  std::string again;
+  EXPECT_FALSE(fx.ApplyVia(fx.backend.get(),
+                           {RelationDelta{"L", {T1("d")}, {}}}, &again));
+  EXPECT_EQ(again, error);
+  EXPECT_FALSE(fx.standing->Answers().ok);
+}
+
+TEST(StandingQueryTest, PaddedDisjunctsExtendOnlyTheOverestimate) {
+  // The first disjunct is exact; the second has an unanswerable literal
+  // (C has no pattern at all), so it contributes null-padded rows to Qᵒ
+  // only.
+  StandingFixture fx("L/1: o\nM/1: o\nC/2: ii\n",
+                     R"(
+                       L("a"). M("b").
+                     )",
+                     "Q(x, y) :- L(x), L(y).\nQ(x, y) :- M(x), C(x, y).");
+  fx.ExpectFresh();
+  EXPECT_FALSE(fx.standing->Answers().complete);
+  fx.Apply({RelationDelta{"M", {T1("c")}, {}}});
+  fx.ExpectFresh();
+  EXPECT_EQ(fx.standing->Answers().delta.size(), 2u);
+  fx.Apply({RelationDelta{"L", {T1("d")}, {T1("a")}}});
+  fx.ExpectFresh();
+  EXPECT_EQ(fx.standing->Answers().under, std::set<Tuple>({T2("d", "d")}));
+}
 
 TEST(StandingQueryTest, MaintainsAJoinUnderInsertsAndDeletes) {
   StandingFixture fx("L/1: o\nB/2: io\n",
@@ -214,7 +341,7 @@ TEST(StandingQueryTest, DeleteThenReinsertRestoresTheOriginalAnswers) {
                        B("a", "x"). B("b", "y").
                      )",
                      "Q(x, y) :- L(x), B(x, y).");
-  const StandingAnswers before = fx.standing->Answers();
+  const AnswerBracket before = fx.standing->Answers();
   ASSERT_EQ(before.under.size(), 2u);
 
   fx.Apply({RelationDelta{"B", {}, {T2("a", "x")}}});

@@ -191,5 +191,102 @@ TEST_F(DaemonConcurrencyTest, AdaptiveModelStaysRaceFreeUnderLoad) {
   EXPECT_EQ(mismatches.load(), 0);
 }
 
+TEST_F(DaemonConcurrencyTest, StandingMaintenanceRacesQueriesAndReads) {
+  // One thread streams delta ops while the others run queries, register
+  // standing queries and read them back: the database, the shared cache,
+  // the standing map and every standing query's frontiers all move under
+  // concurrent readers. Afterwards every standing query must equal a
+  // fresh run on the final instance.
+  Database db = db_;
+  DatabaseSource backend(&db, &catalog_);
+  QueryDaemon::Options options;
+  options.admission.max_in_flight = 4;
+  options.admission.max_queued = 1024;
+  options.database = &db;
+  QueryDaemon daemon(&catalog_, &backend, options);
+
+  const auto c = [](const std::string& value) { return Term::Constant(value); };
+  std::vector<ServiceRequest> deltas;
+  for (int i = 0; i < 24; ++i) {
+    const std::string n = "n" + std::to_string(i);
+    const std::string prev = "n" + std::to_string(i - 2);
+    ServiceRequest delta;
+    delta.op = ServiceRequest::Op::kDelta;
+    delta.id = "d" + std::to_string(i);
+    delta.tenant = "writer";
+    switch (i % 3) {
+      case 0:
+        delta.relation = "L";
+        delta.insert_tuples = {{c(n)}};
+        delta.delete_tuples = {{c(i % 2 == 0 ? "b" : prev)}};
+        break;
+      case 1:
+        delta.relation = "B";
+        delta.insert_tuples = {{c("n" + std::to_string(i - 1)), c("x")},
+                               {c("b"), c(i % 2 == 0 ? "x" : "y")}};
+        delta.delete_tuples = {{c("a"), c(i % 4 == 1 ? "x" : "z")}};
+        break;
+      default:
+        delta.relation = "C";
+        delta.insert_tuples = {{c("x"), c(n)}};
+        delta.delete_tuples = {{c("y"), c("2")}};
+        break;
+    }
+    deltas.push_back(std::move(delta));
+  }
+
+  constexpr int kReaders = 4;
+  constexpr int kRounds = 4;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  threads.emplace_back([&] {
+    for (const ServiceRequest& delta : deltas) {
+      if (daemon.Submit(delta).status != ServiceResponse::Status::kOk) {
+        failures.fetch_add(1);
+      }
+    }
+  });
+  for (int t = 0; t < kReaders; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        for (std::size_t qi = 0; qi < queries_.size(); ++qi) {
+          const std::string id = "s" + std::to_string(t) + "_" +
+                                 std::to_string(qi);
+          ServiceRequest standing = QueryRequest(id, "reader", queries_[qi]);
+          standing.standing = round % 2 == 0;
+          ServiceRequest answers;
+          answers.op = ServiceRequest::Op::kAnswers;
+          answers.id = id;
+          answers.tenant = "reader";
+          for (const ServiceRequest& request : {standing, answers}) {
+            if (daemon.Submit(request).status !=
+                ServiceResponse::Status::kOk) {
+              failures.fetch_add(1);
+            }
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(daemon.standing_count(), kReaders * queries_.size());
+
+  // The reference: a cold daemon over the final instance.
+  DatabaseSource fresh_backend(&db, &catalog_);
+  QueryDaemon fresh(&catalog_, &fresh_backend, {});
+  for (int t = 0; t < kReaders; ++t) {
+    for (std::size_t qi = 0; qi < queries_.size(); ++qi) {
+      ServiceRequest answers;
+      answers.op = ServiceRequest::Op::kAnswers;
+      answers.id = "s" + std::to_string(t) + "_" + std::to_string(qi);
+      answers.tenant = "reader";
+      EXPECT_EQ(AnswerKey(daemon.Submit(answers)),
+                AnswerKey(fresh.Submit(QueryRequest("f", "t", queries_[qi]))))
+          << answers.id << ": " << queries_[qi];
+    }
+  }
+}
+
 }  // namespace
 }  // namespace ucqn

@@ -1,6 +1,8 @@
 # check_session_errors.cmake — a malformed block in a `ucqnc --queries`
 # session must poison only itself: the session diagnoses it by number,
-# keeps running the blocks after it, and exits nonzero at the end.
+# keeps running the blocks after it, and exits nonzero at the end. A
+# standing query whose maintenance and rebuild both fail must print its
+# error from then on, never a bracket.
 #
 # Run as a script:
 #   cmake -DUCQNC=<path-to-ucqnc> -DWORK_DIR=<scratch dir> \
@@ -65,6 +67,33 @@ list(LENGTH answered n_answered)
 if(NOT n_answered EQUAL 2)
   message(FATAL_ERROR
       "expected 2 answered queries around the malformed blocks, saw ${n_answered}:\n${out}")
+endif()
+
+# --standing under a 3-call budget: repairing the chain after the first
+# !delta needs four B calls and rebuilding it more, so standing 1 parks
+# and both re-emissions must print its error, never a stale bracket.
+file(WRITE "${WORK_DIR}/standing_facts.txt" "L(\"a\"). L(\"b\"). "
+    "B(\"a\",\"x\"). B(\"b\",\"y\"). B(\"c\",\"z1\"). "
+    "B(\"d\",\"z2\"). B(\"e\",\"z3\"). B(\"f\",\"z4\").\n")
+file(WRITE "${WORK_DIR}/standing_queries.txt"
+    "Q(x, y) :- L(x), B(x, y).\n---\n!delta\n+L(\"c\").\n+L(\"d\").\n"
+    "+L(\"e\").\n+L(\"f\").\n---\n!delta\n+B(\"a\", \"x3\").\n")
+execute_process(
+    COMMAND "${UCQNC}" --schema "${WORK_DIR}/schema.txt"
+        --queries "${WORK_DIR}/standing_queries.txt"
+        --facts "${WORK_DIR}/standing_facts.txt"
+        --standing --cache --max-calls 3
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err
+    RESULT_VARIABLE rc)
+expect_contains(stderr "${err}" "query 2 error: standing 1:")
+string(REGEX MATCHALL "standing 1: failed: maintenance failed" parked "${out}")
+list(LENGTH parked n_parked)
+string(REGEX MATCH "standing 1: [0-9]+ under" bracket "${out}")
+if(rc EQUAL 0 OR NOT n_parked EQUAL 2 OR NOT bracket STREQUAL "")
+  message(FATAL_ERROR
+      "a parked standing query must print its error after both deltas, "
+      "never a bracket, and fail the session (exit ${rc}):\n${out}")
 endif()
 
 message(STATUS "malformed --queries blocks are diagnosed and skipped; the session continues")

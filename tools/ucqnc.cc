@@ -537,13 +537,18 @@ int main(int argc, char** argv) {
       std::unique_ptr<StandingQuery> query;
     };
     std::vector<SessionStanding> standing;
+    // A bracket as one transcript line: its sizes and verdict, or why it
+    // failed.
+    const auto bracket_line = [](const AnswerBracket& bracket) {
+      if (!bracket.ok) return "failed: " + bracket.error;
+      return std::to_string(bracket.under.size()) + " under, " +
+             std::to_string(bracket.over.size()) + " over, " +
+             (bracket.complete ? "complete" : "incomplete");
+    };
     const auto emit_standing = [&]() {
       for (const SessionStanding& entry : standing) {
-        const StandingAnswers answers = entry.query->Answers();
-        std::printf("  standing %zu: %zu under, %zu over, %s\n",
-                    entry.query_number, answers.under.size(),
-                    answers.over.size(),
-                    answers.complete ? "complete" : "incomplete");
+        std::printf("  standing %zu: %s\n", entry.query_number,
+                    bracket_line(entry.query->Answers()).c_str());
       }
     };
     for (std::size_t qi = 0; qi < blocks.size(); ++qi) {
@@ -649,10 +654,13 @@ int main(int argc, char** argv) {
             status = 1;
             continue;
           }
-          // Update the database first — every relation of the batch —
-          // then invalidate and maintain against the post-update state.
+          // Update the database and the cache first — every relation of
+          // the batch — then maintain against the post-update state.
           std::vector<AppliedDelta> applied;
           bool apply_failed = false;
+          std::size_t inserted = 0;
+          std::size_t deleted = 0;
+          std::size_t cache_dropped = 0;
           for (const RelationDelta& group : batch) {
             std::optional<AppliedDelta> one = ApplyDelta(&*db, group, &error);
             if (!one) {
@@ -661,44 +669,26 @@ int main(int argc, char** argv) {
               apply_failed = true;
               break;
             }
-            if (!one->empty()) applied.push_back(std::move(*one));
-          }
-          std::size_t cache_dropped = 0;
-          if (shared_cache) {
-            for (const AppliedDelta& one : applied) {
-              cache_dropped +=
-                  shared_store.InvalidateDelta(one.relation,
-                                               one.ChangedTuples());
+            if (one->empty()) continue;
+            inserted += one->inserted.size();
+            deleted += one->deleted.size();
+            if (shared_cache) {
+              cache_dropped += shared_store.InvalidateDelta(
+                  one->relation, one->ChangedTuples());
             }
+            applied.push_back(std::move(*one));
           }
-          if (!applied.empty() && !standing.empty()) {
-            for (SessionStanding& entry : standing) {
-              bool affected = false;
-              for (const AppliedDelta& one : applied) {
-                if (entry.query->relations().count(one.relation) > 0) {
-                  affected = true;
-                  break;
-                }
-              }
-              if (!affected) continue;
-              SourceStack maintain_stack(&backend, runtime);
-              std::string maintain_error;
-              if (!entry.query->ApplyDeltas(applied, maintain_stack.source(),
-                                            &maintain_error)) {
-                std::fprintf(stderr,
-                             "query %zu error: standing %zu maintenance "
-                             "failed: %s\n",
-                             qi + 1, entry.query_number,
-                             maintain_error.c_str());
-                status = 1;
-              }
+          for (SessionStanding& entry : standing) {
+            // False means the query parked (ApplyDeltas already tried a
+            // rebuild); emit_standing prints its error from here on.
+            SourceStack maintain_stack(&backend, runtime);
+            std::string maintain_error;
+            if (!entry.query->ApplyDeltas(applied, maintain_stack.source(),
+                                          &maintain_error)) {
+              std::fprintf(stderr, "query %zu error: standing %zu: %s\n",
+                           qi + 1, entry.query_number, maintain_error.c_str());
+              status = 1;
             }
-          }
-          std::size_t inserted = 0;
-          std::size_t deleted = 0;
-          for (const AppliedDelta& one : applied) {
-            inserted += one.inserted.size();
-            deleted += one.deleted.size();
           }
           std::printf(
               "\nquery %zu: delta applied (%zu inserted, %zu deleted, "
@@ -742,28 +732,23 @@ int main(int argc, char** argv) {
       const std::uint64_t physical = backend.stats().calls - calls_before;
       calls_before = backend.stats().calls;
       std::printf("\nquery %zu: %s\n", qi + 1, q->ToString().c_str());
+      std::printf("  %s%s\n", report.ok ? "answers: " : "",
+                  bracket_line(report).c_str());
       if (!report.ok) {
-        std::printf("  failed: %s\n", report.error.c_str());
         status = 1;
-      } else {
-        std::printf("  answers: %zu under, %zu over, %s\n",
-                    report.under.size(), report.over.size(),
-                    report.complete ? "complete" : "incomplete");
-        if (standing_mode) {
-          // Materialize the chains off the same (warm) stack the run just
-          // used; later !delta blocks maintain them in place.
-          std::unique_ptr<StandingQuery> sq = StandingQuery::Build(
-              compiled.analyzed_query, *catalog, stack.source(), &error);
-          if (sq == nullptr) {
-            std::fprintf(stderr,
-                         "query %zu error: standing registration failed: "
-                         "%s\n",
-                         qi + 1, error.c_str());
-            status = 1;
-          } else {
-            standing.push_back(SessionStanding{qi + 1, std::move(sq)});
-            std::printf("  standing: registered\n");
-          }
+      } else if (standing_mode) {
+        // Materialize the chains off the same (warm) stack the run just
+        // used; later !delta blocks maintain them in place.
+        std::unique_ptr<StandingQuery> sq = StandingQuery::Build(
+            compiled.analyzed_query, *catalog, stack.source(), &error);
+        if (sq == nullptr) {
+          std::fprintf(stderr,
+                       "query %zu error: standing registration failed: %s\n",
+                       qi + 1, error.c_str());
+          status = 1;
+        } else {
+          standing.push_back(SessionStanding{qi + 1, std::move(sq)});
+          std::printf("  standing: registered\n");
         }
       }
       std::printf("  physical calls: %llu\n",
