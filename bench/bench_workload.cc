@@ -88,13 +88,13 @@ struct ConfigRun {
 };
 
 ConfigRun RunConfig(const WorkloadSpec& spec, const char* label,
-                    const std::string& cost_model, bool fanout_feedback) {
+                    bool adaptive, bool fanout_feedback) {
   WorkloadReplayOptions options;
-  options.cost_model = cost_model;
-  options.fanout_feedback = fanout_feedback;
+  options.daemon.adaptive_cost_model = adaptive;
+  options.daemon.fanout_feedback = fanout_feedback;
   // A short simulated TTL keeps the cache honest at workload scale:
   // popular templates still hit, but plan quality keeps paying rent.
-  options.cache_ttl_micros = 1000;
+  options.daemon.cache.default_ttl_micros = 1000;
   ConfigRun run{label, ReplayWorkload(spec, options)};
   if (!run.report.ok) {
     std::fprintf(stderr, "bench_workload: %s replay failed: %s\n", label,
@@ -153,9 +153,9 @@ void WriteWorkloadBlock(const char* path) {
   const std::uint64_t requests = RequestBudget();
   const WorkloadSpec spec = BenchWorkload(requests);
   std::vector<ConfigRun> runs;
-  runs.push_back(RunConfig(spec, "static", "static", false));
-  runs.push_back(RunConfig(spec, "adaptive_fallback", "adaptive", false));
-  runs.push_back(RunConfig(spec, "adaptive_fanout", "adaptive", true));
+  runs.push_back(RunConfig(spec, "static", false, false));
+  runs.push_back(RunConfig(spec, "adaptive_fallback", true, false));
+  runs.push_back(RunConfig(spec, "adaptive_fanout", true, true));
   for (const ConfigRun& run : runs) {
     if (!run.report.ok) return;
   }
@@ -415,7 +415,7 @@ void BM_WorkloadReplay(benchmark::State& state) {
   const bool feedback = state.range(0) != 0;
   for (auto _ : state) {
     WorkloadReplayOptions options;
-    options.fanout_feedback = feedback;
+    options.daemon.fanout_feedback = feedback;
     const WorkloadReplayReport report = ReplayWorkload(spec, options);
     if (!report.ok || report.ok_count != report.requests) {
       state.SkipWithError("replay failed");

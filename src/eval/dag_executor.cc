@@ -157,7 +157,6 @@ UnionChainsResult ExecuteChainsDag(
     Chain* chain = nullptr;
     std::size_t stage = 0;
     PendingWave wave;
-    FetchFuture future;
     std::vector<FetchResult> fetched;
   };
 
@@ -199,29 +198,19 @@ UnionChainsResult ExecuteChainsDag(
       if (lanes.size() >= 2) ++counters->pipeline_overlaps;
     }
 
-    if (lanes.size() == 1) {
-      Lane& lane = lanes.front();
+    // Issue every lane's wave in lane order. Two or more resolve inside
+    // one overlap bracket, each in its own lane, so a SimulatedClock
+    // charges the round max-over-lanes (runtime/clock.h).
+    const bool overlap = clock != nullptr && lanes.size() >= 2;
+    if (overlap) clock->BeginOverlap();
+    for (Lane& lane : lanes) {
       const FetchOperator& op = lane.chain->ops[lane.stage];
+      if (overlap) clock->BeginLane();
       lane.fetched = source->FetchBatch(op.literal().relation(),
                                         *op.pattern(), lane.wave.requests);
-    } else {
-      // Issue in lane order, resolve all inside one overlap bracket (a
-      // SimulatedClock charges the round max-over-lanes; see
-      // runtime/clock.h).
-      for (Lane& lane : lanes) {
-        const FetchOperator& op = lane.chain->ops[lane.stage];
-        lane.future =
-            source->FetchBatchAsync(op.literal().relation(), *op.pattern(),
-                                    std::move(lane.wave.requests));
-      }
-      if (clock != nullptr) clock->BeginOverlap();
-      for (Lane& lane : lanes) {
-        if (clock != nullptr) clock->BeginLane();
-        lane.fetched = lane.future.Take();
-        if (clock != nullptr) clock->EndLane();
-      }
-      if (clock != nullptr) clock->EndOverlap();
+      if (overlap) clock->EndLane();
     }
+    if (overlap) clock->EndOverlap();
 
     // Merge in lane order; the first failing lane aborts the whole
     // execution (no partial answers).

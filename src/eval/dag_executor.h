@@ -35,10 +35,10 @@ struct UnionChainsResult {
 // to `cap` rows off the front of its queue (morsel_rows when set, else
 // max(1, parallelism) when pipelining, else the whole queue). A stage
 // prices its access pattern once, on first contact, with every row then
-// queued at it. A single-lane round issues its wave synchronously; a
-// multi-lane round issues all waves as FetchBatchAsync and resolves them
-// inside one clock overlap bracket, so a SimulatedClock charges the
-// round max-over-lanes. Lanes merge in issue order and append their rows
+// queued at it. Each lane's wave is one FetchBatch, issued in lane
+// order; a multi-lane round brackets them in one clock overlap, each in
+// its own lane, so a SimulatedClock charges the round max-over-lanes.
+// Lanes merge in issue order and append their rows
 // to the next stage's queue, so witness order is the left-to-right
 // derivation order at every setting. All staging, fetching, and merging
 // happens on the calling thread — concurrency is overlap of waves in

@@ -4,18 +4,6 @@
 
 namespace ucqn {
 
-std::vector<FetchResult> FetchFuture::Take() {
-  UCQN_CHECK_MSG(valid(), "Take() on an invalid (empty or already-taken) "
-                          "FetchFuture");
-  if (ready_) {
-    ready_ = false;
-    return std::move(results_);
-  }
-  std::function<std::vector<FetchResult>()> resolve = std::move(resolve_);
-  resolve_ = nullptr;
-  return resolve();
-}
-
 std::vector<FetchResult> Source::FetchBatch(
     const std::string& relation, const AccessPattern& pattern,
     const std::vector<std::vector<std::optional<Term>>>& inputs) {
@@ -25,20 +13,6 @@ std::vector<FetchResult> Source::FetchBatch(
     results.push_back(Fetch(relation, pattern, request));
   }
   return results;
-}
-
-FetchFuture Source::FetchBatchAsync(
-    std::string relation, AccessPattern pattern,
-    std::vector<std::vector<std::optional<Term>>> inputs) {
-  // Deferring the *virtual* FetchBatch means any decorator stacked on
-  // `this` resolves the wave through its own batch path — cache rounds,
-  // retry rounds, metering, and parallel fan-out all behave exactly as a
-  // synchronous caller would see them, just at Take() time.
-  return FetchFuture::Deferred(
-      [this, relation = std::move(relation), pattern = std::move(pattern),
-       inputs = std::move(inputs)]() {
-        return FetchBatch(relation, pattern, inputs);
-      });
 }
 
 std::vector<Tuple> Source::FetchOrDie(

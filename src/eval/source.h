@@ -2,7 +2,6 @@
 #define UCQN_EVAL_SOURCE_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -66,52 +65,6 @@ struct FetchResult {
   }
 };
 
-// Completion token for one batched wave in flight: the future-shaped half
-// of Source::FetchBatchAsync. Single-shot — Take() resolves the wave,
-// returns its results (request order, like FetchBatch), and consumes the
-// future; calling Take() twice or on a default-constructed future is a
-// programming error.
-//
-// Two states cover today's transports:
-//   Ready    — the results already exist (a fully-cached wave, a test
-//              double); Take() just hands them over.
-//   Deferred — the work is captured as a closure; Take() runs it. The
-//              default Source wrapper defers the synchronous FetchBatch,
-//              so resolution happens at Take() time on the caller's
-//              thread. A truly asynchronous transport would issue the
-//              wave at creation and have Take() block on completion; the
-//              contract (issue order preserved, results in request order,
-//              one resolution per future) is the same either way.
-class FetchFuture {
- public:
-  FetchFuture() = default;
-
-  static FetchFuture Ready(std::vector<FetchResult> results) {
-    FetchFuture f;
-    f.ready_ = true;
-    f.results_ = std::move(results);
-    return f;
-  }
-  static FetchFuture Deferred(
-      std::function<std::vector<FetchResult>()> resolve) {
-    FetchFuture f;
-    f.resolve_ = std::move(resolve);
-    return f;
-  }
-
-  // False for a default-constructed or already-taken future.
-  bool valid() const { return ready_ || resolve_ != nullptr; }
-
-  // Resolves the wave: result i answers the request i the future was
-  // created for. Consumes the future (valid() becomes false).
-  std::vector<FetchResult> Take();
-
- private:
-  bool ready_ = false;
-  std::vector<FetchResult> results_;
-  std::function<std::vector<FetchResult>()> resolve_;
-};
-
 // The runtime face of a relation with access patterns: one Fetch per
 // web-service operation (Section 1). Implementations must enforce the
 // pattern — a call that fails to supply a value for every input slot is a
@@ -141,26 +94,6 @@ class Source {
   virtual std::vector<FetchResult> FetchBatch(
       const std::string& relation, const AccessPattern& pattern,
       const std::vector<std::vector<std::optional<Term>>>& inputs);
-
-  // Future-shaped counterpart of FetchBatch: issues (or stages) one wave
-  // and returns a completion token whose Take() yields exactly what
-  // FetchBatch would have returned for the same inputs. `inputs` is taken
-  // by value because the wave may outlive the caller's frame. The default
-  // implementation defers the virtual FetchBatch into the token, so every
-  // decorator's batch semantics (caching, retry rounds, metering,
-  // parallel fan-out) carry over to async callers unchanged — resolution
-  // simply happens at Take() time. The executor uses this to keep
-  // multiple literals' waves in flight (ExecutionOptions::runtime
-  // .pipeline_depth); a SimulatedClock charges overlapping resolutions
-  // max-over-waves via its overlap bracket (runtime/clock.h).
-  //
-  // Contract for overrides: one future per call, Take() returns results
-  // in request order, and interleaving several futures' Take() calls must
-  // yield the same per-request results as sequential FetchBatch calls in
-  // issue order.
-  virtual FetchFuture FetchBatchAsync(
-      std::string relation, AccessPattern pattern,
-      std::vector<std::vector<std::optional<Term>>> inputs);
 
   // Convenience for call sites whose source cannot fail (in-memory
   // databases, tests): returns the tuples, CHECK-failing on any error.

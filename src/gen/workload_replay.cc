@@ -7,8 +7,6 @@
 #include <thread>
 
 #include "runtime/fault_injection.h"
-#include "server/daemon.h"
-#include "util/logging.h"
 
 namespace ucqn {
 
@@ -100,50 +98,21 @@ std::string WorkloadReplayReport::ToJson() const {
 }
 
 WorkloadReplayReport ReplayWorkload(const WorkloadSpec& spec,
-                                    const WorkloadReplayOptions& options) {
+                                    const WorkloadReplayOptions& options,
+                                    const ReplaySubmit& submit,
+                                    Clock* sim_clock) {
   WorkloadReplayReport report;
-  if (options.cost_model != "static" && options.cost_model != "adaptive") {
-    report.error = "cost_model must be static or adaptive";
-    return report;
-  }
   if (spec.queries.empty()) {
     report.error = "workload declares no queries";
     return report;
   }
-
-  SimulatedClock clock;
-  // Private copy: the delta stream mutates the instance as the replay
-  // advances, and the caller's spec must stay the request-0 snapshot.
-  Database database = spec.database;
-  DatabaseSource backend(&database, &spec.catalog);
-  FaultInjectingSource faulty(&backend, spec.faults, &clock);
-  Source* transport = options.inject_faults
-                          ? static_cast<Source*>(&faulty)
-                          : static_cast<Source*>(&backend);
-
-  QueryDaemon::Options daemon_options;
-  daemon_options.runtime.clock = &clock;
-  daemon_options.runtime.retry = options.retry_attempts > 1;
-  daemon_options.runtime.retry_policy.max_attempts = options.retry_attempts;
-  daemon_options.runtime.parallelism = std::max<std::size_t>(options.parallelism, 1);
-  daemon_options.runtime.pipeline_depth =
-      std::max<std::size_t>(options.pipeline_depth, 1);
-  daemon_options.disjunct_concurrency =
-      std::max<std::size_t>(options.disjunct_concurrency, 1);
-  daemon_options.cache.default_ttl_micros = options.cache_ttl_micros;
-  daemon_options.cache.budget_bytes = options.cache_budget_bytes;
-  daemon_options.cache.clock = &clock;
-  daemon_options.admission.max_in_flight = options.max_in_flight;
-  daemon_options.admission.max_queued = options.max_queued;
-  daemon_options.default_quota.max_concurrent = options.tenant_max_concurrent;
-  daemon_options.adaptive_cost_model = options.cost_model == "adaptive";
-  daemon_options.fanout_feedback = options.fanout_feedback;
-  daemon_options.database = &database;
-  QueryDaemon daemon(&spec.catalog, transport, daemon_options);
+  const std::uint64_t sim_start =
+      sim_clock != nullptr ? sim_clock->NowMicros() : 0;
 
   // One `delta` op per (request index, relation) group, applied by the
-  // thread that owns the request just before it submits it. Deletes land
-  // before inserts inside a batch — the daemon's own convention.
+  // thread that owns the request just before it submits it; both
+  // transports consume this one grouping. Deletes land before inserts
+  // inside a batch — the daemon's own convention.
   std::map<std::uint64_t, std::vector<ServiceRequest>> delta_batches;
   for (const WorkloadDeltaEvent& event : spec.deltas) {
     std::vector<ServiceRequest>& batch = delta_batches[event.at_request];
@@ -191,7 +160,7 @@ WorkloadReplayReport ReplayWorkload(const WorkloadSpec& spec,
       const auto batch_it = delta_batches.find(r);
       if (batch_it != delta_batches.end()) {
         for (const ServiceRequest& delta_request : batch_it->second) {
-          const ServiceResponse delta_response = daemon.Submit(delta_request);
+          const ServiceResponse delta_response = submit(delta_request);
           if (delta_response.status == ServiceResponse::Status::kOk) {
             ++partial.deltas_applied;
           } else {
@@ -205,10 +174,12 @@ WorkloadReplayReport ReplayWorkload(const WorkloadSpec& spec,
       request.tenant = "t" + std::to_string(replay_request.tenant);
       request.query = spec.queries[replay_request.query_index];
       request.include_answers = true;
-      const std::uint64_t before = clock.NowMicros();
-      const ServiceResponse response = daemon.Submit(request);
-      const std::uint64_t after = clock.NowMicros();
-      if (threads == 1) lat.push_back(after - before);
+      const std::uint64_t before =
+          sim_clock != nullptr ? sim_clock->NowMicros() : 0;
+      const ServiceResponse response = submit(request);
+      if (threads == 1 && sim_clock != nullptr) {
+        lat.push_back(sim_clock->NowMicros() - before);
+      }
       ReplayWindow& window =
           partial.windows[static_cast<std::size_t>(
               r * static_cast<std::uint64_t>(window_count) / n)];
@@ -288,7 +259,9 @@ WorkloadReplayReport ReplayWorkload(const WorkloadSpec& spec,
     report.p99_micros = percentile(0.99);
   }
 
-  report.sim_wall_micros = clock.NowMicros();
+  if (sim_clock != nullptr) {
+    report.sim_wall_micros = sim_clock->NowMicros() - sim_start;
+  }
   report.real_seconds =
       std::chrono::duration<double>(real_end - real_start).count();
   report.throughput_per_second =
@@ -297,6 +270,31 @@ WorkloadReplayReport ReplayWorkload(const WorkloadSpec& spec,
           : 0.0;
   report.ok = true;
   return report;
+}
+
+WorkloadReplayReport ReplayWorkload(const WorkloadSpec& spec,
+                                    const WorkloadReplayOptions& options) {
+  SimulatedClock clock;
+  // Private copy: the delta stream mutates the instance as the replay
+  // advances, and the caller's spec must stay the request-0 snapshot.
+  Database database = spec.database;
+  DatabaseSource backend(&database, &spec.catalog);
+  FaultInjectingSource faulty(&backend, spec.faults, &clock);
+  Source* transport = options.inject_faults
+                          ? static_cast<Source*>(&faulty)
+                          : static_cast<Source*>(&backend);
+
+  QueryDaemon::Options daemon_options = options.daemon;
+  daemon_options.runtime.clock = &clock;
+  daemon_options.cache.clock = &clock;
+  daemon_options.database = &database;
+  QueryDaemon daemon(&spec.catalog, transport, daemon_options);
+  return ReplayWorkload(
+      spec, options,
+      [&daemon](const ServiceRequest& request) {
+        return daemon.Submit(request);
+      },
+      &clock);
 }
 
 }  // namespace ucqn

@@ -2,27 +2,37 @@
 #define UCQN_GEN_WORKLOAD_REPLAY_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "gen/workload.h"
+#include "runtime/clock.h"
+#include "server/daemon.h"
+#include "server/protocol.h"
 
 namespace ucqn {
 
-// In-process replay: constructs a QueryDaemon over the workload's schema
-// and a private copy of its instance (behind a FaultInjectingSource on a
-// shared SimulatedClock), streams the replay plan's request sequence
-// through Submit — applying the workload's [deltas] stream as `delta` ops
-// just before the request indices they are pinned to — and reports
-// throughput, simulated-latency percentiles, windowed cache-hit curves,
-// and shed/quota counts. tools/ucqn_workload.cc and bench/bench_workload.cc
-// both drive this; the daemon-stdio path goes through the tool's
-// --via-daemon mode instead.
+// Replays a workload's request sequence through a QueryDaemon, applying
+// the workload's [deltas] stream as `delta` ops just before the request
+// indices they are pinned to, and reports ok/error/shed/quota counts,
+// physical calls, windowed cache-hit curves and an answer digest. One
+// loop serves both transports. In-process, the daemon runs behind a
+// fault-injecting source on a SimulatedClock, which adds simulated-
+// latency percentiles; bench/bench_workload.cc drives this form. Over
+// the wire, tools/ucqn_workload.cc --via-daemon passes a submit function
+// that exchanges protocol lines with a child `ucqnd --stdio`.
 struct WorkloadReplayOptions {
-  // "static" or "adaptive" — which cost model the daemon plans with.
-  std::string cost_model = "adaptive";
-  // Let observed fanouts replace the fallback cardinality (adaptive only).
-  bool fanout_feedback = true;
+  // The daemon under replay, configured as ucqnd's daemon flags configure
+  // it (tools/flag_parse.h). Replays default to the adaptive cost model
+  // with fanout feedback and 3 retry attempts. The in-process replay
+  // supplies the clock and database fields itself.
+  QueryDaemon::Options daemon = [] {
+    QueryDaemon::Options defaults;
+    defaults.adaptive_cost_model = true;
+    defaults.runtime.retry = true;  // RetryPolicy's 3 attempts
+    return defaults;
+  }();
   // Client threads submitting concurrently (static round-robin split).
   // 1 = serial, the only mode that reports per-request sim percentiles.
   int threads = 1;
@@ -31,23 +41,9 @@ struct WorkloadReplayOptions {
   // Overrides spec.replay.requests when non-zero.
   std::uint64_t max_requests = 0;
   // Run the backend behind the workload's fault plan (latency, flakiness,
-  // spikes). Off = raw in-memory backend, zero simulated latency.
+  // spikes). Off = raw in-memory backend, zero simulated latency. The
+  // in-process replay only: ucqnd's backend has no fault layer.
   bool inject_faults = true;
-  // Retry attempts per call (RetryPolicy::max_attempts); 1 disables.
-  int retry_attempts = 3;
-  // Parallel-fetch workers per session wave; 1 = sequential dispatch.
-  std::size_t parallelism = 1;
-  std::size_t pipeline_depth = 1;
-  std::size_t disjunct_concurrency = 1;
-  // Shared-cache TTL (0 = entries never age out) and byte budget.
-  std::uint64_t cache_ttl_micros = 0;
-  std::size_t cache_budget_bytes = 0;
-  // Admission bounds (0/0 = unbounded, nothing sheds).
-  std::size_t max_in_flight = 0;
-  std::size_t max_queued = 0;
-  // Per-tenant cap on concurrent requests (0 = uncapped) — the quota
-  // counter's source of "quota" responses under threads > 1.
-  std::size_t tenant_max_concurrent = 0;
 };
 
 // One slice of the request stream (by request index, replay order).
@@ -76,7 +72,9 @@ struct WorkloadReplayReport {
   std::uint64_t deltas_applied = 0;
   std::uint64_t delta_error_count = 0;
 
-  // Simulated time the whole replay charged to the shared clock.
+  // Simulated time the whole replay charged to the shared clock; 0 on
+  // the wire, where the daemon's clock is not the replay's to read (as
+  // are the percentiles below).
   std::uint64_t sim_wall_micros = 0;
   // Wall-clock seconds the replay actually took (all threads).
   double real_seconds = 0.0;
@@ -105,6 +103,23 @@ struct WorkloadReplayReport {
   std::string ToJson() const;
 };
 
+// How one replayed request reaches the daemon. Called from
+// options.threads threads at once when that is above 1.
+using ReplaySubmit = std::function<ServiceResponse(const ServiceRequest&)>;
+
+// The replay loop itself. `sim_clock` is the simulated clock the daemon
+// behind `submit` charges, read around each serial request for the
+// latency percentiles and at the end for sim_wall_micros; null leaves
+// all four 0.
+WorkloadReplayReport ReplayWorkload(const WorkloadSpec& spec,
+                                    const WorkloadReplayOptions& options,
+                                    const ReplaySubmit& submit,
+                                    Clock* sim_clock = nullptr);
+
+// In-process: constructs a QueryDaemon from options.daemon over the
+// workload's schema and a private copy of its instance (behind a
+// FaultInjectingSource when options.inject_faults), all on one
+// SimulatedClock, and replays through QueryDaemon::Submit.
 WorkloadReplayReport ReplayWorkload(const WorkloadSpec& spec,
                                     const WorkloadReplayOptions& options);
 

@@ -1,5 +1,7 @@
 #include "server/protocol.h"
 
+#include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "util/json.h"
@@ -20,14 +22,19 @@ JsonValue TupleToJson(const Tuple& tuple) {
   return row;
 }
 
-JsonValue TupleSetToJson(const std::set<Tuple>& tuples) {
+// A std::set (answers) or std::vector (delta batches) of tuples.
+template <typename Tuples>
+JsonValue TuplesToJson(const Tuples& tuples) {
   JsonValue rows = JsonValue::Array();
   for (const Tuple& tuple : tuples) rows.Append(TupleToJson(tuple));
   return rows;
 }
 
-bool JsonToTupleSet(const JsonValue& rows, std::set<Tuple>* out,
-                    std::string* error) {
+// Inverse of TuplesToJson. Order-preserving into a std::vector: delta
+// batches are lists (deletes apply before inserts within a batch, and
+// clients may care about a stable echo), answers are sets.
+template <typename Tuples>
+bool JsonToTuples(const JsonValue& rows, Tuples* out, std::string* error) {
   if (!rows.is_array()) {
     *error = "expected an array of tuples";
     return false;
@@ -48,40 +55,14 @@ bool JsonToTupleSet(const JsonValue& rows, std::set<Tuple>* out,
         return false;
       }
     }
-    out->insert(std::move(tuple));
+    out->insert(out->end(), std::move(tuple));
   }
   return true;
 }
 
-// Same cell convention as JsonToTupleSet, but order-preserving: delta
-// batches are lists (deletes apply before inserts within a batch, and
-// clients may care about a stable echo), not sets.
-bool JsonToTupleList(const JsonValue& rows, std::vector<Tuple>* out,
-                     std::string* error) {
-  if (!rows.is_array()) {
-    *error = "expected an array of tuples";
-    return false;
-  }
-  for (const JsonValue& row : rows.items()) {
-    if (!row.is_array()) {
-      *error = "expected a tuple array";
-      return false;
-    }
-    Tuple tuple;
-    for (const JsonValue& cell : row.items()) {
-      if (cell.is_null()) {
-        tuple.push_back(Term::Null());
-      } else if (cell.is_string()) {
-        tuple.push_back(Term::Constant(cell.AsString()));
-      } else {
-        *error = "tuple cells must be strings or null";
-        return false;
-      }
-    }
-    out->push_back(std::move(tuple));
-  }
-  return true;
-}
+// Indexed by ServiceRequest::Op.
+constexpr const char* kOpWords[] = {"query",    "stats", "invalidate",
+                                    "snapshot", "delta", "answers"};
 
 }  // namespace
 
@@ -98,21 +79,10 @@ std::optional<ServiceRequest> ParseServiceRequest(const std::string& line,
 
   ServiceRequest request;
   const std::string op = json->GetString("op", "query");
-  if (op == "query") {
-    request.op = ServiceRequest::Op::kQuery;
-  } else if (op == "stats") {
-    request.op = ServiceRequest::Op::kStats;
-  } else if (op == "invalidate") {
-    request.op = ServiceRequest::Op::kInvalidate;
-  } else if (op == "snapshot") {
-    request.op = ServiceRequest::Op::kSnapshot;
-  } else if (op == "delta") {
-    request.op = ServiceRequest::Op::kDelta;
-  } else if (op == "answers") {
-    request.op = ServiceRequest::Op::kAnswers;
-  } else {
-    return fail("unknown op \"" + op + "\"");
-  }
+  const auto op_word = std::find(std::begin(kOpWords), std::end(kOpWords), op);
+  if (op_word == std::end(kOpWords)) return fail("unknown op \"" + op + "\"");
+  request.op =
+      static_cast<ServiceRequest::Op>(op_word - std::begin(kOpWords));
   request.id = json->GetString("id");
   request.tenant = json->GetString("tenant", "default");
   if (request.tenant.empty()) request.tenant = "default";
@@ -133,12 +103,12 @@ std::optional<ServiceRequest> ParseServiceRequest(const std::string& line,
     std::string tuple_error;
     const JsonValue* inserts = json->Find("insert");
     if (inserts != nullptr &&
-        !JsonToTupleList(*inserts, &request.insert_tuples, &tuple_error)) {
+        !JsonToTuples(*inserts, &request.insert_tuples, &tuple_error)) {
       return fail("bad insert set: " + tuple_error);
     }
     const JsonValue* deletes = json->Find("delete");
     if (deletes != nullptr &&
-        !JsonToTupleList(*deletes, &request.delete_tuples, &tuple_error)) {
+        !JsonToTuples(*deletes, &request.delete_tuples, &tuple_error)) {
       return fail("bad delete set: " + tuple_error);
     }
     if (request.insert_tuples.empty() && request.delete_tuples.empty()) {
@@ -149,6 +119,23 @@ std::optional<ServiceRequest> ParseServiceRequest(const std::string& line,
     return fail("answers op without an \"id\" field");
   }
   return request;
+}
+
+std::string ServiceRequest::ToJsonLine() const {
+  JsonValue out = JsonValue::Object();
+  out.Set("op", JsonValue::String(kOpWords[static_cast<int>(op)]));
+  if (!id.empty()) out.Set("id", JsonValue::String(id));
+  if (tenant != "default") out.Set("tenant", JsonValue::String(tenant));
+  if (!query.empty()) out.Set("query", JsonValue::String(query));
+  if (!relation.empty()) out.Set("relation", JsonValue::String(relation));
+  if (max_calls != 0) {
+    out.Set("max_calls", JsonValue::Number(static_cast<double>(max_calls)));
+  }
+  if (!include_answers) out.Set("answers", JsonValue::Bool(false));
+  if (standing) out.Set("standing", JsonValue::Bool(true));
+  if (!insert_tuples.empty()) out.Set("insert", TuplesToJson(insert_tuples));
+  if (!delete_tuples.empty()) out.Set("delete", TuplesToJson(delete_tuples));
+  return out.Dump();
 }
 
 const char* ServiceResponse::StatusWord(Status status) {
@@ -183,8 +170,8 @@ std::string ServiceResponse::ToJsonLine() const {
   out.Set("over_count", JsonValue::Number(static_cast<double>(over.size())));
   out.Set("complete", JsonValue::Bool(complete));
   if (include_answers) {
-    out.Set("under", TupleSetToJson(under));
-    out.Set("over", TupleSetToJson(over));
+    out.Set("under", TuplesToJson(under));
+    out.Set("over", TuplesToJson(over));
   }
   out.Set("physical_calls",
           JsonValue::Number(static_cast<double>(physical_calls)));
@@ -233,11 +220,11 @@ std::optional<ServiceResponse> ParseServiceResponse(const std::string& line,
   std::string tuple_error;
   const JsonValue* under = json->Find("under");
   if (under != nullptr &&
-      !JsonToTupleSet(*under, &response.under, &tuple_error)) {
+      !JsonToTuples(*under, &response.under, &tuple_error)) {
     return fail("bad under set: " + tuple_error);
   }
   const JsonValue* over = json->Find("over");
-  if (over != nullptr && !JsonToTupleSet(*over, &response.over, &tuple_error)) {
+  if (over != nullptr && !JsonToTuples(*over, &response.over, &tuple_error)) {
     return fail("bad over set: " + tuple_error);
   }
   response.include_answers = under != nullptr || over != nullptr;

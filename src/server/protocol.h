@@ -52,6 +52,11 @@ struct ServiceRequest {
   // both sets ends up present.
   std::vector<Tuple> insert_tuples;
   std::vector<Tuple> delete_tuples;
+
+  // One line, no trailing newline — the inverse of ParseServiceRequest
+  // (fields at their defaults are omitted), so a client can hand any
+  // request ParseServiceRequest accepts to a daemon over the wire.
+  std::string ToJsonLine() const;
 };
 
 // Parses one request line. Returns nullopt and sets `*error` on
@@ -96,8 +101,9 @@ struct ServiceResponse {
 };
 
 // Parses a response line back into a structure — the client half of the
-// protocol, used by tests and the warm-start bench. Unknown keys are
-// ignored. Returns nullopt and sets `*error` on malformed input.
+// protocol, used by tests, the benches and the workload replay's wire
+// transport. Unknown keys are ignored. Returns nullopt and sets `*error`
+// on malformed input.
 std::optional<ServiceResponse> ParseServiceResponse(const std::string& line,
                                                     std::string* error);
 

@@ -1,8 +1,8 @@
 // Concurrency contract of the process-wide term dictionary: racing
 // interns of overlapping constant sets must converge to exactly one id
 // per spelling, decoders must be safe against concurrent growth, and the
-// ids observed by executions across FetchBatchAsync waves must be stable
-// run over run. Runs under the tsan/ubsan gates via the labels.
+// ids observed by executions across overlapping (multi-lane) waves must
+// be stable run over run. Runs under the tsan/ubsan gates via the labels.
 
 #include <gtest/gtest.h>
 
@@ -86,7 +86,7 @@ TEST(DictionaryConcurrencyTest, DecodersRaceSafelyAgainstGrowth) {
 
 TEST(DictionaryConcurrencyTest, IdsAreStableAcrossAsyncWaves) {
   // Two executions of the same join — parallel waves, pipelined stages,
-  // overlapping FetchBatchAsync calls — must observe identical ids for
+  // multi-lane rounds of overlapping waves — must observe identical ids for
   // every constant in the global dictionary: reruns and concurrent
   // tenants key the shared cache by id, so renumbering between waves
   // would silently split cache entries.
@@ -111,13 +111,13 @@ TEST(DictionaryConcurrencyTest, IdsAreStableAcrossAsyncWaves) {
     SCOPED_TRACE("run " + std::to_string(run));
     DatabaseSource backend(&db, &catalog);
     FaultPlan faults;
-    faults.latency_micros = 50;  // force genuinely async in-flight waves
+    faults.latency_micros = 50;  // force genuinely overlapping waves
     FaultInjectingSource slow(&backend, faults);
     ExecutionOptions options;
     options.runtime.parallelism = 4;
     // Run 0 is the depth-1 columnar loop: it encodes every fetched tuple,
     // interning the full active domain. The later runs pipeline — their
-    // overlapping FetchBatchAsync waves intern through the same global
+    // overlapping multi-lane waves intern through the same global
     // dictionary and must observe the ids run 0 minted.
     options.runtime.pipeline_depth = run == 0 ? 1 : 2;
     options.runtime.metering = true;

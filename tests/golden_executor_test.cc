@@ -206,8 +206,8 @@ std::string RenderReplay(std::uint64_t seed, bool flaky) {
   for (std::size_t parallelism : {std::size_t{1}, std::size_t{4}}) {
     for (std::size_t depth : {std::size_t{1}, std::size_t{2}}) {
       WorkloadReplayOptions options;
-      options.parallelism = parallelism;
-      options.pipeline_depth = depth;
+      options.daemon.runtime.parallelism = parallelism;
+      options.daemon.runtime.pipeline_depth = depth;
       const WorkloadReplayReport report = ReplayWorkload(spec, options);
       out << "== parallelism=" << parallelism << " depth=" << depth << "\n";
       out << "ok=" << report.ok << " requests=" << report.requests

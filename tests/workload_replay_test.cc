@@ -2,23 +2,28 @@
 // percentiles and cache-hit curves, determinism, the cost-model A/B
 // contract (plans move calls, never answers), and the concurrent replay
 // path (also exercised under ThreadSanitizer via the `concurrency`
-// label).
+// label), and the same loop driven through the wire encoding.
 
 #include "gen/workload_replay.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
 
+#include "eval/source.h"
 #include "gen/workload.h"
+#include "server/daemon.h"
+#include "server/protocol.h"
 
 namespace ucqn {
 namespace {
 
-WorkloadSpec SmallWorkload(std::uint64_t requests = 200) {
+WorkloadSpec SmallWorkload(std::uint64_t requests = 200,
+                           double update_rate = 0.0) {
   WorkloadGenOptions options;
   options.seed = 11;
   options.chain_length = 4;
@@ -32,6 +37,7 @@ WorkloadSpec SmallWorkload(std::uint64_t requests = 200) {
   options.failure_probability = 0.0;
   options.replay.requests = requests;
   options.replay.tenants = 2;
+  options.update_rate = update_rate;
   return GenerateWorkload(options);
 }
 
@@ -77,12 +83,10 @@ TEST(WorkloadReplayTest, ReplayIsDeterministic) {
 TEST(WorkloadReplayTest, CostModelsMoveCallsNeverAnswers) {
   const WorkloadSpec spec = SmallWorkload();
   WorkloadReplayOptions fixed;
-  fixed.cost_model = "static";
+  fixed.daemon.adaptive_cost_model = false;
   WorkloadReplayOptions fallback;
-  fallback.cost_model = "adaptive";
-  fallback.fanout_feedback = false;
-  WorkloadReplayOptions informed;
-  informed.cost_model = "adaptive";
+  fallback.daemon.fanout_feedback = false;
+  WorkloadReplayOptions informed;  // adaptive with feedback: the default
   const WorkloadReplayReport a = ReplayWorkload(spec, fixed);
   const WorkloadReplayReport b = ReplayWorkload(spec, fallback);
   const WorkloadReplayReport c = ReplayWorkload(spec, informed);
@@ -96,10 +100,7 @@ TEST(WorkloadReplayTest, CostModelsMoveCallsNeverAnswers) {
   EXPECT_LE(c.physical_calls, b.physical_calls);
 }
 
-TEST(WorkloadReplayTest, RejectsBadOptionsAndEmptyWorkloads) {
-  WorkloadReplayOptions options;
-  options.cost_model = "psychic";
-  EXPECT_FALSE(ReplayWorkload(SmallWorkload(), options).ok);
+TEST(WorkloadReplayTest, RejectsEmptyWorkloads) {
   WorkloadSpec empty;
   EXPECT_FALSE(ReplayWorkload(empty, {}).ok);
 }
@@ -114,7 +115,7 @@ TEST(WorkloadReplayTest, ConcurrentReplayMatchesSerialAnswers) {
   ASSERT_TRUE(baseline.ok);
   WorkloadReplayOptions concurrent;
   concurrent.threads = 4;
-  concurrent.disjunct_concurrency = 2;
+  concurrent.daemon.disjunct_concurrency = 2;
   const WorkloadReplayReport report = ReplayWorkload(spec, concurrent);
   ASSERT_TRUE(report.ok);
   EXPECT_EQ(report.ok_count, 400u);
@@ -134,8 +135,8 @@ TEST(WorkloadReplayTest, AdmissionAndQuotaLimitsSurfaceInTheReport) {
   const WorkloadSpec spec = SmallWorkload(200);
   WorkloadReplayOptions options;
   options.threads = 4;
-  options.max_in_flight = 1;
-  options.max_queued = 1;
+  options.daemon.admission.max_in_flight = 1;
+  options.daemon.admission.max_queued = 1;
   std::uint64_t shed = 0;
   for (int attempt = 0; attempt < 5 && shed == 0; ++attempt) {
     const WorkloadReplayReport report = ReplayWorkload(spec, options);
@@ -196,6 +197,45 @@ TEST(WorkloadReplayTest, DeltaStreamIsAppliedDuringReplay) {
   ASSERT_TRUE(again.ok);
   EXPECT_EQ(again.answers_hash, report.answers_hash);
   EXPECT_EQ(again.deltas_applied, report.deltas_applied);
+}
+
+TEST(WorkloadReplayTest, WireEncodedReplayMatchesInProcess) {
+  // The --via-daemon transport in miniature: every request, delta batches
+  // included, crosses as a protocol line (ServiceRequest::ToJsonLine →
+  // QueryDaemon::SubmitLine → ParseServiceResponse) to a daemon built
+  // from the same options. Same loop, so the same answers and calls; only
+  // the simulated-time fields stay in-process.
+  const WorkloadSpec spec = SmallWorkload(200, 0.15);
+  ASSERT_FALSE(spec.deltas.empty());
+  WorkloadReplayOptions options;
+  options.inject_faults = false;  // ucqnd's backend has no fault layer
+  const WorkloadReplayReport direct = ReplayWorkload(spec, options);
+
+  Database database = spec.database;
+  DatabaseSource backend(&database, &spec.catalog);
+  QueryDaemon::Options daemon_options = options.daemon;
+  daemon_options.database = &database;
+  QueryDaemon daemon(&spec.catalog, &backend, daemon_options);
+  const WorkloadReplayReport wire = ReplayWorkload(
+      spec, options, [&daemon](const ServiceRequest& request) {
+        std::string error;
+        std::optional<ServiceResponse> response = ParseServiceResponse(
+            daemon.SubmitLine(request.ToJsonLine()), &error);
+        EXPECT_TRUE(response.has_value()) << error;
+        return response.value_or(ServiceResponse{});
+      });
+
+  ASSERT_TRUE(direct.ok) << direct.error;
+  ASSERT_TRUE(wire.ok) << wire.error;
+  EXPECT_EQ(wire.ok_count, 200u);
+  EXPECT_GT(wire.deltas_applied, 0u);
+  EXPECT_EQ(wire.delta_error_count, 0u);
+  EXPECT_EQ(wire.deltas_applied, direct.deltas_applied);
+  EXPECT_EQ(wire.answers_hash, direct.answers_hash);
+  EXPECT_EQ(wire.physical_calls, direct.physical_calls);
+  EXPECT_EQ(wire.cache_hits, direct.cache_hits);
+  EXPECT_EQ(wire.sim_wall_micros, 0u);
+  EXPECT_EQ(wire.p99_micros, 0u);
 }
 
 }  // namespace

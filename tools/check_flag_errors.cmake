@@ -8,12 +8,13 @@
 # Covers the numeric flags (--parallelism, --cache-ttl-ms, --cache-budget,
 # --max-calls, --pipeline-depth, ...) against garbage tokens, trailing
 # junk, zero/negative values, overflow, and a missing value. All three
-# tools parse counts with one helper (tools/flag_parse.h), so the flags
-# they share are checked against each of them.
+# tools parse counts with one helper (tools/flag_parse.h); ucqnd and
+# ucqn_workload also share one parser for their daemon flags, checked
+# against both in one loop.
 #
 # Wired as the `flag_value_check` ctest (labels: tier1;docs).
 
-cmake_minimum_required(VERSION 3.16)
+cmake_minimum_required(VERSION 3.16)  # script mode: enables IN_LIST (CMP0057)
 
 foreach(tool UCQNC UCQND UCQN_WORKLOAD)
   if(NOT DEFINED ${tool})
@@ -44,52 +45,56 @@ function(expect_rejects expected_fragment)
   expect_tool_rejects("${UCQNC}" "${expected_fragment}" ${ARGN})
 endfunction()
 
-# The same reject against ucqnc and ucqnd (flags ucqn_workload lacks or
-# parses with a different range).
-function(expect_rejects_cli_and_daemon expected_fragment)
-  foreach(binary "${UCQNC}" "${UCQND}")
-    expect_tool_rejects("${binary}" "${expected_fragment}" ${ARGN})
-  endforeach()
-endfunction()
-
-# The same reject against all three tools.
-function(expect_all_reject expected_fragment)
-  foreach(binary "${UCQNC}" "${UCQND}" "${UCQN_WORKLOAD}")
-    expect_tool_rejects("${binary}" "${expected_fragment}" ${ARGN})
-  endforeach()
-endfunction()
-
-expect_rejects("--parallelism expects a positive integer, got \"banana\""
-    --parallelism banana)
-expect_rejects_cli_and_daemon(
-    "--cache-ttl-ms expects a positive integer, got \"0\"" --cache-ttl-ms 0)
-expect_rejects_cli_and_daemon(
-    "--cache-budget expects a positive integer, got \"10x\"" --cache-budget 10x)
+# ucqnc-only count flags.
 expect_rejects("--max-calls expects a positive integer, got \"-3\""
     --max-calls -3)
-expect_rejects_cli_and_daemon(
-    "--retry expects a positive integer, got \"99999999999999999999\""
-    --retry 99999999999999999999)
-expect_rejects("--pipeline-depth expects a positive integer value"
-    --pipeline-depth)
 expect_rejects("--cache-capacity expects a positive integer, got \"3.5\""
     --cache-capacity 3.5)
 
-# Flags all three tools accept: zero is rejected everywhere (the replay
-# driver used to clamp it to 1 silently), as are garbage, trailing junk,
-# negatives, overflow and a missing value.
-foreach(flag --parallelism --pipeline-depth --disjunct-concurrency)
-  expect_all_reject("${flag} expects a positive integer, got \"0\"" ${flag} 0)
-  expect_all_reject("${flag} expects a positive integer, got \"banana\""
-      ${flag} banana)
-  expect_all_reject("${flag} expects a positive integer, got \"4x\""
-      ${flag} 4x)
-  expect_all_reject("${flag} expects a positive integer, got \"-2\""
-      ${flag} -2)
-  expect_all_reject(
-      "${flag} expects a positive integer, got \"99999999999999999999\""
-      ${flag} 99999999999999999999)
-  expect_all_reject("${flag} expects a positive integer value" ${flag})
+# The nine count flags ucqnd and ucqn_workload share through one parser
+# (ParseDaemonFlag), plus ucqnc for the six it also has: zero is rejected
+# everywhere (ucqn_workload used to accept it for five of them), as are
+# garbage, trailing junk, negatives, overflow and a missing value.
+set(ucqnc_count_flags --retry --parallelism --pipeline-depth
+    --disjunct-concurrency --cache-ttl-ms --cache-budget)
+foreach(flag --retry --parallelism --pipeline-depth --disjunct-concurrency
+        --cache-ttl-ms --cache-budget --max-in-flight --max-queued
+        --tenant-max-concurrent)
+  set(binaries "${UCQND}" "${UCQN_WORKLOAD}")
+  if(flag IN_LIST ucqnc_count_flags)
+    list(APPEND binaries "${UCQNC}")
+  endif()
+  foreach(binary IN LISTS binaries)
+    foreach(bad 0 banana 4x -2 99999999999999999999)
+      expect_tool_rejects("${binary}"
+          "${flag} expects a positive integer, got \"${bad}\"" ${flag} ${bad})
+    endforeach()
+    expect_tool_rejects("${binary}" "${flag} expects a positive integer value"
+        ${flag})
+  endforeach()
 endforeach()
+foreach(binary "${UCQND}" "${UCQN_WORKLOAD}")
+  expect_tool_rejects("${binary}"
+      "--cost-model expects static or adaptive, got \"psychic\""
+      --cost-model psychic)
+  # In range for the parser but not for the field it fills: an attempt
+  # count past INT_MAX used to wrap negative and abort ucqnd's first
+  # query, and a millisecond count past LLONG_MAX / 1000 to wrap its
+  # microsecond field.
+  expect_tool_rejects("${binary}"
+      "--retry expects a positive integer, got \"3000000000\""
+      --retry 3000000000)
+  expect_tool_rejects("${binary}"
+      "--cache-ttl-ms expects a positive integer, got \"18446744073709552\""
+      --cache-ttl-ms 18446744073709552)
+endforeach()
+expect_tool_rejects("${UCQND}"
+    "--tenant-deadline-ms expects a positive integer, got \"18446744073709552\""
+    --tenant-deadline-ms 18446744073709552)
+
+# The wire replay is lockstep over one pipe: concurrent client threads
+# cannot share it, so the combination is refused rather than serialized.
+expect_tool_rejects("${UCQN_WORKLOAD}" "--threads must be 1"
+    --replay workload.txt --via-daemon ucqnd --threads 2)
 
 message(STATUS "bad numeric flag values are rejected with diagnostics")

@@ -4,15 +4,20 @@
 #   cmake -DUCQN_WORKLOAD=<ucqn_workload> -DUCQND=<ucqnd> \
 #       -DWORK_DIR=<scratch dir> -P check_workload_stdio.cmake
 #
-# Generates a small seeded workload, then replays it twice:
+# Generates a small seeded workload, then replays it three times:
 #   1. through a child `ucqnd --stdio` (the wire path — a few hundred
-#      protocol lines, every request must come back ok);
+#      protocol lines, every request must come back ok) with --report-json;
 #   2. in-process on the simulated clock with --report-json, checking the
-#      report lands and carries a percentile field.
+#      report lands, carries a percentile field, and digests the same
+#      answers as the wire replay (one replay loop, two transports);
+#   3. over the wire again with --cache-budget 1, which must cost more
+#      physical calls than path 1: the daemon flags reach the child ucqnd.
+#      (Not compared with an in-process budgeted run: cache shards hash
+#      packed dictionary ids, which may differ between two processes.)
 #
 # Wired as the `workload_stdio_check` ctest (labels: tier1;workload;server).
 
-cmake_minimum_required(VERSION 3.16)
+cmake_minimum_required(VERSION 3.19)  # string(JSON)
 
 if(NOT DEFINED UCQN_WORKLOAD OR NOT DEFINED UCQND OR NOT DEFINED WORK_DIR)
   message(FATAL_ERROR
@@ -40,40 +45,61 @@ if(NOT EXISTS "${workload_file}")
   message(FATAL_ERROR "generate reported success but wrote no file")
 endif()
 
+# Runs a replay of the smoke workload with the trailing flags, requires
+# every request ok and a --report-json file, and stores the report's text
+# in `out_var`.
+function(replay_ok label report_file out_var)
+  execute_process(
+      COMMAND "${UCQN_WORKLOAD}" --replay "${workload_file}" --expect-all-ok
+          --report-json "${report_file}" ${ARGN}
+      OUTPUT_VARIABLE out
+      ERROR_VARIABLE err
+      RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "${label} replay failed (${rc}): ${out}${err}")
+  endif()
+  if(NOT out MATCHES "replayed 300 requests [^\n]*: 300 ok")
+    message(FATAL_ERROR "${label} replay did not answer all 300 requests ok: ${out}")
+  endif()
+  if(NOT EXISTS "${report_file}")
+    message(FATAL_ERROR "${label} replay wrote no --report-json file")
+  endif()
+  file(READ "${report_file}" report_text)
+  set(${out_var} "${report_text}" PARENT_SCOPE)
+endfunction()
+
 # Path 1: the wire. Every request travels as a protocol line through a
 # child `ucqnd --stdio`.
-execute_process(
-    COMMAND "${UCQN_WORKLOAD}" --replay "${workload_file}"
-        --via-daemon "${UCQND}" --workdir "${WORK_DIR}" --expect-all-ok
-    OUTPUT_VARIABLE wire_out
-    ERROR_VARIABLE wire_err
-    RESULT_VARIABLE wire_rc)
-if(NOT wire_rc EQUAL 0)
-  message(FATAL_ERROR "via-daemon replay failed (${wire_rc}): ${wire_out}${wire_err}")
-endif()
-if(NOT wire_out MATCHES "300 requests, 300 ok")
-  message(FATAL_ERROR "via-daemon replay did not answer all 300 requests ok: ${wire_out}")
-endif()
+replay_ok("via-daemon" "${WORK_DIR}/wire_report.json" wire_report
+    --via-daemon "${UCQND}" --workdir "${WORK_DIR}")
 
 # Path 2: in-process on the simulated clock, with the JSON report.
-set(report_file "${WORK_DIR}/smoke_report.json")
-execute_process(
-    COMMAND "${UCQN_WORKLOAD}" --replay "${workload_file}"
-        --expect-all-ok --cache-ttl-ms 1000 --report-json "${report_file}"
-    OUTPUT_VARIABLE proc_out
-    ERROR_VARIABLE proc_err
-    RESULT_VARIABLE proc_rc)
-if(NOT proc_rc EQUAL 0)
-  message(FATAL_ERROR "in-process replay failed (${proc_rc}): ${proc_out}${proc_err}")
-endif()
-if(NOT EXISTS "${report_file}")
-  message(FATAL_ERROR "in-process replay wrote no --report-json file")
-endif()
-file(READ "${report_file}" report_text)
+replay_ok("in-process" "${WORK_DIR}/smoke_report.json" report_text
+    --cache-ttl-ms 1000)
 foreach(field "\"p99_us\"" "\"hit_curve\"" "\"answers_hash\"")
   if(NOT report_text MATCHES "${field}")
     message(FATAL_ERROR "replay report is missing ${field}: ${report_text}")
   endif()
 endforeach()
+string(JSON wire_hash GET "${wire_report}" answers_hash)
+string(JSON proc_hash GET "${report_text}" answers_hash)
+if(NOT wire_hash STREQUAL proc_hash)
+  message(FATAL_ERROR "the wire and in-process replays answered differently: "
+      "answers_hash ${wire_hash} vs ${proc_hash}")
+endif()
 
-message(STATUS "workload smoke ok: 300 requests over the wire and in-process")
+# Path 3: a one-byte cache budget on the wire evicts every entry, so the
+# child ucqnd must repeat calls the unbudgeted run served from cache.
+replay_ok("via-daemon --cache-budget 1" "${WORK_DIR}/wire_budget_report.json"
+    budget_report --via-daemon "${UCQND}" --workdir "${WORK_DIR}"
+    --cache-budget 1)
+string(JSON wire_calls GET "${wire_report}" physical_calls)
+string(JSON budget_calls GET "${budget_report}" physical_calls)
+if(NOT budget_calls GREATER wire_calls)
+  message(FATAL_ERROR "--cache-budget 1 did not reach the wire daemon: "
+      "${budget_calls} physical calls, unbudgeted ${wire_calls}")
+endif()
+
+message(STATUS "workload smoke ok: 300 requests over the wire and in-process, "
+    "answers_hash ${wire_hash} on both; wire physical calls ${wire_calls}, "
+    "${budget_calls} under --cache-budget 1")

@@ -17,10 +17,12 @@
 //                             SimulatedClock, and the report carries
 //                             simulated p50/p95/p99 latencies, windowed
 //                             cache-hit curves, and shed/quota counts.
-//                             With --via-daemon UCQND the requests go as
-//                             protocol lines through a child `ucqnd
-//                             --stdio` instead — the end-to-end wire
-//                             path, real time only.
+//                             With --via-daemon UCQND the same replay
+//                             loop sends each request as a protocol line
+//                             through a child `ucqnd --stdio` configured
+//                             with the same daemon flags — the wire path,
+//                             whose report lacks only the simulated-time
+//                             fields.
 //
 // Run `ucqn_workload --help` for the flag reference.
 
@@ -28,6 +30,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <csignal>
 #include <climits>
 #include <cmath>
 #include <cstdint>
@@ -35,7 +38,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -45,7 +47,6 @@
 #include "gen/workload.h"
 #include "gen/workload_replay.h"
 #include "server/protocol.h"
-#include "util/json.h"
 
 namespace {
 
@@ -85,41 +86,35 @@ constexpr char kUsage[] =
     "  --replay-seed N      replay plan: request-sequence seed\n"
     "  --replay-zipf-s F    replay plan: template-popularity skew\n"
     "\n"
-    "replay (in-process daemon on a simulated clock):\n"
-    "  --cost-model static|adaptive\n"
-    "                       planning model for the daemon (default adaptive)\n"
-    "  --no-fanout-feedback keep the fallback cardinality instead of\n"
-    "                       observed fanouts (adaptive A/B baseline)\n"
+    "replay (in-process daemon on a simulated clock unless --via-daemon):\n"
     "  --no-faults          run the raw backend: no injected latency,\n"
-    "                       failures, or spikes\n"
+    "                       failures, or spikes (implied by --via-daemon)\n"
     "  --threads N          concurrent client threads (1 = serial; only\n"
-    "                       serial replays report sim percentiles)\n"
+    "                       serial replays report sim percentiles; the\n"
+    "                       wire is lockstep, so --via-daemon needs 1)\n"
     "  --windows N          slices of the cache-hit curve (default 10)\n"
     "  --max-requests N     cap/override the plan's request count\n"
-    "  --retry N            retry attempts per source call\n"
-    "  --parallelism N      wave-fetch worker threads per session\n"
-    "  --pipeline-depth N   literal waves in flight per session\n"
-    "  --disjunct-concurrency N\n"
-    "                       disjunct chains overlapped per round\n"
-    "  --cache-ttl-ms N     shared-cache TTL (simulated ms)\n"
-    "  --cache-budget N     shared-cache resident-byte budget\n"
-    "  --max-in-flight N    admission: concurrent sessions\n"
-    "  --max-queued N       admission: waiters before shedding\n"
-    "  --tenant-max-concurrent N\n"
-    "                       per-tenant concurrent-session quota\n"
     "  --report-json FILE   write the full replay report as JSON\n"
     "  --expect-all-ok      exit nonzero unless every request came back ok\n"
     "\n"
     "replay via the wire (daemon stdio path):\n"
-    "  --via-daemon UCQND   spawn `UCQND --stdio` and stream protocol\n"
-    "                       lines through it instead of running in-process\n"
+    "  --via-daemon UCQND   spawn `UCQND --stdio` with the daemon flags below\n"
+    "                       and send each request through it as a protocol\n"
+    "                       line instead of running in-process\n"
     "  --workdir DIR        where --via-daemon writes its schema/facts\n"
     "                       files (default .)\n"
     "\n"
-    "  --help               print this text and exit\n";
+    "  --help               print this text and exit\n"
+    "\n"
+    "daemon configuration (shared with ucqnd; defaults here: the adaptive\n"
+    "model, --retry 3):\n";
+
+void PrintUsage(std::FILE* out) {
+  std::fprintf(out, "%s%s", kUsage, ucqn::kDaemonFlagHelp);
+}
 
 int Usage() {
-  std::fprintf(stderr, "%s", kUsage);
+  PrintUsage(stderr);
   return 2;
 }
 
@@ -138,103 +133,43 @@ std::optional<std::string> ReadFile(const char* path) {
   return out.str();
 }
 
-// Lockstep request/response exchange with a child `ucqnd --stdio`: write
-// one line, read one line. The daemon answers strictly in order, so
-// lockstep cannot deadlock on pipe buffers however large the stream.
-struct ViaDaemonCounts {
-  std::uint64_t requests = 0;
-  std::uint64_t ok = 0;
-  std::uint64_t error = 0;
-  std::uint64_t other = 0;
-  std::uint64_t deltas = 0;
-  std::uint64_t delta_errors = 0;
-};
-
-ucqn::JsonValue TupleToJsonArray(const ucqn::Tuple& tuple) {
-  ucqn::JsonValue row = ucqn::JsonValue::Array();
-  for (const ucqn::Term& term : tuple) {
-    row.Append(term.IsNull() ? ucqn::JsonValue::Null()
-                             : ucqn::JsonValue::String(term.name()));
-  }
-  return row;
-}
-
-// The workload's delta stream as protocol lines, grouped per (request
-// index, relation) with deletes and inserts batched into one op.
-std::map<std::uint64_t, std::vector<std::string>> DeltaLinesByRequest(
-    const ucqn::WorkloadSpec& spec) {
-  struct Batch {
-    std::string relation;
-    std::vector<ucqn::Tuple> inserts;
-    std::vector<ucqn::Tuple> deletes;
-  };
-  std::map<std::uint64_t, std::vector<Batch>> grouped;
-  for (const ucqn::WorkloadDeltaEvent& event : spec.deltas) {
-    std::vector<Batch>& batches = grouped[event.at_request];
-    Batch* batch = nullptr;
-    for (Batch& candidate : batches) {
-      if (candidate.relation == event.relation) {
-        batch = &candidate;
-        break;
-      }
-    }
-    if (batch == nullptr) {
-      batches.push_back(Batch{event.relation, {}, {}});
-      batch = &batches.back();
-    }
-    (event.insert ? batch->inserts : batch->deletes).push_back(event.tuple);
-  }
-  std::map<std::uint64_t, std::vector<std::string>> lines;
-  for (const auto& [at_request, batches] : grouped) {
-    for (const Batch& batch : batches) {
-      ucqn::JsonValue request = ucqn::JsonValue::Object();
-      request.Set("op", ucqn::JsonValue::String("delta"));
-      request.Set("id", ucqn::JsonValue::String("delta@" +
-                                                std::to_string(at_request)));
-      request.Set("relation", ucqn::JsonValue::String(batch.relation));
-      if (!batch.inserts.empty()) {
-        ucqn::JsonValue rows = ucqn::JsonValue::Array();
-        for (const ucqn::Tuple& tuple : batch.inserts) {
-          rows.Append(TupleToJsonArray(tuple));
-        }
-        request.Set("insert", std::move(rows));
-      }
-      if (!batch.deletes.empty()) {
-        ucqn::JsonValue rows = ucqn::JsonValue::Array();
-        for (const ucqn::Tuple& tuple : batch.deletes) {
-          rows.Append(TupleToJsonArray(tuple));
-        }
-        request.Set("delete", std::move(rows));
-      }
-      lines[at_request].push_back(request.Dump());
-    }
-  }
-  return lines;
-}
-
-int RunViaDaemon(const ucqn::WorkloadSpec& spec, const char* ucqnd_path,
-                 const std::string& workdir, std::uint64_t max_requests,
-                 const std::string& cost_model, bool fanout_feedback,
-                 bool expect_all_ok) {
+// The wire transport: spawns `ucqnd --stdio` over the workload's schema
+// and facts with `replay.daemon`'s flags, then runs the replay loop with a
+// submit function that writes one request line and reads one response
+// line. The daemon answers strictly in order, so lockstep cannot deadlock
+// on pipe buffers however large the stream. A broken pipe or a malformed
+// response line fails the report; every later request is answered with
+// that error without touching the pipe.
+ucqn::WorkloadReplayReport ReplayViaDaemon(
+    const ucqn::WorkloadSpec& spec, const ucqn::WorkloadReplayOptions& replay,
+    const char* ucqnd_path, const std::string& workdir) {
+  ucqn::WorkloadReplayReport failed;
   const std::string schema_path = workdir + "/workload_schema.txt";
   const std::string facts_path = workdir + "/workload_facts.txt";
   if (!WriteFile(schema_path, spec.catalog.ToString()) ||
       !WriteFile(facts_path, spec.database.ToString())) {
-    std::fprintf(stderr, "cannot write %s / %s\n", schema_path.c_str(),
-                 facts_path.c_str());
-    return 1;
+    failed.error = "cannot write " + schema_path + " / " + facts_path;
+    return failed;
+  }
+  std::vector<std::string> args = {ucqnd_path, "--stdio",   "--schema",
+                                   schema_path, "--facts", facts_path};
+  for (std::string& flag : ucqn::DaemonFlagArgs(replay.daemon)) {
+    args.push_back(std::move(flag));
   }
 
   int to_child[2];    // parent writes requests
   int from_child[2];  // parent reads responses
   if (pipe(to_child) != 0 || pipe(from_child) != 0) {
-    std::perror("pipe");
-    return 1;
+    failed.error = std::string("pipe: ") + std::strerror(errno);
+    return failed;
   }
   const pid_t pid = fork();
   if (pid < 0) {
-    std::perror("fork");
-    return 1;
+    failed.error = std::string("fork: ") + std::strerror(errno);
+    for (int fd : {to_child[0], to_child[1], from_child[0], from_child[1]}) {
+      close(fd);
+    }
+    return failed;
   }
   if (pid == 0) {
     dup2(to_child[0], STDIN_FILENO);
@@ -243,117 +178,61 @@ int RunViaDaemon(const ucqn::WorkloadSpec& spec, const char* ucqnd_path,
     close(to_child[1]);
     close(from_child[0]);
     close(from_child[1]);
-    std::vector<const char*> args = {ucqnd_path,          "--stdio",
-                                     "--schema",          schema_path.c_str(),
-                                     "--facts",           facts_path.c_str(),
-                                     "--cost-model",      cost_model.c_str()};
-    if (!fanout_feedback) args.push_back("--no-fanout-feedback");
-    args.push_back(nullptr);
-    execv(ucqnd_path, const_cast<char* const*>(args.data()));
+    std::vector<char*> argv;
+    for (std::string& arg : args) argv.push_back(arg.data());
+    argv.push_back(nullptr);
+    execv(ucqnd_path, argv.data());
     std::perror("execv");
     _exit(127);
   }
   close(to_child[0]);
   close(from_child[1]);
+  // A daemon that dies mid-replay must fail the write, not kill us.
+  std::signal(SIGPIPE, SIG_IGN);
   FILE* to = fdopen(to_child[1], "w");
   FILE* from = fdopen(from_child[0], "r");
-  if (to == nullptr || from == nullptr) {
-    std::perror("fdopen");
-    return 1;
-  }
 
-  const std::vector<ucqn::ReplayRequest> sequence =
-      ucqn::BuildRequestSequence(spec, max_requests);
-  const std::map<std::uint64_t, std::vector<std::string>> delta_lines =
-      DeltaLinesByRequest(spec);
-  ViaDaemonCounts counts;
   char* line = nullptr;
   std::size_t line_capacity = 0;
-  int exit_code = 0;
-  // Lockstep helper shared by delta and query lines: one line out, one
-  // response line back.
-  auto exchange = [&](const std::string& request_line,
-                      std::optional<ucqn::ServiceResponse>* response_out) {
-    std::fprintf(to, "%s\n", request_line.c_str());
-    std::fflush(to);
-    if (getline(&line, &line_capacity, from) < 0) {
-      std::fprintf(stderr, "daemon closed the pipe after %llu responses\n",
-                   static_cast<unsigned long long>(counts.requests));
-      return false;
-    }
-    std::string error;
-    *response_out = ucqn::ParseServiceResponse(line, &error);
-    if (!*response_out) {
-      std::fprintf(stderr, "bad response line: %s\n", error.c_str());
-      return false;
-    }
-    return true;
-  };
-  for (std::size_t r = 0; r < sequence.size(); ++r) {
-    const auto batch_it = delta_lines.find(r);
-    if (batch_it != delta_lines.end() && exit_code == 0) {
-      for (const std::string& delta_line : batch_it->second) {
-        std::optional<ucqn::ServiceResponse> delta_response;
-        if (!exchange(delta_line, &delta_response)) {
-          exit_code = 1;
-          break;
-        }
-        ++counts.deltas;
-        if (delta_response->status != ucqn::ServiceResponse::Status::kOk) {
-          ++counts.delta_errors;
-        }
+  std::string transport_error;
+  auto submit = [&](const ucqn::ServiceRequest& request) {
+    ucqn::ServiceResponse response;
+    response.status = ucqn::ServiceResponse::Status::kError;
+    if (transport_error.empty()) {
+      if (std::fprintf(to, "%s\n", request.ToJsonLine().c_str()) < 0 ||
+          std::fflush(to) != 0 || getline(&line, &line_capacity, from) < 0) {
+        transport_error = "daemon closed the pipe";
+      } else {
+        std::string error;
+        std::optional<ucqn::ServiceResponse> parsed =
+            ucqn::ParseServiceResponse(line, &error);
+        if (parsed) return *parsed;
+        transport_error = "bad response line: " + error;
       }
-      if (exit_code != 0) break;
     }
-    ucqn::JsonValue request = ucqn::JsonValue::Object();
-    request.Set("op", ucqn::JsonValue::String("query"));
-    request.Set("id", ucqn::JsonValue::String("r" + std::to_string(r)));
-    request.Set("tenant", ucqn::JsonValue::String(
-                              "t" + std::to_string(sequence[r].tenant)));
-    request.Set("query", ucqn::JsonValue::String(
-                             spec.queries[sequence[r].query_index]));
-    std::optional<ucqn::ServiceResponse> response;
-    if (!exchange(request.Dump(), &response)) {
-      exit_code = 1;
-      break;
-    }
-    ++counts.requests;
-    switch (response->status) {
-      case ucqn::ServiceResponse::Status::kOk:
-        ++counts.ok;
-        break;
-      case ucqn::ServiceResponse::Status::kError:
-        ++counts.error;
-        break;
-      default:
-        ++counts.other;
-        break;
-    }
-  }
+    response.error = transport_error;
+    return response;
+  };
+  ucqn::WorkloadReplayReport report =
+      ucqn::ReplayWorkload(spec, replay, submit);
   free(line);
   fclose(to);  // EOF drains the daemon
   fclose(from);
   int status = 0;
   waitpid(pid, &status, 0);
-  if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-    std::fprintf(stderr, "ucqnd exited abnormally (status %d)\n", status);
-    exit_code = 1;
+  if (!WIFEXITED(status)) {
+    report.ok = false;
+    report.error =
+        "ucqnd was killed by signal " + std::to_string(WTERMSIG(status));
+  } else if (WEXITSTATUS(status) != 0) {
+    report.ok = false;
+    report.error =
+        "ucqnd exited with status " + std::to_string(WEXITSTATUS(status));
+  } else if (!transport_error.empty()) {
+    report.ok = false;
+    report.error = transport_error;
   }
-  std::printf(
-      "via-daemon replay: %llu requests, %llu ok, %llu error, %llu other, "
-      "%llu delta batches (%llu failed)\n",
-      static_cast<unsigned long long>(counts.requests),
-      static_cast<unsigned long long>(counts.ok),
-      static_cast<unsigned long long>(counts.error),
-      static_cast<unsigned long long>(counts.other),
-      static_cast<unsigned long long>(counts.deltas),
-      static_cast<unsigned long long>(counts.delta_errors));
-  if (expect_all_ok &&
-      (counts.ok != sequence.size() || counts.requests != sequence.size())) {
-    std::fprintf(stderr, "--expect-all-ok: not every request came back ok\n");
-    exit_code = 1;
-  }
-  return exit_code;
+  return report;
 }
 
 }  // namespace
@@ -377,9 +256,8 @@ int main(int argc, char** argv) {
       return true;
     };
     // Strict numerics: the whole token must parse and be in range, or the
-    // flag is named in a one-line diagnostic. Counts that must be
-    // positive go through NextCount (flag_parse.h), shared with ucqnc and
-    // ucqnd.
+    // flag is named in a one-line diagnostic. The daemon flags go through
+    // ParseDaemonFlag (flag_parse.h), shared with ucqnd.
     auto next_u64 = [&](std::uint64_t& slot) {
       const char* flag = argv[i];
       const char* text = nullptr;
@@ -410,12 +288,6 @@ int main(int argc, char** argv) {
       slot = static_cast<int>(value);
       return true;
     };
-    auto next_size = [&](std::size_t& slot) {
-      std::uint64_t value = 0;
-      if (!next_u64(value)) return false;
-      slot = static_cast<std::size_t>(value);
-      return true;
-    };
     auto next_double = [&](double& slot) {
       const char* flag = argv[i];
       const char* text = nullptr;
@@ -435,8 +307,12 @@ int main(int argc, char** argv) {
       slot = value;
       return true;
     };
+    const FlagMatch daemon_flag =
+        ParseDaemonFlag(argc, argv, &i, &replay.daemon);
+    if (daemon_flag == FlagMatch::kBad) return Usage();
+    if (daemon_flag == FlagMatch::kParsed) continue;
     if (std::strcmp(argv[i], "--help") == 0) {
-      std::printf("%s", kUsage);
+      PrintUsage(stdout);
       return 0;
     } else if (std::strcmp(argv[i], "--generate") == 0) {
       generate = true;
@@ -496,16 +372,6 @@ int main(int argc, char** argv) {
       if (!next_u64(gen.replay.seed)) return Usage();
     } else if (std::strcmp(argv[i], "--replay-zipf-s") == 0) {
       if (!next_double(gen.replay.zipf_s)) return Usage();
-    } else if (std::strcmp(argv[i], "--cost-model") == 0) {
-      const char* name = nullptr;
-      if (!next(name)) return Usage();
-      if (std::strcmp(name, "static") != 0 &&
-          std::strcmp(name, "adaptive") != 0) {
-        return Usage();
-      }
-      replay.cost_model = name;
-    } else if (std::strcmp(argv[i], "--no-fanout-feedback") == 0) {
-      replay.fanout_feedback = false;
     } else if (std::strcmp(argv[i], "--no-faults") == 0) {
       replay.inject_faults = false;
     } else if (std::strcmp(argv[i], "--threads") == 0) {
@@ -514,28 +380,6 @@ int main(int argc, char** argv) {
       if (!next_int(replay.windows, 1)) return Usage();
     } else if (std::strcmp(argv[i], "--max-requests") == 0) {
       if (!next_u64(replay.max_requests)) return Usage();
-    } else if (std::strcmp(argv[i], "--retry") == 0) {
-      if (!next_int(replay.retry_attempts, 1)) return Usage();
-    } else if (std::strcmp(argv[i], "--parallelism") == 0) {
-      if (!NextCount(argc, argv, &i, &replay.parallelism)) return Usage();
-    } else if (std::strcmp(argv[i], "--pipeline-depth") == 0) {
-      if (!NextCount(argc, argv, &i, &replay.pipeline_depth)) return Usage();
-    } else if (std::strcmp(argv[i], "--disjunct-concurrency") == 0) {
-      if (!NextCount(argc, argv, &i, &replay.disjunct_concurrency)) {
-        return Usage();
-      }
-    } else if (std::strcmp(argv[i], "--cache-ttl-ms") == 0) {
-      std::uint64_t ms = 0;
-      if (!next_u64(ms)) return Usage();
-      replay.cache_ttl_micros = ms * 1000;
-    } else if (std::strcmp(argv[i], "--cache-budget") == 0) {
-      if (!next_size(replay.cache_budget_bytes)) return Usage();
-    } else if (std::strcmp(argv[i], "--max-in-flight") == 0) {
-      if (!next_size(replay.max_in_flight)) return Usage();
-    } else if (std::strcmp(argv[i], "--max-queued") == 0) {
-      if (!next_size(replay.max_queued)) return Usage();
-    } else if (std::strcmp(argv[i], "--tenant-max-concurrent") == 0) {
-      if (!next_size(replay.tenant_max_concurrent)) return Usage();
     } else if (std::strcmp(argv[i], "--report-json") == 0) {
       if (!next(report_json_path)) return Usage();
     } else if (std::strcmp(argv[i], "--expect-all-ok") == 0) {
@@ -552,6 +396,12 @@ int main(int argc, char** argv) {
     }
   }
 
+  if (via_daemon != nullptr && replay.threads > 1) {
+    std::fprintf(stderr,
+                 "--via-daemon replays in lockstep over one pipe; "
+                 "--threads must be 1\n");
+    return Usage();
+  }
   if (generate == (replay_path != nullptr)) {
     std::fprintf(stderr, "pick exactly one mode: --generate or --replay\n");
     return Usage();
@@ -589,36 +439,36 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  if (via_daemon != nullptr) {
-    return RunViaDaemon(*spec, via_daemon, workdir, replay.max_requests,
-                        replay.cost_model, replay.fanout_feedback,
-                        expect_all_ok);
-  }
-
-  const WorkloadReplayReport report = ReplayWorkload(*spec, replay);
+  const WorkloadReplayReport report =
+      via_daemon != nullptr
+          ? ReplayViaDaemon(*spec, replay, via_daemon, workdir)
+          : ReplayWorkload(*spec, replay);
   if (!report.ok) {
     std::fprintf(stderr, "replay failed: %s\n", report.error.c_str());
     return 1;
   }
+  const bool adaptive = replay.daemon.adaptive_cost_model;
   std::printf(
-      "replayed %llu requests (%s model%s): %llu ok, %llu error, %llu shed, "
-      "%llu quota\n",
+      "replayed %llu requests (%s model%s, %s): %llu ok, %llu error, "
+      "%llu shed, %llu quota\n",
       static_cast<unsigned long long>(report.requests),
-      replay.cost_model.c_str(),
-      replay.cost_model == "adaptive"
-          ? (replay.fanout_feedback ? ", fanout feedback" : ", no feedback")
-          : "",
+      adaptive ? "adaptive" : "static",
+      adaptive ? (replay.daemon.fanout_feedback ? ", fanout feedback"
+                                                : ", no feedback")
+               : "",
+      via_daemon != nullptr ? "via ucqnd" : "in-process",
       static_cast<unsigned long long>(report.ok_count),
       static_cast<unsigned long long>(report.error_count),
       static_cast<unsigned long long>(report.shed_count),
       static_cast<unsigned long long>(report.quota_count));
-  std::printf("sim wall %llu us, p50/p95/p99 %llu/%llu/%llu us, "
-              "%.0f req/s real\n",
-              static_cast<unsigned long long>(report.sim_wall_micros),
-              static_cast<unsigned long long>(report.p50_micros),
-              static_cast<unsigned long long>(report.p95_micros),
-              static_cast<unsigned long long>(report.p99_micros),
-              report.throughput_per_second);
+  if (via_daemon == nullptr) {
+    std::printf("sim wall %llu us, p50/p95/p99 %llu/%llu/%llu us, ",
+                static_cast<unsigned long long>(report.sim_wall_micros),
+                static_cast<unsigned long long>(report.p50_micros),
+                static_cast<unsigned long long>(report.p95_micros),
+                static_cast<unsigned long long>(report.p99_micros));
+  }
+  std::printf("%.0f req/s real\n", report.throughput_per_second);
   std::printf("physical calls %llu, cache %llu hit / %llu miss\n",
               static_cast<unsigned long long>(report.physical_calls),
               static_cast<unsigned long long>(report.cache_hits),

@@ -57,7 +57,7 @@ std::optional<std::string> ReadFile(const char* path) {
   return out.str();
 }
 
-constexpr char kUsage[] =
+constexpr char kUsageHead[] =
     "usage: ucqnd --schema FILE --facts FILE (--socket PATH | --stdio)\n"
     "             [options]\n"
     "\n"
@@ -71,52 +71,32 @@ constexpr char kUsage[] =
     "  --stdio              serve a single session on stdin/stdout; drains\n"
     "                       and exits at EOF\n"
     "\n"
-    "admission and quotas:\n"
-    "  --max-in-flight N    sessions running concurrently; arrivals past\n"
-    "                       this wait (default: unbounded)\n"
-    "  --max-queued N       arrivals allowed to wait for a slot; the rest\n"
-    "                       are shed with status \"shed\" (default: 0)\n"
-    "  --tenant-max-concurrent N\n"
-    "                       per-tenant concurrent-session cap; over-quota\n"
-    "                       requests get status \"quota\"\n"
+    "daemon configuration (shared with ucqn_workload; defaults here: the\n"
+    "static model, no retry):\n";
+
+constexpr char kUsageTail[] =
+    "\n"
+    "ucqnd only:\n"
     "  --tenant-max-calls N per-tenant physical-call budget per query\n"
     "                       (a request's own max_calls is clamped to it)\n"
     "  --tenant-deadline-ms N\n"
     "                       per-tenant per-query deadline, virtual ms\n"
-    "\n"
-    "shared cache (the process-wide store every session runs against):\n"
-    "  --cache-ttl-ms N     expire entries N ms after insert\n"
     "  --cache-negative-ttl-ms N\n"
     "                       expire *empty* results after N ms instead —\n"
     "                       negative answers go stale on the first insert\n"
     "                       at the source, so age them faster\n"
-    "  --cache-budget N     bound the store to N resident bytes (exact\n"
-    "                       entry+tuple footprint), LRU eviction\n"
-    "\n"
-    "warm restarts:\n"
     "  --snapshot-dir DIR   restore DIR/cache.json + DIR/stats.json at\n"
     "                       start, spill them on drain (and on the\n"
     "                       \"snapshot\" protocol op)\n"
     "\n"
-    "runtime and cost model (as in ucqnc):\n"
-    "  --retry N            retry transient source failures up to N attempts\n"
-    "  --parallelism N      overlap each batched wave on N worker threads\n"
-    "  --pipeline-depth N   keep up to N literals' waves in flight at once\n"
-    "  --disjunct-concurrency N\n"
-    "                       overlap up to N disjunct chains' waves per\n"
-    "                       round (operator DAG; 1 = sequential disjuncts)\n"
-    "  --cost-model static|adaptive\n"
-    "                       plan from heuristics or from the observed stats\n"
-    "                       the sessions accumulate\n"
-    "  --no-fanout-feedback with the adaptive model, keep pricing unknown\n"
-    "                       relations at the fallback cardinality instead of\n"
-    "                       their observed result fanouts (A/B baseline; see\n"
-    "                       docs/WORKLOADS.md)\n"
-    "\n"
     "  --help               print this text and exit\n";
 
+void PrintUsage(std::FILE* out) {
+  std::fprintf(out, "%s%s%s", kUsageHead, ucqn::kDaemonFlagHelp, kUsageTail);
+}
+
 int Usage() {
-  std::fprintf(stderr, "%s", kUsage);
+  PrintUsage(stderr);
   return 2;
 }
 
@@ -129,7 +109,6 @@ int main(int argc, char** argv) {
   const char* socket_path = nullptr;
   bool stdio = false;
   QueryDaemon::Options options;
-  std::size_t cache_ttl_ms = 0;
   std::size_t cache_negative_ttl_ms = 0;
   std::size_t tenant_deadline_ms = 0;
 
@@ -142,8 +121,14 @@ int main(int argc, char** argv) {
     auto next_count = [&](std::size_t& slot) {
       return NextCount(argc, argv, &i, &slot);
     };
+    auto next_millis = [&](std::size_t& slot) {
+      return NextCount(argc, argv, &i, &slot, kMaxMillis);
+    };
+    const FlagMatch daemon_flag = ParseDaemonFlag(argc, argv, &i, &options);
+    if (daemon_flag == FlagMatch::kBad) return Usage();
+    if (daemon_flag == FlagMatch::kParsed) continue;
     if (std::strcmp(argv[i], "--help") == 0) {
-      std::printf("%s", kUsage);
+      PrintUsage(stdout);
       return 0;
     } else if (std::strcmp(argv[i], "--schema") == 0) {
       if (!next(schema_path)) return Usage();
@@ -153,49 +138,18 @@ int main(int argc, char** argv) {
       if (!next(socket_path)) return Usage();
     } else if (std::strcmp(argv[i], "--stdio") == 0) {
       stdio = true;
-    } else if (std::strcmp(argv[i], "--max-in-flight") == 0) {
-      if (!next_count(options.admission.max_in_flight)) return Usage();
-    } else if (std::strcmp(argv[i], "--max-queued") == 0) {
-      if (!next_count(options.admission.max_queued)) return Usage();
-    } else if (std::strcmp(argv[i], "--tenant-max-concurrent") == 0) {
-      if (!next_count(options.default_quota.max_concurrent)) return Usage();
     } else if (std::strcmp(argv[i], "--tenant-max-calls") == 0) {
       std::size_t max_calls = 0;
       if (!next_count(max_calls)) return Usage();
       options.default_quota.max_calls_per_query = max_calls;
     } else if (std::strcmp(argv[i], "--tenant-deadline-ms") == 0) {
-      if (!next_count(tenant_deadline_ms)) return Usage();
-    } else if (std::strcmp(argv[i], "--cache-ttl-ms") == 0) {
-      if (!next_count(cache_ttl_ms)) return Usage();
+      if (!next_millis(tenant_deadline_ms)) return Usage();
     } else if (std::strcmp(argv[i], "--cache-negative-ttl-ms") == 0) {
-      if (!next_count(cache_negative_ttl_ms)) return Usage();
-    } else if (std::strcmp(argv[i], "--cache-budget") == 0) {
-      if (!next_count(options.cache.budget_bytes)) return Usage();
+      if (!next_millis(cache_negative_ttl_ms)) return Usage();
     } else if (std::strcmp(argv[i], "--snapshot-dir") == 0) {
       const char* dir = nullptr;
       if (!next(dir)) return Usage();
       options.snapshot_dir = dir;
-    } else if (std::strcmp(argv[i], "--retry") == 0) {
-      std::size_t attempts = 0;
-      if (!next_count(attempts)) return Usage();
-      options.runtime.retry = true;
-      options.runtime.retry_policy.max_attempts = static_cast<int>(attempts);
-    } else if (std::strcmp(argv[i], "--parallelism") == 0) {
-      if (!next_count(options.runtime.parallelism)) return Usage();
-    } else if (std::strcmp(argv[i], "--pipeline-depth") == 0) {
-      if (!next_count(options.runtime.pipeline_depth)) return Usage();
-    } else if (std::strcmp(argv[i], "--disjunct-concurrency") == 0) {
-      if (!next_count(options.disjunct_concurrency)) return Usage();
-    } else if (std::strcmp(argv[i], "--cost-model") == 0) {
-      const char* name = nullptr;
-      if (!next(name)) return Usage();
-      if (std::strcmp(name, "static") != 0 &&
-          std::strcmp(name, "adaptive") != 0) {
-        return Usage();
-      }
-      options.adaptive_cost_model = std::strcmp(name, "adaptive") == 0;
-    } else if (std::strcmp(argv[i], "--no-fanout-feedback") == 0) {
-      options.fanout_feedback = false;
     } else {
       std::fprintf(stderr, "unknown flag %s\n", argv[i]);
       return Usage();
@@ -206,8 +160,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "pick exactly one transport: --socket or --stdio\n");
     return Usage();
   }
-  options.cache.default_ttl_micros =
-      static_cast<std::uint64_t>(cache_ttl_ms) * 1000;
   options.cache.negative_ttl_micros =
       static_cast<std::uint64_t>(cache_negative_ttl_ms) * 1000;
   options.default_quota.deadline_micros =
