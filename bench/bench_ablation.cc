@@ -11,6 +11,7 @@
 #include <random>
 
 #include "ast/parser.h"
+#include "cost/cost_model.h"
 #include "eval/executor.h"
 #include "gen/random_instance.h"
 
@@ -59,10 +60,10 @@ void BM_ExecutorPatternChoice(benchmark::State& state) {
   const bool most_inputs = state.range(1) != 0;
   Fixture f = MakeFixture(static_cast<int>(state.range(0)));
   DatabaseSource source(&f.db, &f.catalog);
+  const StaticCostModel model(most_inputs ? PatternPreference::kMostInputs
+                                           : PatternPreference::kFewestInputs);
   ExecutionOptions options;
-  options.pattern_preference = most_inputs
-                                   ? PatternPreference::kMostInputs
-                                   : PatternPreference::kFewestInputs;
+  options.cost_model = &model;
   std::size_t answers = 0;
   for (auto _ : state) {
     source.ResetStats();
@@ -89,9 +90,11 @@ void BM_PatternChoiceAgreement(benchmark::State& state) {
   DatabaseSource source(&f.db, &f.catalog);
   bool agree = true;
   for (auto _ : state) {
+    const StaticCostModel most_model(PatternPreference::kMostInputs);
+    const StaticCostModel fewest_model(PatternPreference::kFewestInputs);
     ExecutionOptions most, fewest;
-    most.pattern_preference = PatternPreference::kMostInputs;
-    fewest.pattern_preference = PatternPreference::kFewestInputs;
+    most.cost_model = &most_model;
+    fewest.cost_model = &fewest_model;
     ExecutionResult a = Execute(f.plan, f.catalog, &source, most);
     ExecutionResult b = Execute(f.plan, f.catalog, &source, fewest);
     agree = a.ok && b.ok && a.tuples == b.tuples;

@@ -1,9 +1,10 @@
 // Source-access runtime overhead and savings.
 //
 //  * BM_AnswerStarCacheSavings — ANSWER* on the paper scenarios with and
-//    without the call cache. Qᵘ's calls are a subset of Qᵒ's, so one cache
-//    shared across both plans absorbs the overlap; `calls_saved_pct` is
-//    the headline number (>= 30% on the running example).
+//    without the call cache. Without a cache ANSWER* runs each PLAN*
+//    disjunct once; with one it evaluates Qᵒ in full after Qᵘ, and the
+//    cache absorbs that repeat plus whatever calls different disjuncts
+//    share; `calls_saved_pct` is the headline number.
 //  * BM_SharedCacheWarm — the cross-query version of the same overlap: a
 //    scenario's ANSWER* run executed twice against one process-wide
 //    SharedCacheStore (two SourceStacks, one store). The warm run's

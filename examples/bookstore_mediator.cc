@@ -31,7 +31,7 @@ void RunSession(const char* title, const ucqn::Catalog& catalog,
   if (!report.complete) {
     // Explain what each "maybe" tuple means (Example 7's reading).
     for (const DeltaExplanation& e :
-         ExplainDelta(query, catalog, &source, report)) {
+         ExplainDelta(query, catalog, &source, report).explanations) {
       std::printf("  maybe %s\n", e.ToString().c_str());
     }
     // The user decides the possibly costly domain enumeration is worth it.

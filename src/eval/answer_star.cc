@@ -4,74 +4,48 @@
 #include <iterator>
 #include <utility>
 
-#include "cost/cost_model.h"
-#include "cost/stats_catalog.h"
 #include "eval/planner.h"
-#include "util/logging.h"
 
 namespace ucqn {
+
+AnswerStarPlan SplitForExecution(const PlanStarResult& plans,
+                                 const Catalog& catalog,
+                                 const CostModel* model) {
+  AnswerStarPlan plan;
+  for (const DisjunctPlan& disjunct : plans.disjuncts) {
+    if (!disjunct.over.has_value()) continue;  // unsatisfiable
+    // A disjunct the model cannot order keeps PLAN*'s order, which is
+    // executable by construction.
+    std::optional<ConjunctiveQuery> ordered;
+    if (model != nullptr) {
+      ordered = OptimizeLiteralOrder(*disjunct.over, catalog, *model);
+    }
+    const ConjunctiveQuery& run = ordered.has_value() ? *ordered
+                                                      : *disjunct.over;
+    (disjunct.under.has_value() ? plan.exact : plan.padded).AddDisjunct(run);
+    plan.over.AddDisjunct(run);
+  }
+  return plan;
+}
 
 AnswerStarReport AnswerStar(const UnionQuery& q, const Catalog& catalog,
                             Source* source, const ExecutionOptions& options) {
   AnswerStarReport report;
   report.plans = PlanStar(q, catalog);
-
-  UnionQuery under_plan = report.plans.under;
-  UnionQuery over_plan = report.plans.over;
-  if (options.cost_model != nullptr) {
-    under_plan =
-        ReorderForExecution(under_plan, catalog, *options.cost_model);
-    over_plan = ReorderForExecution(over_plan, catalog, *options.cost_model);
+  const AnswerStarPlan plan =
+      SplitForExecution(report.plans, catalog, options.cost_model);
+  const bool cached = options.runtime.cache || source->Caches() ||
+                      options.runtime.shared_cache != nullptr;
+  InTurnResult run = ExecuteInTurn(plan.exact, cached ? plan.over : plan.padded,
+                                   catalog, source, options);
+  report.runtime = run.runtime;
+  // Qᵒ is Qᵘ plus the padded disjuncts, so ansₒ = ansᵤ ∪ their answers
+  // (a no-op when the second drive ran all of Qᵒ).
+  if (run.second.ok) {
+    run.second.tuples.insert(run.first.tuples.begin(),
+                             run.first.tuples.end());
   }
-
-  // One stack for both plans: Qᵘ and Qᵒ overlap heavily (the underestimate
-  // drops unanswerable parts of the overestimate's disjuncts), so sharing
-  // the cache absorbs the duplicate calls. The stats sink, if any, is
-  // drained once from this shared stack (the per-plan Execute calls run
-  // with runtime and sink disabled).
-  std::optional<SourceStack> stack;
-  Source* effective = source;
-  ExecutionOptions plan_options = options;
-  RuntimeOptions runtime = options.runtime;
-  if (options.stats_sink != nullptr) runtime.metering = true;
-  if (runtime.Enabled()) {
-    stack.emplace(source, runtime);
-    effective = stack->source();
-    plan_options.runtime = RuntimeOptions{};
-    // Inter-literal pipelining is an executor-side decision, not a stack
-    // layer, so it must survive the handoff to the per-plan Execute calls
-    // — along with the shared clock, so overlapped waves are charged
-    // against the same timeline the outer stack's layers sleep on.
-    plan_options.runtime.pipeline_depth = runtime.pipeline_depth;
-    plan_options.runtime.clock = stack->clock();
-    plan_options.stats_sink = nullptr;
-  }
-
-  ExecutionResult under =
-      Execute(under_plan, catalog, effective, plan_options);
-  ExecutionResult over =
-      under.ok ? Execute(over_plan, catalog, effective, plan_options)
-               : ExecutionResult{};
-  if (stack.has_value()) {
-    report.runtime = stack->stats();
-    if (options.stats_sink != nullptr && stack->meter() != nullptr) {
-      options.stats_sink->Observe(*stack->meter());
-    }
-  }
-  // The executor-side scheduling counters (pipelining rounds, operator-DAG
-  // disjunct/morsel/anti-join work) live in the per-plan results, not the
-  // shared stack; fold both plans' counts into the report — whether or not
-  // a stack ran, since the executor did either way.
-  report.runtime.pipeline_rounds =
-      under.runtime.pipeline_rounds + over.runtime.pipeline_rounds;
-  report.runtime.pipeline_overlaps =
-      under.runtime.pipeline_overlaps + over.runtime.pipeline_overlaps;
-  report.runtime.disjuncts_executed =
-      under.runtime.disjuncts_executed + over.runtime.disjuncts_executed;
-  report.runtime.morsels = under.runtime.morsels + over.runtime.morsels;
-  report.runtime.antijoin_build_tuples = under.runtime.antijoin_build_tuples +
-                                         over.runtime.antijoin_build_tuples;
-  AssembleBracket(std::move(under), std::move(over), &report);
+  AssembleBracket(std::move(run.first), std::move(run.second), &report);
   return report;
 }
 

@@ -55,21 +55,35 @@ void AssembleBracket(ExecutionResult under, ExecutionResult over,
 struct AnswerStarReport : AnswerBracket {
   // The compiled plans, for diagnostics.
   PlanStarResult plans;
-  // What the source-access runtime did across both plan executions, when
-  // ExecutionOptions::runtime enabled any of its layers.
+  // What the executor and, when ExecutionOptions::runtime enabled any of
+  // its layers, the source-access runtime did across the run.
   RuntimeStats runtime;
 };
 
-// Algorithm ANSWER*: compiles Q with PLAN*, evaluates both plans against
+// What ANSWER* executes, each satisfiable PLAN* disjunct reordered once
+// under a cost model: *exact* ones (PLAN* put them into Qᵘ and Qᵒ) are
+// Qᵘ, *padded* ones (null-padded, Qᵒ only) the rest of Qᵒ, `over` all of
+// Qᵒ. `ucqnc --explain` prints `exact`, then `padded`.
+struct AnswerStarPlan {
+  UnionQuery exact;
+  UnionQuery padded;
+  UnionQuery over;
+};
+AnswerStarPlan SplitForExecution(const PlanStarResult& plans,
+                                 const Catalog& catalog,
+                                 const CostModel* model);
+
+// Algorithm ANSWER*: compiles Q with PLAN*, evaluates the plans against
 // the sources, and reports the underestimate together with completeness
-// information. The plans produced by PLAN* are always executable, so on
-// well-formed catalogs this can fail (report.ok == false) only through the
-// source failure channel. A runtime stack configured via
-// `options.runtime` is shared across both plan executions — exactly the
-// duplicate-call shape (Qᵘ's calls are a subset of Qᵒ's) where caching
-// pays off; with `options.runtime.parallelism` > 1 the shared stack's
-// parallel dispatcher also overlaps each literal's batched wave of calls
-// across both plans; see bench_runtime.
+// information. One ExecuteInTurn call (one runtime stack, configured via
+// `options.runtime`) runs Qᵘ, giving ansᵤ, then the padded disjuncts;
+// ansₒ = ansᵤ ∪ their answers. Behind a cache (`options.runtime` or
+// Source::Caches) the second drive is all of Qᵒ, so transport calls, TTL
+// expiries and the adaptive model's hit rates stay those of two separate
+// plan executions (the bench/e2e trace mirror checks them). A failure in
+// the first drive is "underestimate plan failed", in the second
+// "overestimate plan failed"; PLAN*'s plans are executable, so only the
+// source failure channel can cause one.
 AnswerStarReport AnswerStar(const UnionQuery& q, const Catalog& catalog,
                             Source* source,
                             const ExecutionOptions& options = {});

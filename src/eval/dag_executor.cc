@@ -121,8 +121,7 @@ UnionChainsResult ExecuteChainsDag(
     Clock* clock, OperatorCounters* counters) {
   UnionChainsResult result;
   TermDictionary& dict = TermDictionary::Global();
-  std::optional<StaticCostModel> fallback_model;
-  const CostModel* model = ResolveCostModel(options, &fallback_model);
+  const CostModel& model = ResolveCostModel(options);
 
   std::vector<Chain> chains;
   chains.reserve(disjuncts.size());
@@ -140,7 +139,7 @@ UnionChainsResult ExecuteChainsDag(
     std::vector<OperatorKind> kinds = LowerOperatorKinds(*q);
     chain.ops.reserve(body.size());
     for (std::size_t i = 0; i < body.size(); ++i) {
-      chain.ops.emplace_back(kinds[i], &body[i], &catalog, model, counters);
+      chain.ops.emplace_back(kinds[i], &body[i], &catalog, &model, counters);
     }
     chain.queues.resize(body.size());
     chain.queues[0].Push(ColumnarFrontier());  // the unit frontier

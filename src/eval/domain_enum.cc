@@ -7,7 +7,6 @@
 #include "ast/substitution.h"
 #include "eval/executor.h"
 #include "schema/adornment.h"
-#include "util/logging.h"
 
 namespace ucqn {
 
@@ -249,8 +248,12 @@ ImprovedUnderestimate ImproveUnderestimate(const UnionQuery& q,
   ImprovedUnderestimate result;
   PlanStarResult plans = PlanStar(q, catalog);
   ExecutionResult base = Execute(plans.under, catalog, source);
-  UCQN_CHECK_MSG(base.ok, base.error.c_str());
-  result.tuples = base.tuples;
+  if (!base.ok) {
+    result.error = std::move(base.error);
+    return result;
+  }
+  result.ok = true;
+  result.tuples = std::move(base.tuples);
 
   // Seed dom(x) with the query's own constants (null is not a source value).
   std::vector<Term> seeds;

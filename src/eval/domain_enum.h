@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "ast/query.h"
@@ -49,6 +50,10 @@ DomainEnumResult EnumerateDomain(const Catalog& catalog, Source* source,
 // against the sources), so the result extends ANSWER*'s underestimate
 // while remaining sound.
 struct ImprovedUnderestimate {
+  // False, with `error` set and nothing else filled, when re-executing
+  // the plain underestimate failed at a source (e.g. a spent call budget).
+  bool ok = false;
+  std::string error;
   // The union of the plain underestimate and the domain-assisted answers.
   std::set<Tuple> tuples;
   // How many of those came only from domain enumeration.

@@ -105,12 +105,9 @@ bool ProjectHead(const ConjunctiveQuery& q,
   return true;
 }
 
-
-const CostModel* ResolveCostModel(const ExecutionOptions& options,
-                                  std::optional<StaticCostModel>* storage) {
-  if (options.cost_model != nullptr) return options.cost_model;
-  storage->emplace(options.pattern_preference);
-  return &**storage;
+const CostModel& ResolveCostModel(const ExecutionOptions& options) {
+  static const StaticCostModel kDefault;
+  return options.cost_model != nullptr ? *options.cost_model : kDefault;
 }
 
 }  // namespace ucqn

@@ -55,10 +55,8 @@ bool ProjectHead(const ConjunctiveQuery& q,
                  ExecutionResult* result);
 
 // The model every pattern decision of an execution flows through: the
-// caller's, or a StaticCostModel built from the legacy preference knob.
-// `storage` keeps the fallback alive for the duration of the execution.
-const CostModel* ResolveCostModel(const ExecutionOptions& options,
-                                  std::optional<StaticCostModel>* storage);
+// caller's, or the default StaticCostModel.
+const CostModel& ResolveCostModel(const ExecutionOptions& options);
 
 }  // namespace ucqn
 

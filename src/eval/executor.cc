@@ -6,7 +6,6 @@
 
 #include "ast/substitution.h"
 #include "cost/cost_model.h"
-#include "cost/stats_catalog.h"
 #include "eval/dag_executor.h"
 #include "eval/exec_common.h"
 #include "eval/op/operator.h"
@@ -15,14 +14,6 @@
 namespace ucqn {
 
 namespace {
-
-// The runtime configuration actually used: a stats sink needs the meter,
-// so requesting one forces metering on.
-RuntimeOptions EffectiveRuntime(const ExecutionOptions& options) {
-  RuntimeOptions runtime = options.runtime;
-  if (options.stats_sink != nullptr) runtime.metering = true;
-  return runtime;
-}
 
 // Executor-side counters -> the result's RuntimeStats. Folded on every
 // path, including executions that run no stack: the counters describe
@@ -36,11 +27,12 @@ void FoldExecutorCounters(RuntimeStats* stats, const OperatorCounters& ops) {
 }
 
 // Runs `run(source, clock, counters)` behind the configured runtime stack
-// (one stack per call, so a union's disjuncts share its cache and
-// budget) and reports what the stack and the executor did.
+// (one stack per call, so a union's disjuncts — and both drives of
+// ExecuteInTurn — share its cache and budget) and reports what the stack
+// and the executor did.
 template <typename Result, typename Run>
 Result WithRuntime(Source* source, const ExecutionOptions& options, Run run) {
-  const RuntimeOptions runtime = EffectiveRuntime(options);
+  const RuntimeOptions& runtime = options.runtime;
   OperatorCounters counters;
   if (!runtime.Enabled()) {
     // No stack, but a caller-supplied clock (runtime.clock) still drives
@@ -53,9 +45,6 @@ Result WithRuntime(Source* source, const ExecutionOptions& options, Run run) {
   Result result = run(stack.source(), stack.clock(), &counters);
   result.runtime = stack.stats();
   FoldExecutorCounters(&result.runtime, counters);
-  if (options.stats_sink != nullptr && stack.meter() != nullptr) {
-    options.stats_sink->Observe(*stack.meter());
-  }
   return result;
 }
 
@@ -67,14 +56,13 @@ BindingsResult ExecuteReference(const ConjunctiveQuery& q,
   BindingsResult result;
   result.bindings.emplace_back();
   BoundVariables bound;
-  std::optional<StaticCostModel> fallback_model;
-  const CostModel* model = ResolveCostModel(options, &fallback_model);
+  const CostModel& model = ResolveCostModel(options);
   for (const Literal& literal : q.body()) {
     PlanContext context;
     context.live_bindings = static_cast<double>(
         std::max<std::size_t>(result.bindings.size(), 1));
     std::optional<AccessPattern> pattern =
-        ChoosePattern(catalog, literal, bound, *model, context);
+        ChoosePattern(catalog, literal, bound, model, context);
     if (!pattern.has_value()) {
       result.error = "literal " + literal.ToString() +
                      " has no usable access pattern at its position";
@@ -134,18 +122,18 @@ UnionChainsResult ExecuteBodies(
 // disjuncts resolve inline, in disjunct order; the rest run their bodies
 // together, and heads project in disjunct order afterwards.
 ExecutionResult ExecuteDisjuncts(
-    const std::vector<const ConjunctiveQuery*>& disjuncts,
-    const Catalog& catalog, Source* source, const ExecutionOptions& options,
-    Clock* clock, OperatorCounters* counters) {
+    const std::vector<ConjunctiveQuery>& disjuncts, const Catalog& catalog,
+    Source* source, const ExecutionOptions& options, Clock* clock,
+    OperatorCounters* counters) {
   ExecutionResult result;
   result.ok = true;
   std::vector<const ConjunctiveQuery*> bodies;
-  for (const ConjunctiveQuery* q : disjuncts) {
-    if (!q->IsTrueQuery()) {
-      bodies.push_back(q);
+  for (const ConjunctiveQuery& q : disjuncts) {
+    if (!q.IsTrueQuery()) {
+      bodies.push_back(&q);
       continue;
     }
-    ExecutionResult part = ExecuteTrueQuery(*q);
+    ExecutionResult part = ExecuteTrueQuery(q);
     if (!part.ok) return part;
     result.tuples.insert(part.tuples.begin(), part.tuples.end());
   }
@@ -186,23 +174,36 @@ ExecutionResult Execute(const ConjunctiveQuery& q, const Catalog& catalog,
   return WithRuntime<ExecutionResult>(
       source, options,
       [&](Source* effective, Clock* clock, OperatorCounters* counters) {
-        return ExecuteDisjuncts({&q}, catalog, effective, options, clock,
+        return ExecuteDisjuncts({q}, catalog, effective, options, clock,
                                 counters);
       });
 }
 
 ExecutionResult Execute(const UnionQuery& q, const Catalog& catalog,
                         Source* source, const ExecutionOptions& options) {
-  std::vector<const ConjunctiveQuery*> disjuncts;
-  disjuncts.reserve(q.disjuncts().size());
-  for (const ConjunctiveQuery& disjunct : q.disjuncts()) {
-    disjuncts.push_back(&disjunct);
-  }
   return WithRuntime<ExecutionResult>(
       source, options,
       [&](Source* effective, Clock* clock, OperatorCounters* counters) {
-        return ExecuteDisjuncts(disjuncts, catalog, effective, options, clock,
-                                counters);
+        return ExecuteDisjuncts(q.disjuncts(), catalog, effective, options,
+                                clock, counters);
+      });
+}
+
+InTurnResult ExecuteInTurn(const UnionQuery& first, const UnionQuery& second,
+                           const Catalog& catalog, Source* source,
+                           const ExecutionOptions& options) {
+  return WithRuntime<InTurnResult>(
+      source, options,
+      [&](Source* effective, Clock* clock, OperatorCounters* counters) {
+        InTurnResult result;
+        result.first = ExecuteDisjuncts(first.disjuncts(), catalog,
+                                        effective, options, clock, counters);
+        if (result.first.ok) {
+          result.second = ExecuteDisjuncts(second.disjuncts(), catalog,
+                                           effective, options, clock,
+                                           counters);
+        }
+        return result;
       });
 }
 

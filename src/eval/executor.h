@@ -13,28 +13,17 @@
 namespace ucqn {
 
 class CostModel;
-class StatsCatalog;
 
 // Knobs for plan execution.
 struct ExecutionOptions {
-  // Which usable access pattern to call per literal. kMostInputs (default)
-  // pushes every available binding to the source; kFewestInputs fetches
-  // broadly and filters client-side. bench_ablation measures the
-  // difference in calls/tuples. Ignored when `cost_model` is set.
-  PatternPreference pattern_preference = PatternPreference::kMostInputs;
   // The cost model every pattern decision flows through (src/cost/). Not
   // owned; must outlive the execution. When null (the default) the
-  // executor builds a StaticCostModel from `pattern_preference` — the
-  // bit-compatible historical behavior. An AdaptiveCostModel fed by a
-  // StatsCatalog snapshot instead prices each candidate pattern by
-  // observed latency and expected tuples, and ANSWER* additionally
-  // reorders plan literals through it (see eval/answer_star.h).
+  // executor uses a default StaticCostModel, the historical behavior. An
+  // AdaptiveCostModel fed by a StatsCatalog snapshot instead prices each
+  // candidate pattern by observed latency and expected tuples, and
+  // ANSWER* additionally reorders plan literals through it (see
+  // eval/answer_star.h).
   const CostModel* cost_model = nullptr;
-  // When set, every execution that runs a source stack feeds the meter's
-  // per-relation metrics into this catalog afterwards (metering is forced
-  // on). Not owned. This closes the adaptive loop: run, observe, plan the
-  // next query with an AdaptiveCostModel over the same catalog.
-  StatsCatalog* stats_sink = nullptr;
   // Hard cap on the number of live variable bindings after any literal
   // (the intermediate-result size of the left-to-right join). Exceeding
   // it fails the execution rather than exhausting memory on a hostile
@@ -109,6 +98,18 @@ ExecutionResult Execute(const ConjunctiveQuery& q, const Catalog& catalog,
 // stack (cache, budget, ...) is shared across all disjuncts.
 ExecutionResult Execute(const UnionQuery& q, const Catalog& catalog,
                         Source* source, const ExecutionOptions& options = {});
+
+// Executes `first` and then, only if it succeeded, `second`, behind one
+// runtime stack (one cache, budget and clock). ANSWER* runs Qᵘ and then
+// the rest of Qᵒ this way (eval/answer_star.h).
+struct InTurnResult {
+  ExecutionResult first;
+  ExecutionResult second;  // not ok, with no error, when `first` failed
+  RuntimeStats runtime;    // both drives; the results' own stay zero
+};
+InTurnResult ExecuteInTurn(const UnionQuery& first, const UnionQuery& second,
+                           const Catalog& catalog, Source* source,
+                           const ExecutionOptions& options = {});
 
 // Like Execute, but returns the satisfying variable bindings of the body
 // instead of projected head tuples — the raw witnesses (one per

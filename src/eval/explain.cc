@@ -7,7 +7,6 @@
 #include "eval/executor.h"
 #include "eval/op/lowering.h"
 #include "schema/adornment.h"
-#include "util/logging.h"
 
 namespace ucqn {
 
@@ -17,12 +16,10 @@ std::string DeltaExplanation::ToString() const {
          partially_instantiated.ToString();
 }
 
-std::vector<DeltaExplanation> ExplainDelta(const UnionQuery& q,
-                                           const Catalog& catalog,
-                                           Source* source,
-                                           const AnswerStarReport& report) {
+DeltaExplanations ExplainDelta(const UnionQuery& q, const Catalog& catalog,
+                               Source* source, const AnswerStarReport& report) {
   (void)q;  // the per-disjunct detail lives in report.plans
-  std::vector<DeltaExplanation> explanations;
+  DeltaExplanations result;
   std::set<std::string> seen;
   for (std::size_t i = 0; i < report.plans.disjuncts.size(); ++i) {
     const DisjunctPlan& plan = report.plans.disjuncts[i];
@@ -30,11 +27,16 @@ std::vector<DeltaExplanation> ExplainDelta(const UnionQuery& q,
     // ones feed the underestimate too, so their tuples never sit in Δ.
     if (!plan.over.has_value() || plan.unanswerable.empty()) continue;
     // Re-derive the answerable part's witnesses. The answerable part is
-    // executable by construction; empty bodies yield the single trivial
-    // binding (the bare "benefit of the doubt" row).
+    // executable by construction, so only a source call can fail; empty
+    // bodies yield the single trivial binding (the bare "benefit of the
+    // doubt" row).
     BindingsResult witnesses =
         ExecuteForBindings(*plan.answerable, catalog, source);
-    UCQN_CHECK_MSG(witnesses.ok, witnesses.error.c_str());
+    if (!witnesses.ok) {
+      result.error = std::move(witnesses.error);
+      result.explanations.clear();
+      return result;
+    }
     for (const Substitution& binding : witnesses.bindings) {
       Tuple tuple = binding.Apply(plan.over->head_terms());
       bool ground = true;
@@ -46,11 +48,12 @@ std::vector<DeltaExplanation> ExplainDelta(const UnionQuery& q,
       explanation.partially_instantiated =
           plan.original.Substitute(binding);
       if (seen.insert(explanation.ToString()).second) {
-        explanations.push_back(std::move(explanation));
+        result.explanations.push_back(std::move(explanation));
       }
     }
   }
-  return explanations;
+  result.ok = true;
+  return result;
 }
 
 std::string PlanExplanation::ToString() const {
@@ -94,17 +97,6 @@ PlanExplanation ExplainPlan(const ConjunctiveQuery& q, const Catalog& catalog,
   }
   explanation.ok = true;
   return explanation;
-}
-
-std::vector<PlanExplanation> ExplainPlan(const UnionQuery& q,
-                                         const Catalog& catalog,
-                                         const CostModel& model) {
-  std::vector<PlanExplanation> explanations;
-  explanations.reserve(q.disjuncts().size());
-  for (const ConjunctiveQuery& disjunct : q.disjuncts()) {
-    explanations.push_back(ExplainPlan(disjunct, catalog, model));
-  }
-  return explanations;
 }
 
 }  // namespace ucqn

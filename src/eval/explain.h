@@ -38,11 +38,16 @@ struct DeltaExplanation {
 // of the answerable parts and renders the partially instantiated
 // disjuncts. Re-executes the answerable parts against `source` (cheap —
 // they are the same calls ANSWER* already made; wrap the source in a
-// CachingSource to make them free).
-std::vector<DeltaExplanation> ExplainDelta(const UnionQuery& q,
-                                           const Catalog& catalog,
-                                           Source* source,
-                                           const AnswerStarReport& report);
+// CachingSource to make them free). Fails, with `error` set and no
+// explanations, when a re-executed source call fails — e.g. because the
+// call budget ANSWER* left is too small.
+struct DeltaExplanations {
+  bool ok = false;
+  std::string error;
+  std::vector<DeltaExplanation> explanations;
+};
+DeltaExplanations ExplainDelta(const UnionQuery& q, const Catalog& catalog,
+                               Source* source, const AnswerStarReport& report);
 
 // One literal's pattern decision as the executor would make it: the
 // chosen adornment, every rejected candidate, and the cost the model
@@ -79,11 +84,6 @@ struct PlanExplanation {
 // static — no source calls are issued.
 PlanExplanation ExplainPlan(const ConjunctiveQuery& q, const Catalog& catalog,
                             const CostModel& model);
-
-// Per-disjunct traces for a union plan, in disjunct order.
-std::vector<PlanExplanation> ExplainPlan(const UnionQuery& q,
-                                         const Catalog& catalog,
-                                         const CostModel& model);
 
 }  // namespace ucqn
 

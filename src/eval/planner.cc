@@ -215,17 +215,6 @@ std::optional<UnionQuery> OptimizeLiteralOrder(const UnionQuery& q,
   return out;
 }
 
-UnionQuery ReorderForExecution(const UnionQuery& plan, const Catalog& catalog,
-                               const CostModel& model) {
-  UnionQuery out;
-  for (const ConjunctiveQuery& disjunct : plan.disjuncts()) {
-    std::optional<ConjunctiveQuery> ordered =
-        OptimizeLiteralOrder(disjunct, catalog, model);
-    out.AddDisjunct(ordered.has_value() ? std::move(*ordered) : disjunct);
-  }
-  return out;
-}
-
 namespace {
 
 StaticCostModel ModelFromOptions(const CardinalityEstimates& estimates,

@@ -70,13 +70,6 @@ std::optional<UnionQuery> OptimizeLiteralOrder(const UnionQuery& q,
                                                const Catalog& catalog,
                                                const CostModel& model);
 
-// The order ANSWER* executes under a cost model: every disjunct of a
-// PLAN* plan through OptimizeLiteralOrder, keeping a disjunct's own
-// (executable by construction) order when the model cannot order it.
-// `ucqnc --explain` prints the same order.
-UnionQuery ReorderForExecution(const UnionQuery& plan, const Catalog& catalog,
-                               const CostModel& model);
-
 // Legacy entry points: build a StaticCostModel from `estimates` and
 // `options` and delegate — the pre-cost-layer greedy planner's scores,
 // plus the connectivity rule.

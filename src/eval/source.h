@@ -95,6 +95,10 @@ class Source {
       const std::string& relation, const AccessPattern& pattern,
       const std::vector<std::vector<std::optional<Term>>>& inputs);
 
+  // True when a repeated call may be answered from a cache instead of the
+  // transport (runtime/caching_source.h, a caching SourceStack's top).
+  virtual bool Caches() const { return false; }
+
   // Convenience for call sites whose source cannot fail (in-memory
   // databases, tests): returns the tuples, CHECK-failing on any error.
   std::vector<Tuple> FetchOrDie(

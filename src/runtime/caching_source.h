@@ -12,7 +12,7 @@
 namespace ucqn {
 
 // Memoizes identical source calls. Web-service operations are pure
-// lookups for the duration of a query, and both ANSWER* (two plans over
+// lookups for the duration of a query, and both ANSWER* (Qᵘ and Qᵒ over
 // the same sources) and the executor itself (one Fetch per live binding)
 // re-issue many identical calls; a cache in front of the transport turns
 // those into no-ops.
@@ -68,6 +68,8 @@ class CachingSource : public Source {
   std::vector<FetchResult> FetchBatch(
       const std::string& relation, const AccessPattern& pattern,
       const std::vector<std::vector<std::optional<Term>>>& inputs) override;
+
+  bool Caches() const override { return true; }
 
   // This view's ledger only; shared()->stats() has the process totals.
   const CacheStats& cache_stats() const { return stats_; }

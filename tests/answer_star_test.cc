@@ -5,6 +5,9 @@
 #include "ast/parser.h"
 #include "eval/oracle.h"
 #include "gen/scenarios.h"
+#include "runtime/caching_source.h"
+#include "runtime/clock.h"
+#include "runtime/fault_injection.h"
 
 namespace ucqn {
 namespace {
@@ -134,6 +137,98 @@ TEST(AnswerStarTest, EmptyDatabaseIsCompleteAndEmpty) {
   AnswerStarReport report = AnswerStar(s.query, s.catalog, &source);
   EXPECT_TRUE(report.complete);
   EXPECT_TRUE(report.under.empty());
+}
+
+TEST(AnswerStarTest, RunsAnExactDisjunctOnce) {
+  // PLAN* puts this feasible query into both Qᵘ and Qᵒ; without a cache
+  // ANSWER* still makes only the one R scan and the two S probes.
+  Catalog catalog = Catalog::MustParse("R/2: oo\nS/2: io\n");
+  UnionQuery q = MustParseUnionQuery("Q(x, z) :- R(x, y), S(y, z).");
+  Database db = Database::MustParseFacts(R"(
+    R("a", "b").
+    R("c", "d").
+    S("b", "e").
+  )");
+  DatabaseSource source(&db, &catalog);
+  AnswerStarReport report = AnswerStar(q, catalog, &source);
+  ASSERT_TRUE(report.ok) << report.error;
+  EXPECT_TRUE(report.complete);
+  EXPECT_EQ(report.under, OracleEvaluate(q, db));
+  EXPECT_EQ(source.stats().calls, 3u);
+  EXPECT_EQ(report.runtime.disjuncts_executed, 1u);
+}
+
+TEST(AnswerStarTest, BehindACacheRunsAllOfTheOverestimate) {
+  // Behind a cache the second drive runs Qᵒ in full, as evaluating Qᵘ and
+  // Qᵒ separately would: the exact disjunct's repeat is three cache hits,
+  // whether the cache comes from options.runtime or from the caller.
+  Catalog catalog = Catalog::MustParse("R/2: oo\nS/2: io\n");
+  UnionQuery q = MustParseUnionQuery("Q(x, z) :- R(x, y), S(y, z).");
+  Database db = Database::MustParseFacts(R"(
+    R("a", "b").
+    R("c", "d").
+    S("b", "e").
+  )");
+  DatabaseSource backend(&db, &catalog);
+  ExecutionOptions options;
+  options.runtime.cache = true;
+  AnswerStarReport report = AnswerStar(q, catalog, &backend, options);
+  ASSERT_TRUE(report.ok) << report.error;
+  EXPECT_EQ(report.under, OracleEvaluate(q, db));
+  EXPECT_EQ(report.over, report.under);
+  EXPECT_EQ(backend.stats().calls, 3u);
+  EXPECT_EQ(report.runtime.disjuncts_executed, 2u);
+  EXPECT_EQ(report.runtime.cache_hits, 3u);
+
+  DatabaseSource outer_backend(&db, &catalog);
+  CachingSource cache(&outer_backend);
+  AnswerStarReport outer = AnswerStar(q, catalog, &cache);
+  ASSERT_TRUE(outer.ok) << outer.error;
+  EXPECT_EQ(outer.under, report.under);
+  EXPECT_EQ(outer_backend.stats().calls, 3u);
+  EXPECT_EQ(outer.runtime.disjuncts_executed, 2u);
+  EXPECT_EQ(cache.cache_stats().hits, 3u);
+}
+
+// One exact disjunct over R and S, one padded disjunct whose answerable
+// part is T(x) (B(w) cannot be called), against a source where every call
+// to `failing` fails.
+AnswerStarReport RunWithFailingRelation(const std::string& failing) {
+  Catalog catalog = Catalog::MustParse("R/2: oo\nS/1: o\nT/1: o\nB/1: i\n");
+  UnionQuery q = MustParseUnionQuery(
+      "Q(x) :- R(x, z), not S(z).\nQ(x) :- T(x), B(w).");
+  Database db = Database::MustParseFacts(R"(
+    R("a", "b").
+    R("c", "d").
+    S("b").
+    T("t").
+  )");
+  DatabaseSource backend(&db, &catalog);
+  FaultPlan plan;
+  plan.relation_failure_probability[failing] = 1.0;
+  SimulatedClock clock;
+  FaultInjectingSource faulty(&backend, plan, &clock);
+  return AnswerStar(q, catalog, &faulty);
+}
+
+TEST(AnswerStarTest, AttributesFailuresToTheDriveThatRanTheDisjunct) {
+  const AnswerStarReport healthy = RunWithFailingRelation("none");
+  ASSERT_TRUE(healthy.ok) << healthy.error;
+  EXPECT_EQ(healthy.under, (std::set<Tuple>{{Term::Constant("c")}}));
+  EXPECT_EQ(healthy.over, (std::set<Tuple>{{Term::Constant("c")},
+                                           {Term::Constant("t")}}));
+
+  const AnswerStarReport exact = RunWithFailingRelation("R");
+  EXPECT_FALSE(exact.ok);
+  EXPECT_EQ(exact.error.rfind("underestimate plan failed: ", 0), 0u)
+      << exact.error;
+
+  const AnswerStarReport padded = RunWithFailingRelation("T");
+  EXPECT_FALSE(padded.ok);
+  EXPECT_EQ(padded.error.rfind("overestimate plan failed: ", 0), 0u)
+      << padded.error;
+  EXPECT_TRUE(padded.under.empty());
+  EXPECT_TRUE(padded.over.empty());
 }
 
 }  // namespace

@@ -144,15 +144,17 @@ TEST_F(CachingSourceTest, FailedCallsAreNotCached) {
 }
 
 TEST_F(CachingSourceTest, CachedAnswerStarSavesBackendCalls) {
-  // ANSWER* executes Q^u and Q^o, which overlap; the cache absorbs the
-  // duplicate calls without changing the report.
-  UnionQuery q = MustParseUnionQuery("Q(x) :- R(x, z), not S(z).");
-  DatabaseSource plain_backend(&db_, &catalog_);
-  AnswerStarReport plain = AnswerStar(q, catalog_, &plain_backend);
+  // The exact disjunct and the padded one (B(w) cannot be called) both
+  // scan R; the cache absorbs the repeats without changing the report.
+  const Catalog catalog = Catalog::MustParse("R/2: oo io\nS/1: o\nB/1: i\n");
+  UnionQuery q = MustParseUnionQuery(
+      "Q(x) :- R(x, z), not S(z).\nQ(x) :- R(x, z), B(w).");
+  DatabaseSource plain_backend(&db_, &catalog);
+  AnswerStarReport plain = AnswerStar(q, catalog, &plain_backend);
 
-  DatabaseSource cached_backend(&db_, &catalog_);
+  DatabaseSource cached_backend(&db_, &catalog);
   CachingSource cached(&cached_backend);
-  AnswerStarReport with_cache = AnswerStar(q, catalog_, &cached);
+  AnswerStarReport with_cache = AnswerStar(q, catalog, &cached);
 
   EXPECT_EQ(plain.under, with_cache.under);
   EXPECT_EQ(plain.over, with_cache.over);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "ast/parser.h"
+#include "cost/cost_model.h"
 #include "eval/oracle.h"
 
 namespace ucqn {
@@ -238,14 +239,16 @@ TEST_F(ExecutorTest, PatternPreferenceChangesCallShape) {
   ConjunctiveQuery plan = MustParseRule("Q(i, t) :- C(i, a), B(i, a, t).");
 
   DatabaseSource selective(&db_, &catalog);
+  const StaticCostModel most_model(PatternPreference::kMostInputs);
   ExecutionOptions most;
-  most.pattern_preference = PatternPreference::kMostInputs;
+  most.cost_model = &most_model;
   ExecutionResult r1 = Execute(plan, catalog, &selective, most);
   ASSERT_TRUE(r1.ok) << r1.error;
 
   DatabaseSource broad(&db_, &catalog);
+  const StaticCostModel fewest_model(PatternPreference::kFewestInputs);
   ExecutionOptions fewest;
-  fewest.pattern_preference = PatternPreference::kFewestInputs;
+  fewest.cost_model = &fewest_model;
   ExecutionResult r2 = Execute(plan, catalog, &broad, fewest);
   ASSERT_TRUE(r2.ok) << r2.error;
 

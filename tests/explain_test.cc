@@ -20,8 +20,8 @@ TEST(ExplainDeltaTest, Example7PartialInstantiation) {
   AnswerStarReport report = AnswerStar(s.query, s.catalog, &source);
   ASSERT_FALSE(report.complete);
 
-  std::vector<DeltaExplanation> explanations =
-      ExplainDelta(s.query, s.catalog, &source, report);
+  const std::vector<DeltaExplanation> explanations =
+      ExplainDelta(s.query, s.catalog, &source, report).explanations;
   ASSERT_EQ(explanations.size(), 1u);
   const DeltaExplanation& e = explanations[0];
   EXPECT_EQ(e.tuple, (Tuple{Term::Constant("a"), Term::Null()}));
@@ -44,17 +44,21 @@ TEST(ExplainDeltaTest, CompleteAnswersNeedNoExplanations) {
   DatabaseSource source(&s.database, &s.catalog);
   AnswerStarReport report = AnswerStar(s.query, s.catalog, &source);
   ASSERT_TRUE(report.complete);
-  EXPECT_TRUE(ExplainDelta(s.query, s.catalog, &source, report).empty());
+  const DeltaExplanations explained =
+      ExplainDelta(s.query, s.catalog, &source, report);
+  EXPECT_TRUE(explained.ok) << explained.error;
+  EXPECT_TRUE(explained.explanations.empty());
 }
 
 TEST(ExplainDeltaTest, EveryDeltaTupleGetsAtLeastOneExplanation) {
   for (const Scenario& s : AllScenarios()) {
     DatabaseSource source(&s.database, &s.catalog);
     AnswerStarReport report = AnswerStar(s.query, s.catalog, &source);
-    std::vector<DeltaExplanation> explanations =
+    const DeltaExplanations explanations =
         ExplainDelta(s.query, s.catalog, &source, report);
+    ASSERT_TRUE(explanations.ok) << s.name << ": " << explanations.error;
     std::set<Tuple> explained;
-    for (const DeltaExplanation& e : explanations) {
+    for (const DeltaExplanation& e : explanations.explanations) {
       EXPECT_TRUE(report.delta.count(e.tuple)) << s.name;
       explained.insert(e.tuple);
     }
@@ -76,8 +80,8 @@ TEST(ExplainDeltaTest, MultipleWitnessesMultipleExplanations) {
   DatabaseSource source(&db, &catalog);
   AnswerStarReport report = AnswerStar(q, catalog, &source);
   ASSERT_EQ(report.delta.size(), 1u);  // (a, null)
-  std::vector<DeltaExplanation> explanations =
-      ExplainDelta(q, catalog, &source, report);
+  const std::vector<DeltaExplanation> explanations =
+      ExplainDelta(q, catalog, &source, report).explanations;
   EXPECT_EQ(explanations.size(), 2u);  // one per witness z = b1 / b2
   std::string rendered;
   for (const DeltaExplanation& e : explanations) rendered += e.ToString();
@@ -138,16 +142,30 @@ TEST(ExplainPlanTest, StopsAtTheFirstNonExecutableLiteral) {
   EXPECT_NE(explanation.ToString().find("unusable"), std::string::npos);
 }
 
-TEST(ExplainPlanTest, CoversEveryDisjunctOfAUnion) {
-  Catalog catalog = Catalog::MustParse("R/1: o\nS/1: o\n");
-  UnionQuery q = MustParseUnionQuery("Q(x) :- R(x).\nQ(x) :- S(x).\n");
+TEST(ExplainPlanTest, SplitsPlanStarIntoExactAndPaddedDisjuncts) {
+  // What `ucqnc --explain` prints: every satisfiable disjunct once, exact
+  // ones (in Qᵘ and Qᵒ) apart from padded ones (Qᵒ only, null-padded);
+  // `over` keeps Qᵒ's disjunct order for a run behind a cache.
+  Catalog catalog = Catalog::MustParse("R/1: o\nS/1: o\nB/2: ii\n");
+  UnionQuery q = MustParseUnionQuery(
+      "Q(x, y) :- S(x), B(x, y).\nQ(x, y) :- R(x), R(y).\n"
+      "Q(x, y) :- R(x), not R(x), S(y).\n");
+  const AnswerStarPlan plan =
+      SplitForExecution(PlanStar(q, catalog), catalog, nullptr);
+  ASSERT_EQ(plan.exact.disjuncts().size(), 1u);
+  EXPECT_EQ(plan.exact.disjuncts()[0].ToString(), "Q(x, y) :- R(x), R(y).");
+  ASSERT_EQ(plan.padded.disjuncts().size(), 1u);
+  EXPECT_EQ(plan.padded.disjuncts()[0].ToString(), "Q(x, null) :- S(x).");
+  ASSERT_EQ(plan.over.disjuncts().size(), 2u);
+  EXPECT_EQ(plan.over.disjuncts()[0], plan.padded.disjuncts()[0]);
+  EXPECT_EQ(plan.over.disjuncts()[1], plan.exact.disjuncts()[0]);
   StaticCostModel model;
-  std::vector<PlanExplanation> explanations = ExplainPlan(q, catalog, model);
-  ASSERT_EQ(explanations.size(), 2u);
-  EXPECT_TRUE(explanations[0].ok);
-  EXPECT_TRUE(explanations[1].ok);
-  EXPECT_EQ(explanations[0].steps[0].decision.relation, "R");
-  EXPECT_EQ(explanations[1].steps[0].decision.relation, "S");
+  for (const ConjunctiveQuery& disjunct : plan.exact.disjuncts()) {
+    EXPECT_TRUE(ExplainPlan(disjunct, catalog, model).ok);
+  }
+  for (const ConjunctiveQuery& disjunct : plan.padded.disjuncts()) {
+    EXPECT_TRUE(ExplainPlan(disjunct, catalog, model).ok);
+  }
 }
 
 // A pass-through source that records the relation of every run of calls,
@@ -196,10 +214,10 @@ TEST(ExplainPlanTest, ExplainsTheOrderAnswerStarExecutes) {
   PlanStarResult plans = PlanStar(walk.query, walk.catalog);
   ASSERT_EQ(Relations(plans.under),
             (std::vector<std::string>{"C2", "C0", "C1"}));
-  const UnionQuery under =
-      ReorderForExecution(plans.under, walk.catalog, walk.model);
-  const UnionQuery over =
-      ReorderForExecution(plans.over, walk.catalog, walk.model);
+  const AnswerStarPlan plan =
+      SplitForExecution(plans, walk.catalog, &walk.model);
+  ASSERT_TRUE(plan.padded.disjuncts().empty());
+  const UnionQuery& under = plan.exact;
   ASSERT_EQ(Relations(under), (std::vector<std::string>{"C0", "C1", "C2"}));
 
   Database db = Database::MustParseFacts(R"(
@@ -214,13 +232,12 @@ TEST(ExplainPlanTest, ExplainsTheOrderAnswerStarExecutes) {
   AnswerStarReport report =
       AnswerStar(walk.query, walk.catalog, &recording, options);
   ASSERT_TRUE(report.complete);
-  std::vector<std::string> executed = Relations(under);
-  for (const std::string& r : Relations(over)) executed.push_back(r);
-  EXPECT_EQ(recording.runs, executed);
+  // The walk is exact, so ANSWER* runs it once, in the explained order.
+  EXPECT_EQ(recording.runs, Relations(under));
 
   // The explained order has no Cartesian step; PLAN*'s own order has one.
   const std::string explained =
-      ExplainPlan(under, walk.catalog, walk.model)[0].ToString();
+      ExplainPlan(under.disjuncts()[0], walk.catalog, walk.model).ToString();
   EXPECT_EQ(explained.find("[cartesian]"), std::string::npos) << explained;
   EXPECT_LT(explained.find("C0(v0, v1)"), explained.find("C1(v1, v2)"));
 }

@@ -209,7 +209,10 @@ TEST(IntegrationTest, FullStackMediatorSession) {
   // 5. ANSWER* certifies completeness (the query is feasible).
   AnswerStarReport report = AnswerStar(unfolded.query, sources, &cached);
   EXPECT_TRUE(report.complete);
-  EXPECT_TRUE(ExplainDelta(unfolded.query, sources, &cached, report).empty());
+  const DeltaExplanations explained =
+      ExplainDelta(unfolded.query, sources, &cached, report);
+  EXPECT_TRUE(explained.ok) << explained.error;
+  EXPECT_TRUE(explained.explanations.empty());
 }
 
 TEST(IntegrationTest, LiChangBaselinesAgreeOnScenarioCqs) {

@@ -2,7 +2,8 @@
 # session must poison only itself: the session diagnoses it by number,
 # keeps running the blocks after it, and exits nonzero at the end. A
 # standing query whose maintenance and rebuild both fail must print its
-# error from then on, never a bracket.
+# error from then on, never a bracket. A call budget that runs out after
+# ANSWER* is one diagnostic line and exit 1.
 #
 # Run as a script:
 #   cmake -DUCQNC=<path-to-ucqnc> -DWORK_DIR=<scratch dir> \
@@ -95,5 +96,32 @@ if(rc EQUAL 0 OR NOT n_parked EQUAL 2 OR NOT bracket STREQUAL "")
       "a parked standing query must print its error after both deltas, "
       "never a bracket, and fail the session (exit ${rc}):\n${out}")
 endif()
+
+# A call budget ANSWER* fits in can run out when the Δ explanations
+# (--max-calls 1: re-deriving the padded disjunct's witnesses) or
+# --improve (--max-calls 7: re-running Qᵘ) re-execute plans on the same
+# stack: one diagnostic line and exit 1, never an abort.
+set(budget "${WORK_DIR}/budget")
+file(WRITE "${budget}_schema.txt" "L/1: o\nC/2: io\nB/2: io\n")
+file(WRITE "${budget}_facts.txt"
+    "L(\"a\"). L(\"b\"). C(\"x\", \"a\"). B(\"a\", \"z\").\n")
+file(WRITE "${budget}_explain.txt" "Q(x, y) :- L(x), C(y, x).\n")
+file(WRITE "${budget}_improve.txt"
+    "Q(x, y) :- L(x), C(y, x).\nQ(x, y) :- L(x), B(x, y).\n")
+foreach(case "explain;--max-calls;1;delta explanation failed: "
+             "improve;--improve;--max-calls;7;improved underestimate failed: ")
+  list(POP_FRONT case name)
+  list(POP_BACK case needle)
+  execute_process(COMMAND "${UCQNC}" --schema "${budget}_schema.txt"
+      --query "${budget}_${name}.txt" --facts "${budget}_facts.txt" ${case}
+      OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
+  string(REGEX MATCHALL "\n" newlines "${err}")
+  list(LENGTH newlines n_lines)
+  string(FIND "${err}" "${needle}" at)
+  if(NOT rc EQUAL 1 OR NOT n_lines EQUAL 1 OR NOT at EQUAL 0)
+    message(FATAL_ERROR "${name} budget: expected exit 1 and one line "
+        "starting \"${needle}\", got exit ${rc} and stderr:\n${err}")
+  endif()
+endforeach()
 
 message(STATUS "malformed --queries blocks are diagnosed and skipped; the session continues")

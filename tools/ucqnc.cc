@@ -466,7 +466,7 @@ int main(int argc, char** argv) {
     std::printf("loaded stats for %zu relation(s) from %s\n", stats.size(),
                 stats_in_path);
   }
-  StaticCostModel static_model(exec.pattern_preference);
+  StaticCostModel static_model;
   AdaptiveCostOptions adaptive_options;
   if (shared_cache) adaptive_options.shared_cache = &shared_store;
   adaptive_options.use_observed_fanouts = fanout_feedback;
@@ -787,39 +787,26 @@ int main(int argc, char** argv) {
   std::printf("%s\n", compiled.Report().c_str());
 
   if (explain_plans) {
-    // Explain the order ANSWER* executes: under --cost-model that is each
-    // PLAN* disjunct reordered by the model, not PLAN*'s body order.
-    PlanStarResult plans = PlanStar(compiled.analyzed_query, *catalog);
-    if (exec.cost_model != nullptr) {
-      plans.under = ReorderForExecution(plans.under, *catalog, *model);
-      plans.over = ReorderForExecution(plans.over, *catalog, *model);
-    }
-    const auto print_decisions = [&](const char* title,
-                                     const UnionQuery& plan) {
-      std::printf("\n%s plan decisions:\n", title);
-      for (const PlanExplanation& e : ExplainPlan(plan, *catalog, *model)) {
-        std::printf("%s", e.ToString().c_str());
-      }
-    };
-    // The compiled operator chain per disjunct (eval/op/lowering.h):
-    // operator kind, access pattern, and the chosen candidate's cost
-    // under the planner's running live-binding estimate.
-    const auto print_operators = [&](const char* title,
-                                     const UnionQuery& plan) {
-      std::printf("\n%s operator DAG:\n", title);
-      std::size_t d = 0;
-      for (const ConjunctiveQuery& disjunct : plan.disjuncts()) {
-        std::printf("disjunct %zu: %s\n%s", ++d,
+    // What ANSWER* executes (SplitForExecution), in its order: per
+    // disjunct, the pattern decisions and the compiled operator chain
+    // (eval/op/lowering.h) with each chosen candidate's estimated cost.
+    const AnswerStarPlan plan =
+        SplitForExecution(PlanStar(compiled.analyzed_query, *catalog),
+                          *catalog, exec.cost_model);
+    std::printf("\nANSWER* plan (exact: in Q^u and Q^o; padded: Q^o only):\n");
+    std::size_t d = 0;
+    for (const auto& [tag, disjuncts] :
+         {std::pair<const char*, const UnionQuery*>{"exact", &plan.exact},
+          {"padded", &plan.padded}}) {
+      for (const ConjunctiveQuery& disjunct : disjuncts->disjuncts()) {
+        std::printf("disjunct %zu (%s): %s\n%s%s", ++d, tag,
                     disjunct.ToString().c_str(),
+                    ExplainPlan(disjunct, *catalog, *model).ToString().c_str(),
                     LowerDisjunct(disjunct, *catalog, *model)
                         .ToString()
                         .c_str());
       }
-    };
-    print_decisions("underestimate", plans.under);
-    print_operators("underestimate", plans.under);
-    print_decisions("overestimate", plans.over);
-    print_operators("overestimate", plans.over);
+    }
   }
 
   if (facts_path != nullptr) {
@@ -864,35 +851,35 @@ int main(int argc, char** argv) {
     if (shared_cache) {
       std::printf("%s\n", shared_store.ToText().c_str());
     }
-    const auto snapshot_and_write = [&]() {
-      if (stats_out_path == nullptr || stack.meter() == nullptr) return;
-      StatsCatalog snapshot;
-      snapshot.Observe(*stack.meter());
-      write_stats_out(snapshot);
-    };
-    if (!report.ok) {
-      if (metrics_format != nullptr) {
-        std::printf("\nmetrics:\n%s\n",
-                    std::strcmp(metrics_format, "json") == 0
-                        ? stack.meter()->ToJson().c_str()
-                        : stack.meter()->ToText().c_str());
-      }
-      snapshot_and_write();
-      return 1;
-    }
-
-    if (!report.complete) {
-      for (const DeltaExplanation& e : ExplainDelta(
-               compiled.analyzed_query, *catalog, source, report)) {
+    // The Δ explanations and the improved underestimate re-execute plans
+    // on the same stack, so a call budget ANSWER* fit in can still run
+    // out there: that is one diagnostic line and exit 1.
+    int status = report.ok ? 0 : 1;
+    if (status == 0 && !report.complete) {
+      DeltaExplanations explained =
+          ExplainDelta(compiled.analyzed_query, *catalog, source, report);
+      for (const DeltaExplanation& e : explained.explanations) {
         std::printf("  maybe %s\n", e.ToString().c_str());
       }
+      if (!explained.ok) {
+        std::fprintf(stderr, "delta explanation failed: %s\n",
+                     explained.error.c_str());
+        status = 1;
+      }
     }
-    if (improve && !report.complete) {
+    if (status == 0 && improve && !report.complete) {
       ImprovedUnderestimate improved =
           ImproveUnderestimate(compiled.analyzed_query, *catalog, source);
-      std::printf("\nimproved underestimate (%zu tuples, %zu gained):\n%s\n",
-                  improved.tuples.size(), improved.gained.size(),
-                  TupleSetToString(improved.tuples).c_str());
+      if (improved.ok) {
+        std::printf(
+            "\nimproved underestimate (%zu tuples, %zu gained):\n%s\n",
+            improved.tuples.size(), improved.gained.size(),
+            TupleSetToString(improved.tuples).c_str());
+      } else {
+        std::fprintf(stderr, "improved underestimate failed: %s\n",
+                     improved.error.c_str());
+        status = 1;
+      }
     }
     if (metrics_format != nullptr) {
       std::printf("\nmetrics:\n%s\n",
@@ -900,7 +887,12 @@ int main(int argc, char** argv) {
                       ? stack.meter()->ToJson().c_str()
                       : stack.meter()->ToText().c_str());
     }
-    snapshot_and_write();
+    if (stats_out_path != nullptr && stack.meter() != nullptr) {
+      StatsCatalog snapshot;
+      snapshot.Observe(*stack.meter());
+      write_stats_out(snapshot);
+    }
+    return status;
   }
   return 0;
 }
