@@ -1,9 +1,9 @@
 #include "cost/stats_catalog.h"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <limits>
+
+#include "util/json.h"
 
 namespace ucqn {
 
@@ -17,9 +17,9 @@ void MergeInto(RelationStats* entry, const RelationStats& observed) {
   // says nothing about latency, so it must leave the entry's p50 alone:
   // the naive call-weighted average divides zero by zero and the NaN
   // permanently poisons AdaptiveCostModel pricing for this relation.
-  // Non-finite inputs (a hand-edited or overflowed snapshot — atof
-  // happily parses "1e999" to inf) are refused for the same reason:
-  // inf × 0 is NaN even under a nonzero denominator.
+  // Non-finite inputs (FromJson refuses them, but an in-memory Record
+  // can still carry one) are refused for the same reason: inf × 0 is NaN
+  // even under a nonzero denominator.
   if (!std::isfinite(entry->p50_latency_micros)) {
     entry->p50_latency_micros = 0.0;
   }
@@ -121,158 +121,54 @@ std::string FormatDouble(double v) {
   return buf;
 }
 
-// Minimal recursive-descent reader for the flat two-level object ToJson
-// emits. Not a general JSON parser: strings may not contain escapes
-// (relation names never do) and values are numbers or nested objects.
-class JsonReader {
- public:
-  explicit JsonReader(const std::string& text) : text_(text) {}
-
-  bool Fail(const std::string& why) {
-    if (error_.empty()) {
-      error_ = why + " at offset " + std::to_string(pos_);
-    }
-    return false;
-  }
-  const std::string& error() const { return error_; }
-
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  bool Consume(char c) {
-    SkipSpace();
-    if (pos_ >= text_.size() || text_[pos_] != c) {
-      return Fail(std::string("expected '") + c + "'");
-    }
-    ++pos_;
-    return true;
-  }
-
-  bool Peek(char c) {
-    SkipSpace();
-    return pos_ < text_.size() && text_[pos_] == c;
-  }
-
-  bool ReadString(std::string* out) {
-    if (!Consume('"')) return false;
-    out->clear();
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      if (text_[pos_] == '\\') return Fail("escapes are not supported");
-      out->push_back(text_[pos_++]);
-    }
-    return Consume('"');
-  }
-
-  bool ReadNumber(double* out) {
-    SkipSpace();
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) return Fail("expected a number");
-    *out = std::atof(text_.substr(start, pos_ - start).c_str());
-    return true;
-  }
-
-  bool AtEnd() {
-    SkipSpace();
-    return pos_ >= text_.size();
-  }
-
- private:
-  const std::string& text_;
-  std::size_t pos_ = 0;
-  std::string error_;
-};
-
-// An observed-fanout pair is meaningful only when both halves are: zero
-// backing calls or a non-finite mean (key order in a hand-edited file can
-// land either one alone) collapse to "never observed".
-void SanitizeFanout(RelationStats* stats) {
-  if (stats->fanout_calls == 0 || !std::isfinite(stats->mean_fanout)) {
-    stats->mean_fanout = 0.0;
-    stats->fanout_calls = 0;
-  }
-}
-
-// Reads one stats object. When `patterns` is non-null a nested
+// Reads one stats object into `stats`; `where` ("relation \"R\"")
+// prefixes every diagnostic. When `patterns` is non-null a nested
 // "patterns" object of pattern-word -> stats is accepted (the keyed
 // split); pre-split snapshots simply don't have the key and load as
-// pooled-only.
-bool ReadRelationStats(JsonReader* in, RelationStats* stats,
-                       std::map<std::string, RelationStats>* patterns) {
-  if (!in->Consume('{')) return false;
-  if (in->Peek('}')) return in->Consume('}');
-  while (true) {
-    std::string key;
-    if (!in->ReadString(&key) || !in->Consume(':')) return false;
-    if (key == "patterns" && patterns != nullptr) {
-      if (!in->Consume('{')) return false;
-      if (in->Peek('}')) {
-        in->Consume('}');
-      } else {
-        while (true) {
-          std::string word;
-          RelationStats keyed;
-          if (!in->ReadString(&word) || !in->Consume(':') ||
-              !ReadRelationStats(in, &keyed, nullptr)) {
-            return false;
-          }
-          SanitizeFanout(&keyed);
-          (*patterns)[word] = keyed;
-          if (in->Peek(',')) {
-            in->Consume(',');
-            continue;
-          }
-          if (!in->Consume('}')) return false;
-          break;
-        }
-      }
-    } else {
-      double value = 0.0;
-      if (!in->ReadNumber(&value)) return false;
-      if (key == "calls") {
-        stats->calls = static_cast<std::uint64_t>(value);
-      } else if (key == "errors") {
-        stats->errors = static_cast<std::uint64_t>(value);
-      } else if (key == "tuples") {
-        stats->tuples = static_cast<std::uint64_t>(value);
-      } else if (key == "p50_latency_us") {
-        // A non-finite latency (overflowed literal, hand-edited file)
-        // would NaN-poison every later weighted merge; load it as
-        // "unknown" instead.
-        stats->p50_latency_micros = std::isfinite(value) ? value : 0.0;
-      } else if (key == "fanout") {
-        // A non-finite mean stays non-finite until the object closes, so
-        // the final SanitizeFanout zeroes the whole pair no matter which
-        // order the keys arrived in ("fanout_calls" after a rejected
-        // "fanout" must not resurrect the observation).
-        stats->mean_fanout =
-            std::isfinite(value) ? value
-                                 : std::numeric_limits<double>::quiet_NaN();
-      } else if (key == "fanout_calls") {
-        stats->fanout_calls = static_cast<std::uint64_t>(value);
-      }  // unknown scalar keys are ignored for forward compatibility
-    }
-    if (in->Peek(',')) {
-      in->Consume(',');
-      continue;
-    }
-    SanitizeFanout(stats);
-    return in->Consume('}');
+// pooled-only. Unknown keys are ignored for forward compatibility.
+bool ReadRelationStats(const JsonValue& object, const std::string& where,
+                       RelationStats* stats,
+                       std::map<std::string, RelationStats>* patterns,
+                       std::string* error) {
+  if (!object.is_object()) {
+    *error = where + ": stats must be an object";
+    return false;
   }
+  std::string why;
+  if (!object.GetCount("calls", &stats->calls, &why) ||
+      !object.GetCount("errors", &stats->errors, &why) ||
+      !object.GetCount("tuples", &stats->tuples, &why) ||
+      !object.GetCount("fanout_calls", &stats->fanout_calls, &why)) {
+    *error = where + ": " + why;
+    return false;
+  }
+  for (const char* key : {"p50_latency_us", "fanout"}) {
+    const JsonValue* value = object.Find(key);
+    if (value != nullptr && !value->is_number()) {
+      *error = where + ": \"" + key + "\" must be a number";
+      return false;
+    }
+  }
+  stats->p50_latency_micros = object.GetNumber("p50_latency_us");
+  // A fanout is meaningful only with the successful calls that back it.
+  if (stats->fanout_calls > 0) {
+    stats->mean_fanout = object.GetNumber("fanout");
+  }
+  const JsonValue* split =
+      patterns != nullptr ? object.Find("patterns") : nullptr;
+  if (split == nullptr) return true;
+  if (!split->is_object()) {
+    *error = where + ": \"patterns\" must be an object";
+    return false;
+  }
+  for (const auto& [word, keyed] : split->members()) {
+    if (!ReadRelationStats(keyed, where + " pattern " + JsonQuote(word),
+                           &(*patterns)[word], nullptr, error)) {
+      return false;
+    }
+  }
+  return true;
 }
-
-}  // namespace
-
-namespace {
 
 std::string StatsJsonFields(const RelationStats& stats) {
   std::string out = "\"calls\": " + std::to_string(stats.calls) +
@@ -297,7 +193,7 @@ std::string StatsCatalog::ToJson() const {
   for (const auto& [relation, stats] : relations_) {
     if (!first) out += ", ";
     first = false;
-    out += "\"" + relation + "\": {" + StatsJsonFields(stats);
+    out += JsonQuote(relation) + ": {" + StatsJsonFields(stats);
     auto split = patterns_.find(relation);
     if (split != patterns_.end() && !split->second.empty()) {
       out += ", \"patterns\": {";
@@ -305,7 +201,7 @@ std::string StatsCatalog::ToJson() const {
       for (const auto& [word, keyed] : split->second) {
         if (!first_pattern) out += ", ";
         first_pattern = false;
-        out += "\"" + word + "\": {" + StatsJsonFields(keyed) + "}";
+        out += JsonQuote(word) + ": {" + StatsJsonFields(keyed) + "}";
       }
       out += "}";
     }
@@ -317,43 +213,31 @@ std::string StatsCatalog::ToJson() const {
 
 std::optional<StatsCatalog> StatsCatalog::FromJson(const std::string& text,
                                                    std::string* error) {
-  JsonReader in(text);
-  StatsCatalog catalog;
-  auto fail = [&](const std::string& why) -> std::optional<StatsCatalog> {
-    if (error != nullptr) {
-      *error = in.error().empty() ? why : in.error();
-    }
+  std::string why;
+  auto fail = [&](std::string reason) -> std::optional<StatsCatalog> {
+    if (error != nullptr) *error = std::move(reason);
     return std::nullopt;
   };
-  std::string key;
-  if (!in.Consume('{') || !in.ReadString(&key) || !in.Consume(':')) {
-    return fail("malformed stats object");
+  std::optional<JsonValue> json = ParseJson(text, &why);
+  if (!json) return fail(why);
+  const JsonValue* relations = json->Find("relations");
+  if (relations == nullptr || !relations->is_object()) {
+    return fail("expected a \"relations\" object");
   }
-  if (key != "relations") return fail("expected a \"relations\" key");
-  if (!in.Consume('{')) return fail("malformed relations object");
-  if (!in.Peek('}')) {
-    while (true) {
-      std::string relation;
-      RelationStats stats;
-      std::map<std::string, RelationStats> keyed;
-      if (!in.ReadString(&relation) || !in.Consume(':') ||
-          !ReadRelationStats(&in, &stats, &keyed)) {
-        return fail("malformed relation entry");
-      }
-      // Direct assignment, not Record: the pooled entry already includes
-      // the keyed ones (Record would double-count it) and must survive
-      // the round-trip byte-identically.
-      catalog.relations_[relation] = stats;
-      if (!keyed.empty()) catalog.patterns_[relation] = std::move(keyed);
-      if (in.Peek(',')) {
-        in.Consume(',');
-        continue;
-      }
-      break;
+  StatsCatalog catalog;
+  for (const auto& [relation, entry] : relations->members()) {
+    RelationStats stats;
+    std::map<std::string, RelationStats> keyed;
+    if (!ReadRelationStats(entry, "relation " + JsonQuote(relation), &stats,
+                           &keyed, &why)) {
+      return fail(why);
     }
+    // Direct assignment, not Record: the pooled entry already includes
+    // the keyed ones (Record would double-count it) and must survive the
+    // round-trip byte-identically.
+    catalog.relations_[relation] = stats;
+    if (!keyed.empty()) catalog.patterns_[relation] = std::move(keyed);
   }
-  if (!in.Consume('}') || !in.Consume('}')) return fail("unterminated object");
-  if (!in.AtEnd()) return fail("trailing characters");
   return catalog;
 }
 

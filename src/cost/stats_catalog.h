@@ -106,10 +106,15 @@ class StatsCatalog {
   // pooled-only catalog emits the pre-split format unchanged.
   std::string ToJson() const;
 
-  // Parses ToJson()'s format (unknown scalar keys are ignored, so exports
-  // from newer versions load; pre-split snapshots without "patterns"
-  // load as pooled-only entries). Returns nullopt and sets `*error` on
-  // malformed input.
+  // Parses ToJson()'s format with util/json (unknown keys are ignored,
+  // so exports from newer versions load; pre-split snapshots without
+  // "patterns" load as pooled-only entries; a "fanout" without
+  // "fanout_calls" loads as never observed). Returns nullopt and sets
+  // `*error` to one line on malformed input: anything ParseJson refuses
+  // (including "1.2.3", "--4" and non-finite numbers such as 1e999), a
+  // count (calls, errors, tuples, fanout_calls) that is not an integer
+  // in [0, 2^64) — the error names the relation and the key — or a
+  // non-numeric p50_latency_us or fanout.
   static std::optional<StatsCatalog> FromJson(const std::string& text,
                                               std::string* error = nullptr);
 

@@ -19,6 +19,25 @@ std::vector<Tuple> AppliedDelta::ChangedTuples() const {
   return changed;
 }
 
+std::optional<SignedFact> ParseSignedFact(const std::string& line,
+                                          std::string* error) {
+  if (line.empty() || (line.front() != '+' && line.front() != '-')) {
+    *error = "expected a + or - sign before the fact";
+    return std::nullopt;
+  }
+  std::optional<Database> fact = Database::ParseFacts(line.substr(1), error);
+  if (!fact) return std::nullopt;
+  if (fact->TotalTuples() != 1) {
+    *error = "want exactly one fact";
+    return std::nullopt;
+  }
+  SignedFact signed_fact;
+  signed_fact.insert = line.front() == '+';
+  signed_fact.relation = fact->RelationNames().front();
+  signed_fact.tuple = *fact->Find(signed_fact.relation)->begin();
+  return signed_fact;
+}
+
 std::optional<AppliedDelta> ApplyDelta(Database* db,
                                        const RelationDelta& delta,
                                        std::string* error) {

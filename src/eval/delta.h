@@ -48,6 +48,21 @@ struct AppliedDelta {
   std::vector<Tuple> ChangedTuples() const;
 };
 
+// One signed fact line as clients write updates: `+R(1, 2).` inserts the
+// tuple, `-R(1, 2).` deletes it; the fact uses the facts grammar
+// (Database::ParseFacts).
+struct SignedFact {
+  bool insert = true;
+  std::string relation;
+  Tuple tuple;
+};
+
+// Parses one signed fact line (no surrounding whitespace). Returns
+// nullopt and sets `*error` to one line when the sign is missing, the
+// fact does not parse, or the line holds other than exactly one fact.
+std::optional<SignedFact> ParseSignedFact(const std::string& line,
+                                          std::string* error);
+
 // Applies `delta` to `db` (deletes first, then inserts) and returns the
 // effective delta. Returns nullopt and sets `*error` (when non-null) on
 // non-ground tuples or an arity mismatch with existing rows of the

@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "ast/query.h"
+#include "eval/delta.h"
 #include "util/logging.h"
 
 namespace ucqn {
@@ -439,20 +440,15 @@ std::optional<WorkloadSpec> ParseWorkload(const std::string& text,
       if (!ParseU64(line.substr(1, space - 1), &event.at_request)) return bad();
       std::string rest = line.substr(space + 1);
       while (!rest.empty() && rest.front() == ' ') rest.erase(rest.begin());
-      if (rest.empty() || (rest.front() != '+' && rest.front() != '-')) {
-        return bad();
-      }
-      event.insert = rest.front() == '+';
       std::string fact_error;
-      std::optional<Database> fact =
-          Database::ParseFacts(rest.substr(1), &fact_error);
-      if (!fact || fact->TotalTuples() != 1) {
+      std::optional<SignedFact> fact = ParseSignedFact(rest, &fact_error);
+      if (!fact) {
         return fail("malformed [deltas] fact at line " +
-                    std::to_string(line_number) +
-                    (fact ? " (want exactly one fact)" : ": " + fact_error));
+                    std::to_string(line_number) + ": " + fact_error);
       }
-      event.relation = fact->RelationNames().front();
-      event.tuple = *fact->Find(event.relation)->begin();
+      event.insert = fact->insert;
+      event.relation = std::move(fact->relation);
+      event.tuple = std::move(fact->tuple);
       spec.deltas.push_back(std::move(event));
     } else {
       const std::vector<std::string> fields = SplitFields(line);

@@ -105,7 +105,7 @@ bool UnpackSourceCacheKey(const std::string& key, const std::string& relation,
 SharedCacheStore::SharedCacheStore() : SharedCacheStore(Options()) {}
 
 SharedCacheStore::SharedCacheStore(Options options)
-    : options_(options), negative_ttl_micros_(options.negative_ttl_micros) {
+    : options_(options) {
   if (options_.shards == 0) options_.shards = 1;
   if (options_.clock == nullptr) {
     owned_clock_ = std::make_unique<SteadyClock>();
@@ -138,23 +138,11 @@ const SharedCacheStore::Shard& SharedCacheStore::ShardFor(
   return *shards_[std::hash<std::string>{}(key) % shards_.size()];
 }
 
-void SharedCacheStore::SetRelationTtl(const std::string& relation,
-                                      std::uint64_t ttl_micros) {
-  std::lock_guard<std::mutex> lock(ttl_mu_);
-  relation_ttls_[relation] = ttl_micros;
-}
-
-void SharedCacheStore::SetNegativeTtl(std::uint64_t ttl_micros) {
-  std::lock_guard<std::mutex> lock(ttl_mu_);
-  negative_ttl_micros_ = ttl_micros;
-}
-
-std::uint64_t SharedCacheStore::TtlFor(const std::string& relation,
-                                       bool negative) const {
-  std::lock_guard<std::mutex> lock(ttl_mu_);
-  if (negative && negative_ttl_micros_ != 0) return negative_ttl_micros_;
-  auto it = relation_ttls_.find(relation);
-  return it == relation_ttls_.end() ? options_.default_ttl_micros : it->second;
+std::uint64_t SharedCacheStore::TtlFor(bool negative) const {
+  if (negative && options_.negative_ttl_micros != 0) {
+    return options_.negative_ttl_micros;
+  }
+  return options_.default_ttl_micros;
 }
 
 std::uint64_t SharedCacheStore::ExpiryFor(std::uint64_t now,
@@ -252,7 +240,7 @@ std::size_t SharedCacheStore::InsertFront(Shard& shard, Entry entry) {
 std::size_t SharedCacheStore::Publish(const std::string& key,
                                       const std::string& relation,
                                       std::vector<Tuple> tuples) {
-  const std::uint64_t ttl = TtlFor(relation, /*negative=*/tuples.empty());
+  const std::uint64_t ttl = TtlFor(/*negative=*/tuples.empty());
   Shard& shard = ShardFor(key);
   std::size_t evicted = 0;
   {
@@ -333,7 +321,7 @@ void SharedCacheStore::RestoreEntry(const ExportedEntry& restored) {
   // "never expires" (TtlFor's 0 sentinel), the exported remainder stands.
   std::uint64_t remaining = restored.ttl_remaining_micros;
   if (restored.tuples.empty()) {
-    const std::uint64_t fresh = TtlFor(restored.relation, /*negative=*/true);
+    const std::uint64_t fresh = TtlFor(/*negative=*/true);
     if (fresh != 0) {
       remaining = remaining == 0 ? fresh : std::min(remaining, fresh);
     }

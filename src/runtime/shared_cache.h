@@ -62,7 +62,7 @@ bool UnpackSourceCacheKey(const std::string& key, const std::string& relation,
 // Structure: a sharded LRU keyed by SourceCacheKey. Each shard has its own
 // mutex, so concurrently executing queries mostly contend only when they
 // touch the same keys. Staleness is handled at the physical-access layer
-// (per-relation TTLs plus explicit InvalidateRelation/InvalidateAll
+// (TTLs plus explicit InvalidateRelation/InvalidateAll
 // hooks) — predicting which *relations* a future query will touch is
 // undecidable (Martinenghi), but dropping one service's entries when that
 // service is known to have changed is always sound.
@@ -95,11 +95,10 @@ class SharedCacheStore {
     // what it actually holds and an empty (negative) result still pays
     // its bookkeeping footprint instead of a flat one-tuple charge.
     std::size_t budget_bytes = 0;
-    // TTL applied to relations without a SetRelationTtl override; 0 means
-    // entries never expire by age.
+    // TTL applied to every entry; 0 means entries never expire by age.
     std::uint64_t default_ttl_micros = 0;
-    // TTL for *negative* (empty) results, overriding the relation/default
-    // TTL when non-zero. An empty result is the cache's claim that a call
+    // TTL for *negative* (empty) results, overriding the default TTL
+    // when non-zero. An empty result is the cache's claim that a call
     // has no answer — the claim hardest to keep fresh (a tuple appearing
     // at the source flips it from true to false), so services commonly
     // expire it faster than positive data. 0 = no split: empty results
@@ -138,16 +137,6 @@ class SharedCacheStore {
 
   SharedCacheStore();
   explicit SharedCacheStore(Options options);
-
-  // Overrides the default TTL for one relation's entries (0 = that
-  // relation's entries never expire). Applies to entries inserted after
-  // the call.
-  void SetRelationTtl(const std::string& relation, std::uint64_t ttl_micros);
-
-  // Overrides Options::negative_ttl_micros (0 = disable the split).
-  // Applies to empty results published after the call. A non-zero
-  // negative TTL beats every positive override, including SetRelationTtl.
-  void SetNegativeTtl(std::uint64_t ttl_micros);
 
   // --- lookup protocol (driven by CachingSource) --------------------------
 
@@ -301,10 +290,10 @@ class SharedCacheStore {
 
   Shard& ShardFor(const std::string& key);
   const Shard& ShardFor(const std::string& key) const;
-  // The TTL for a result of `relation` that is empty (`negative` true) or
-  // not: negative results take the negative TTL when one is configured,
-  // everything else the relation/default TTL.
-  std::uint64_t TtlFor(const std::string& relation, bool negative) const;
+  // The TTL for a result that is empty (`negative` true) or not:
+  // negative results take the negative TTL when one is configured,
+  // everything else the default TTL.
+  std::uint64_t TtlFor(bool negative) const;
   // The one staleness rule, used by every path that reads an entry: an
   // entry is stale from the instant now == expire_at_micros (a TTL of T
   // serves reads at now+0 .. now+T-1). 0 = never expires.
@@ -331,9 +320,6 @@ class SharedCacheStore {
   Clock* clock_;
   std::size_t shard_max_entries_;   // 0 = unbounded
   std::size_t shard_budget_bytes_;  // 0 = unbounded
-  mutable std::mutex ttl_mu_;
-  std::unordered_map<std::string, std::uint64_t> relation_ttls_;
-  std::uint64_t negative_ttl_micros_;  // guarded by ttl_mu_
   std::vector<std::unique_ptr<Shard>> shards_;
 };
 

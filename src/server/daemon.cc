@@ -6,6 +6,7 @@
 
 #include "ast/parser.h"
 #include "server/snapshot.h"
+#include "util/json.h"
 
 namespace ucqn {
 
@@ -136,7 +137,7 @@ ServiceResponse QueryDaemon::RunAdminOp(const ServiceRequest& request) {
         response.error = error;
       } else {
         response.payload_json =
-            "{\"snapshot_dir\": \"" + options_.snapshot_dir + "\"}";
+            "{\"snapshot_dir\": " + JsonQuote(options_.snapshot_dir) + "}";
       }
       break;
     }

@@ -88,9 +88,10 @@ std::optional<ServiceRequest> ParseServiceRequest(const std::string& line,
   if (request.tenant.empty()) request.tenant = "default";
   request.query = json->GetString("query");
   request.relation = json->GetString("relation");
-  const double max_calls = json->GetNumber("max_calls", 0.0);
-  if (max_calls < 0) return fail("max_calls must be non-negative");
-  request.max_calls = static_cast<std::uint64_t>(max_calls);
+  std::string count_error;
+  if (!json->GetCount("max_calls", &request.max_calls, &count_error)) {
+    return fail(count_error);
+  }
   request.include_answers = json->GetBool("answers", true);
   request.standing = json->GetBool("standing", false);
   if (request.op == ServiceRequest::Op::kQuery && request.query.empty()) {
@@ -211,12 +212,13 @@ std::optional<ServiceResponse> ParseServiceResponse(const std::string& line,
   }
   response.error = json->GetString("error");
   response.complete = json->GetBool("complete");
-  response.physical_calls =
-      static_cast<std::uint64_t>(json->GetNumber("physical_calls"));
-  response.cache_hits =
-      static_cast<std::uint64_t>(json->GetNumber("cache_hits"));
-  response.cache_misses =
-      static_cast<std::uint64_t>(json->GetNumber("cache_misses"));
+  std::string count_error;
+  if (!json->GetCount("physical_calls", &response.physical_calls,
+                      &count_error) ||
+      !json->GetCount("cache_hits", &response.cache_hits, &count_error) ||
+      !json->GetCount("cache_misses", &response.cache_misses, &count_error)) {
+    return fail(count_error);
+  }
   std::string tuple_error;
   const JsonValue* under = json->Find("under");
   if (under != nullptr &&

@@ -133,9 +133,11 @@ bool RestoreCacheSnapshot(const std::string& json, SharedCacheStore* store,
         }
       }
     }
-    const double ttl = e.GetNumber("ttl_remaining_us", 0.0);
-    if (ttl < 0) return fail("negative ttl_remaining_us");
-    entry.ttl_remaining_micros = static_cast<std::uint64_t>(ttl);
+    std::string count_error;
+    if (!e.GetCount("ttl_remaining_us", &entry.ttl_remaining_micros,
+                    &count_error)) {
+      return fail("snapshot entry: " + count_error);
+    }
     const JsonValue* tuples = e.Find("tuples");
     if (tuples == nullptr || !tuples->is_array()) {
       return fail("snapshot entry lacks a \"tuples\" array");

@@ -4,62 +4,31 @@
 
 namespace ucqn {
 
-void TenantRegistry::SetDefaultQuota(const TenantQuota& quota) {
-  std::lock_guard<std::mutex> lock(mu_);
-  default_quota_ = quota;
-  // Tenants that never got an explicit quota track the default.
-  for (auto& [name, state] : tenants_) {
-    if (!state.quota_set) state.quota = quota;
-  }
-}
-
-void TenantRegistry::SetQuota(const std::string& tenant,
-                              const TenantQuota& quota) {
-  std::lock_guard<std::mutex> lock(mu_);
-  State& state = tenants_[tenant];
-  if (state.counters.admitted == 0 && !state.quota_set) {
-    state.quota = default_quota_;  // initialize fresh entry before override
-  }
-  state.quota = quota;
-  state.quota_set = true;
-}
-
-TenantQuota TenantRegistry::QuotaFor(const std::string& tenant) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = tenants_.find(tenant);
-  if (it == tenants_.end() || !it->second.quota_set) return default_quota_;
-  return it->second.quota;
-}
-
 bool TenantRegistry::TryEnter(const std::string& tenant) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto [it, inserted] = tenants_.try_emplace(tenant);
-  State& state = it->second;
-  if (inserted) state.quota = default_quota_;
-  if (state.quota.max_concurrent != 0 &&
-      state.counters.in_flight >= state.quota.max_concurrent) {
-    ++state.counters.quota_refusals;
+  Counters& counters = tenants_[tenant];
+  if (default_quota_.max_concurrent != 0 &&
+      counters.in_flight >= default_quota_.max_concurrent) {
+    ++counters.quota_refusals;
     return false;
   }
-  ++state.counters.in_flight;
-  ++state.counters.admitted;
+  ++counters.in_flight;
+  ++counters.admitted;
   return true;
 }
 
 void TenantRegistry::Leave(const std::string& tenant) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = tenants_.find(tenant);
-  if (it == tenants_.end() || it->second.counters.in_flight == 0) return;
-  --it->second.counters.in_flight;
-  ++it->second.counters.completed;
+  if (it == tenants_.end() || it->second.in_flight == 0) return;
+  --it->second.in_flight;
+  ++it->second.completed;
 }
 
 std::map<std::string, TenantRegistry::Counters> TenantRegistry::counters()
     const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::map<std::string, Counters> out;
-  for (const auto& [name, state] : tenants_) out[name] = state.counters;
-  return out;
+  return tenants_;
 }
 
 std::string TenantRegistry::ToJson() const {

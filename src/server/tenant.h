@@ -24,9 +24,9 @@ struct TenantQuota {
   std::uint64_t deadline_micros = 0;
 };
 
-// Thread-safe registry of tenant quotas and live usage. Tenants are
-// created on first sight with the default quota — the daemon serves
-// whoever connects; quotas are a protection boundary, not an auth one.
+// Thread-safe registry of live per-tenant usage under one quota. Tenants
+// are created on first sight — the daemon serves whoever connects;
+// quotas are a protection boundary, not an auth one.
 class TenantRegistry {
  public:
   struct Counters {
@@ -39,9 +39,10 @@ class TenantRegistry {
   explicit TenantRegistry(TenantQuota default_quota = TenantQuota())
       : default_quota_(default_quota) {}
 
-  void SetDefaultQuota(const TenantQuota& quota);
-  void SetQuota(const std::string& tenant, const TenantQuota& quota);
-  TenantQuota QuotaFor(const std::string& tenant) const;
+  // Every tenant runs under the registry's one quota.
+  TenantQuota QuotaFor(const std::string& /*tenant*/) const {
+    return default_quota_;
+  }
 
   // Counts `tenant` into its concurrency cap. False (and a refusal tick)
   // when the tenant is already at max_concurrent; every true must be
@@ -55,15 +56,9 @@ class TenantRegistry {
   std::string ToJson() const;
 
  private:
-  struct State {
-    TenantQuota quota;
-    bool quota_set = false;  // explicit SetQuota vs default-on-first-sight
-    Counters counters;
-  };
-
   mutable std::mutex mu_;
-  TenantQuota default_quota_;
-  std::map<std::string, State> tenants_;
+  const TenantQuota default_quota_;
+  std::map<std::string, Counters> tenants_;
 };
 
 }  // namespace ucqn

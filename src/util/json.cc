@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 namespace ucqn {
 
@@ -24,6 +25,23 @@ std::string JsonValue::GetString(const std::string& key,
 double JsonValue::GetNumber(const std::string& key, double fallback) const {
   const JsonValue* v = Find(key);
   return v != nullptr && v->is_number() ? v->AsNumber() : fallback;
+}
+
+bool JsonValue::GetCount(const std::string& key, std::uint64_t* out,
+                         std::string* error) const {
+  const JsonValue* v = Find(key);
+  if (v == nullptr) return true;
+  // 2^64 is exact in a double; every integral double below it fits.
+  constexpr double kTwoTo64 = 18446744073709551616.0;
+  const double n = v->is_number() ? v->AsNumber() : -1.0;
+  if (!(n >= 0.0 && n < kTwoTo64 && n == std::floor(n))) {
+    if (error != nullptr) {
+      *error = "\"" + key + "\" must be an integer in [0, 2^64)";
+    }
+    return false;
+  }
+  *out = static_cast<std::uint64_t>(n);
+  return true;
 }
 
 bool JsonValue::GetBool(const std::string& key, bool fallback) const {
@@ -201,17 +219,44 @@ class Parser {
     return Fail("unterminated string");
   }
 
-  bool ParseNumber(JsonValue* out) {
+  // Consumes a run of digits; false when there is none.
+  bool Digits() {
     const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
     while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
+           std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
       ++pos_;
     }
-    if (pos_ == start) return Fail("expected a number");
-    const double value = std::atof(text_.substr(start, pos_ - start).c_str());
+    return pos_ > start;
+  }
+
+  bool At(char c) const { return pos_ < text_.size() && text_[pos_] == c; }
+
+  // -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?
+  bool ParseNumber(JsonValue* out) {
+    const std::size_t start = pos_;
+    if (At('-')) ++pos_;
+    if (At('0')) {
+      ++pos_;
+    } else if (!Digits()) {
+      return Fail(pos_ == start ? "expected a number" : "malformed number");
+    }
+    if (At('.')) {
+      ++pos_;
+      if (!Digits()) return Fail("malformed number");
+    }
+    if (At('e') || At('E')) {
+      ++pos_;
+      if (At('+') || At('-')) ++pos_;
+      if (!Digits()) return Fail("malformed number");
+    }
+    // A number runs into the next token only through a character that
+    // could have continued it ("1.2.3", "01", "1e5e").
+    if (pos_ < text_.size() &&
+        std::strchr("0123456789.eE+-", text_[pos_]) != nullptr) {
+      return Fail("malformed number");
+    }
+    const double value =
+        std::strtod(text_.substr(start, pos_ - start).c_str(), nullptr);
     if (!std::isfinite(value)) return Fail("number out of range");
     *out = JsonValue::Number(value);
     return true;

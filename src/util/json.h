@@ -2,6 +2,7 @@
 #define UCQN_UTIL_JSON_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -12,11 +13,11 @@ namespace ucqn {
 
 // A minimal JSON document model for the places where the repo's ad-hoc
 // emitters meet external input: the daemon's line-delimited protocol
-// (server/protocol.h) and the cache/stats snapshot files
-// (server/snapshot.h). Unlike the special-purpose reader in
-// cost/stats_catalog.cc this one handles the full value grammar —
-// strings with escapes (cache keys embed arbitrary constant text),
-// arrays (tuples), booleans and null (the distinguished null term).
+// (server/protocol.h), the cache snapshot files (server/snapshot.h) and
+// the stats snapshots (cost/stats_catalog.h). It is the repo's only JSON
+// reader and handles the full value grammar — strings with escapes
+// (cache keys embed arbitrary constant text), arrays (tuples), booleans
+// and null (the distinguished null term).
 //
 // It is still deliberately small: no streaming, no number fidelity
 // beyond double, objects keep insertion order and are scanned linearly.
@@ -83,6 +84,13 @@ class JsonValue {
   double GetNumber(const std::string& key, double fallback = 0.0) const;
   bool GetBool(const std::string& key, bool fallback = false) const;
 
+  // Reads member `key` as a count: an integral number in [0, 2^64). An
+  // absent key leaves `*out` alone. Anything else (a negative, fractional
+  // or too-large number, or a non-number) returns false and sets `*error`
+  // to a one-line reason naming the key.
+  bool GetCount(const std::string& key, std::uint64_t* out,
+                std::string* error) const;
+
   // Builders.
   void Append(JsonValue v) { items_.push_back(std::move(v)); }
   void Set(std::string key, JsonValue v) {
@@ -103,7 +111,9 @@ class JsonValue {
   std::vector<std::pair<std::string, JsonValue>> members_;
 };
 
-// Parses one JSON document. Trailing non-whitespace is an error. Returns
+// Parses one JSON document. Trailing non-whitespace is an error, and
+// numbers follow the JSON grammar (no "1.2.3", "--4", "5e" or "+1") and
+// must fit a finite double. Returns
 // nullopt and sets `*error` (with an offset) on malformed input.
 // Supported escapes: \" \\ \/ \b \f \n \r \t and \uXXXX (encoded to
 // UTF-8; unpaired surrogates are rejected).

@@ -17,17 +17,16 @@ namespace {
 TEST(CacheSnapshotTest, ExportSkipsExpiredAndKeepsRemainingTtl) {
   SimulatedClock clock;
   SharedCacheStore::Options options;
+  options.default_ttl_micros = 1000;
   options.clock = &clock;
   SharedCacheStore store(options);
-  store.SetRelationTtl("R", 1000);
 
   store.Publish("keep", "R", {{Term::Constant("a"), Term::Null()}});
-  store.Publish("forever", "S", {{Term::Constant("b")}});
   clock.Advance(400);
   store.Publish("young", "R", {});
 
   std::vector<SharedCacheStore::ExportedEntry> entries = store.ExportEntries();
-  ASSERT_EQ(entries.size(), 3u);
+  ASSERT_EQ(entries.size(), 2u);
   std::map<std::string, SharedCacheStore::ExportedEntry> by_key;
   for (const auto& entry : entries) by_key[entry.key] = entry;
   // "keep": published at 0 with TTL 1000, exported at 400 → 600 left.
@@ -36,14 +35,27 @@ TEST(CacheSnapshotTest, ExportSkipsExpiredAndKeepsRemainingTtl) {
   ASSERT_EQ(by_key["keep"].tuples.size(), 1u);
   EXPECT_TRUE(by_key["keep"].tuples[0][1].IsNull());
   EXPECT_EQ(by_key["young"].ttl_remaining_micros, 1000u);
-  // 0 = never expires survives as the same sentinel.
-  EXPECT_EQ(by_key["forever"].ttl_remaining_micros, 0u);
 
-  // At 1000 "keep" and "young"... "keep" expires exactly now (TTL rule:
-  // stale at now == expire_at), "young" still has 400 left.
+  // At 1000 "keep" expires exactly now (TTL rule: stale at now ==
+  // expire_at), "young" still has 400 left.
   clock.Advance(600);
   entries = store.ExportEntries();
-  ASSERT_EQ(entries.size(), 2u);
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].key, "young");
+}
+
+TEST(CacheSnapshotTest, ExportKeepsTheNeverExpiresSentinel) {
+  // With no TTL configured, 0 = never expires survives as the same
+  // sentinel at any clock value.
+  SimulatedClock clock;
+  SharedCacheStore::Options options;
+  options.clock = &clock;
+  SharedCacheStore store(options);
+  store.Publish("forever", "S", {{Term::Constant("b")}});
+  clock.Advance(1000000);
+  std::vector<SharedCacheStore::ExportedEntry> entries = store.ExportEntries();
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].ttl_remaining_micros, 0u);
 }
 
 TEST(CacheSnapshotTest, RestoreRestartsExpiryAtRestoreTime) {
@@ -111,6 +123,17 @@ TEST(CacheSnapshotTest, RestoreRejectsMalformedSnapshots) {
   EXPECT_FALSE(RestoreCacheSnapshot(
       R"({"entries": [{"key": "k", "relation": "R", "tuples": [[1]]}]})",
       &store, &error));
+  // A remaining TTL must be a count: 1e30 does not fit a uint64, and
+  // negatives and fractions are refused.
+  for (const char* ttl : {"1e30", "-1", "2.5", "\"300\""}) {
+    error.clear();
+    EXPECT_FALSE(RestoreCacheSnapshot(
+        std::string(R"({"entries": [{"key": "k", "relation": "R", )") +
+            R"("ttl_remaining_us": )" + ttl + R"(, "tuples": []}]})",
+        &store, &error))
+        << ttl;
+    EXPECT_NE(error.find("ttl_remaining_us"), std::string::npos) << error;
+  }
   EXPECT_EQ(store.size(), 0u);
 }
 

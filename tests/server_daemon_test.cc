@@ -16,6 +16,7 @@
 #include <thread>
 
 #include "server/snapshot.h"
+#include "util/json.h"
 
 namespace ucqn {
 namespace {
@@ -289,6 +290,27 @@ TEST_F(DaemonTest, AdminOpsReportAndInvalidate) {
   EXPECT_EQ(snap_response.status, ServiceResponse::Status::kError);
   EXPECT_EQ(daemon.Submit(QueryRequest("q2", "alice", join_query_)).status,
             ServiceResponse::Status::kOk);
+}
+
+TEST_F(DaemonTest, SnapshotPayloadQuotesTheDirectory) {
+  // A directory name with a quote and a backslash must come back as one
+  // JSON string, not break the response line.
+  const std::string dir =
+      (std::filesystem::path(::testing::TempDir()) / "snap\"dir\\x").string();
+  std::filesystem::remove_all(dir);
+  DatabaseSource backend(&db_, &catalog_);
+  QueryDaemon::Options options;
+  options.snapshot_dir = dir;
+  QueryDaemon daemon(&catalog_, &backend, options);
+  const std::string line = daemon.SubmitLine(R"({"op": "snapshot"})");
+  std::string error;
+  std::optional<ServiceResponse> response = ParseServiceResponse(line, &error);
+  ASSERT_TRUE(response.has_value()) << error << "\nline: " << line;
+  ASSERT_EQ(response->status, ServiceResponse::Status::kOk) << line;
+  std::optional<JsonValue> payload = ParseJson(response->payload_json, &error);
+  ASSERT_TRUE(payload.has_value()) << error;
+  EXPECT_EQ(payload->GetString("snapshot_dir"), dir);
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(DaemonTest, TenantCallBudgetCapsTheRequestAsk) {

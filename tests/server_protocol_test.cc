@@ -102,6 +102,23 @@ TEST(ProtocolTest, RequestRejections) {
   EXPECT_FALSE(ParseServiceRequest(
                    R"({"query": "Q(x) :- L(x).", "max_calls": -1})", &error)
                    .has_value());
+  // A call budget is a count: 1e30 does not fit a uint64, and 2.5 must
+  // not truncate silently to 2.
+  for (const char* max_calls : {"1e30", "2.5"}) {
+    error.clear();
+    EXPECT_FALSE(ParseServiceRequest(
+                     std::string(R"({"query": "Q(x) :- L(x).", "max_calls": )") +
+                         max_calls + "}",
+                     &error)
+                     .has_value())
+        << max_calls;
+    EXPECT_NE(error.find("max_calls"), std::string::npos) << error;
+  }
+  // Numbers follow the JSON grammar: no "1.2.3", "--4" or "5e".
+  for (const char* number : {"1.2.3", "--4", "5e", "+1", "01"}) {
+    EXPECT_FALSE(ParseJson(std::string("[") + number + "]", &error).has_value())
+        << number;
+  }
 }
 
 TEST(ProtocolTest, ResponseRoundTripsThroughItsJsonLine) {
@@ -130,6 +147,15 @@ TEST(ProtocolTest, ResponseRoundTripsThroughItsJsonLine) {
   EXPECT_EQ(parsed->physical_calls, 3u);
   EXPECT_EQ(parsed->cache_hits, 2u);
   EXPECT_EQ(parsed->cache_misses, 1u);
+
+  // The counts go through the same count reader as the request budget.
+  EXPECT_FALSE(ParseServiceResponse(
+                   R"({"status": "ok", "physical_calls": 1e30})", &error)
+                   .has_value());
+  EXPECT_NE(error.find("physical_calls"), std::string::npos) << error;
+  EXPECT_FALSE(
+      ParseServiceResponse(R"({"status": "ok", "cache_hits": -1})", &error)
+          .has_value());
 }
 
 // ServiceRequest::ToJsonLine is ParseServiceRequest's inverse: every op,

@@ -144,27 +144,6 @@ TEST_F(SharedCacheTest, TtlExpiresEntries) {
   EXPECT_EQ(backend.stats().calls, 2u);
 }
 
-TEST_F(SharedCacheTest, PerRelationTtlOverridesDefault) {
-  DatabaseSource backend(&db_, &catalog_);
-  SimulatedClock clock;
-  SharedCacheStore::Options options;
-  options.default_ttl_micros = 1000;
-  options.clock = &clock;
-  SharedCacheStore store(options);
-  store.SetRelationTtl("R", 0);  // R's entries never expire
-  CachingSource cached(&backend, store);
-
-  cached.FetchOrDie("R", AccessPattern::MustParse("oo"),
-                    {std::nullopt, std::nullopt});
-  cached.FetchOrDie("S", AccessPattern::MustParse("o"), {std::nullopt});
-  clock.Advance(5000);
-  cached.FetchOrDie("R", AccessPattern::MustParse("oo"),
-                    {std::nullopt, std::nullopt});
-  EXPECT_EQ(backend.stats().calls, 2u);  // R still cached
-  cached.FetchOrDie("S", AccessPattern::MustParse("o"), {std::nullopt});
-  EXPECT_EQ(backend.stats().calls, 3u);  // S expired under the default TTL
-}
-
 TEST_F(SharedCacheTest, ExpiryBoundaryIsTheSameOnEveryReadPath) {
   // Satellite regression: `now == expire_at` must read as stale on BOTH
   // lookup paths — TryAcquire and the post-flight index read inside
@@ -210,9 +189,9 @@ TEST_F(SharedCacheTest, HugeTtlSaturatesInsteadOfWrapping) {
   // or, wrapped low, instantly stale).
   SimulatedClock clock;
   SharedCacheStore::Options options;
+  options.default_ttl_micros = std::numeric_limits<std::uint64_t>::max();
   options.clock = &clock;
   SharedCacheStore store(options);
-  store.SetRelationTtl("R", std::numeric_limits<std::uint64_t>::max());
 
   clock.Advance(5000);  // now != 0 so now + ttl overflows
   store.Publish("k", "R", {});
@@ -445,7 +424,7 @@ TEST_F(SharedCacheTest, AdaptiveModelPricesCachedHotRelationsNearZero) {
 
 TEST_F(SharedCacheTest, NegativeTtlSplitsEmptyFromPositiveResults) {
   // With a negative TTL configured, an empty result ages on its own
-  // (shorter) clock while positive results keep the relation/default TTL.
+  // (shorter) clock while positive results keep the default TTL.
   DatabaseSource backend(&db_, &catalog_);
   SimulatedClock clock;
   SharedCacheStore::Options options;
@@ -493,16 +472,15 @@ TEST_F(SharedCacheTest, NegativeTtlExpiryBoundaryMatchesTheTtlRule) {
   store.Abandon("neg");
 }
 
-TEST_F(SharedCacheTest, NegativeTtlBeatsPerRelationOverride) {
-  // SetRelationTtl tunes positive data; the negative split still wins for
-  // empty results of the same relation — and SetNegativeTtl(0) disables
-  // the split again, returning empty results to the relation TTL.
+TEST_F(SharedCacheTest, NegativeTtlLeavesNonEmptyResultsOnTheDefaultTtl) {
+  // The negative split ages only empty results; a non-empty result of
+  // the same relation keeps the (longer) default TTL.
   SimulatedClock clock;
   SharedCacheStore::Options options;
+  options.default_ttl_micros = 10000;
   options.negative_ttl_micros = 100;
   options.clock = &clock;
   SharedCacheStore store(options);
-  store.SetRelationTtl("R", 10000);
 
   store.Publish("neg", "R", {});
   store.Publish("pos", "R", {{Term::Constant("a")}});
@@ -511,20 +489,14 @@ TEST_F(SharedCacheTest, NegativeTtlBeatsPerRelationOverride) {
             SharedCacheStore::LookupState::kLeader);  // negative: expired
   store.Abandon("neg");
   EXPECT_EQ(store.TryAcquire("pos", "R").state,
-            SharedCacheStore::LookupState::kHit);  // positive: relation TTL
-
-  store.SetNegativeTtl(0);
-  store.Publish("neg2", "R", {});
-  clock.Advance(5000);  // far past the old negative TTL
-  EXPECT_EQ(store.TryAcquire("neg2", "R").state,
-            SharedCacheStore::LookupState::kHit);
+            SharedCacheStore::LookupState::kHit);  // positive: default TTL
 }
 
 TEST_F(SharedCacheTest, RestoreReArmsNegativeEntriesAgainstTheCurrentTtl) {
   // Snapshot restore of an empty (negative) result must re-arm against
-  // the *restoring* store's negative TTL, not the per-relation TTL the
-  // exporter ran with: a restart that shortens --negative-ttl would
-  // otherwise resurrect long-lived "no answer" claims.
+  // the *restoring* store's negative TTL, not the TTL the exporter ran
+  // with: a restart that shortens --negative-ttl would otherwise
+  // resurrect long-lived "no answer" claims.
   SimulatedClock clock;
   SharedCacheStore::Options options;
   options.default_ttl_micros = 50000;

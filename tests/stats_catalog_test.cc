@@ -147,6 +147,46 @@ TEST(StatsCatalogTest, FromJsonRejectsMalformedInput) {
   EXPECT_FALSE(
       StatsCatalog::FromJson(R"({"relations": {"R": {"calls": }}})", &error)
           .has_value());
+  // Counts are integers in [0, 2^64) (casting -1 or 1e20 to uint64 would
+  // be undefined behaviour). Each reject is one error line naming the
+  // relation and the key — or, for a token that is no JSON number, its
+  // offset.
+  for (const char* count : {"-1", "1e20", "1.2.3", "--4", "\"3\"", "2.5"}) {
+    for (const char* key : {"calls", "errors", "tuples", "fanout_calls"}) {
+      const std::string json = std::string(R"({"relations": {"R": {")") +
+                               key + "\": " + count + "}}}";
+      error.clear();
+      EXPECT_FALSE(StatsCatalog::FromJson(json, &error).has_value()) << json;
+      EXPECT_FALSE(error.empty()) << json;
+      EXPECT_EQ(error.find('\n'), std::string::npos) << error;
+    }
+  }
+  EXPECT_FALSE(StatsCatalog::FromJson(
+                   R"({"relations": {"R": {"calls": -1}}})", &error)
+                   .has_value());
+  EXPECT_NE(error.find("relation \"R\""), std::string::npos) << error;
+  EXPECT_NE(error.find("\"calls\""), std::string::npos) << error;
+  // The keyed split is read the same way.
+  EXPECT_FALSE(
+      StatsCatalog::FromJson(
+          R"({"relations": {"R": {"calls": 1, "patterns": {"io": {"tuples": 1e30}}}}})",
+          &error)
+          .has_value());
+  EXPECT_NE(error.find("\"io\""), std::string::npos) << error;
+  EXPECT_NE(error.find("\"tuples\""), std::string::npos) << error;
+  // Latencies and fanouts are numbers; "5e" is not one.
+  EXPECT_FALSE(StatsCatalog::FromJson(
+                   R"({"relations": {"R": {"p50_latency_us": 5e}}})", &error)
+                   .has_value());
+  EXPECT_FALSE(StatsCatalog::FromJson(
+                   R"({"relations": {"R": {"p50_latency_us": "fast"}}})",
+                   &error)
+                   .has_value());
+  // The largest count below 2^64 that a double holds still loads.
+  std::optional<StatsCatalog> big = StatsCatalog::FromJson(
+      R"({"relations": {"R": {"calls": 18446744073709549568}}})", &error);
+  ASSERT_TRUE(big.has_value()) << error;
+  EXPECT_EQ(big->Find("R")->calls, 18446744073709549568u);
 }
 
 TEST(StatsCatalogTest, KeyedRecordSplitsPatternsAndFoldsPooled) {
@@ -328,25 +368,15 @@ TEST(StatsCatalogTest, NonFiniteLatencyInAMergeIsDiscarded) {
   EXPECT_DOUBLE_EQ(merged->p50_latency_micros, 100.0);
 }
 
-TEST(StatsCatalogTest, FromJsonSanitizesNonFiniteLatency) {
-  // strtod-style parsing turns "1e999" into +inf; a snapshot carrying it
-  // must load with the latency clamped to 0, not propagate inf into
-  // every future weighted merge (and NaN into inf * 0 paths).
+TEST(StatsCatalogTest, FromJsonRejectsNonFiniteLatency) {
+  // "1e999" overflows a double; a snapshot carrying it is refused (as
+  // cache.json is) rather than letting inf reach the weighted merges.
   const std::string json =
       R"({"relations": {"R": {"calls": 2, "tuples": 6,)"
       R"( "p50_latency_us": 1e999}}})";
   std::string error;
-  std::optional<StatsCatalog> parsed = StatsCatalog::FromJson(json, &error);
-  ASSERT_TRUE(parsed.has_value()) << error;
-  const RelationStats* r = parsed->Find("R");
-  ASSERT_NE(r, nullptr);
-  EXPECT_EQ(r->calls, 2u);
-  EXPECT_TRUE(std::isfinite(r->p50_latency_micros));
-  EXPECT_DOUBLE_EQ(r->p50_latency_micros, 0.0);
-  // The sanitized snapshot re-serializes as plain finite JSON.
-  std::optional<StatsCatalog> again =
-      StatsCatalog::FromJson(parsed->ToJson(), &error);
-  ASSERT_TRUE(again.has_value()) << error;
+  EXPECT_FALSE(StatsCatalog::FromJson(json, &error).has_value());
+  EXPECT_NE(error.find("number out of range"), std::string::npos) << error;
 }
 
 TEST(StatsCatalogTest, FanoutMergesLikeLatency) {
@@ -413,18 +443,13 @@ TEST(StatsCatalogTest, FanoutJsonRoundTripsAndSanitizes) {
   EXPECT_EQ(keyed->fanout_calls, 4u);
   EXPECT_EQ(parsed->ToJson(), json);  // byte-stable
 
-  // A hand-edited snapshot with 1e999 fanout (strtod: +inf) loads with
-  // the pair zeroed, exactly like the p50 path.
+  // A hand-edited snapshot with a 1e999 fanout is refused, exactly like
+  // the p50 path.
   const std::string corrupt =
       R"({"relations": {"R": {"calls": 2, "tuples": 6,)"
       R"( "p50_latency_us": 10, "fanout": 1e999, "fanout_calls": 2}}})";
-  std::optional<StatsCatalog> sanitized =
-      StatsCatalog::FromJson(corrupt, &error);
-  ASSERT_TRUE(sanitized.has_value()) << error;
-  const RelationStats* r = sanitized->Find("R");
-  ASSERT_NE(r, nullptr);
-  EXPECT_DOUBLE_EQ(r->mean_fanout, 0.0);
-  EXPECT_EQ(r->fanout_calls, 0u);
+  EXPECT_FALSE(StatsCatalog::FromJson(corrupt, &error).has_value());
+  EXPECT_FALSE(error.empty());
 
   // And a fanout with no fanout_calls at all is a claim with no weight:
   // it must not survive the load either.

@@ -8,9 +8,10 @@
 # Covers the numeric flags (--parallelism, --cache-ttl-ms, --cache-budget,
 # --max-calls, --pipeline-depth, ...) against garbage tokens, trailing
 # junk, zero/negative values, overflow, and a missing value. All three
-# tools parse counts with one helper (tools/flag_parse.h); ucqnd and
-# ucqn_workload also share one parser for their daemon flags, checked
-# against both in one loop.
+# tools parse counts with one helper (tools/flag_parse.h) and the eight
+# runtime flags with one parser (ParseRuntimeFlag); ucqnd and
+# ucqn_workload add the admission counts (ParseDaemonFlag). Each shared
+# flag is checked against every tool that accepts it in one loop.
 #
 # Wired as the `flag_value_check` ctest (labels: tier1;docs).
 
@@ -52,7 +53,7 @@ expect_rejects("--cache-capacity expects a positive integer, got \"3.5\""
     --cache-capacity 3.5)
 
 # The nine count flags ucqnd and ucqn_workload share through one parser
-# (ParseDaemonFlag), plus ucqnc for the six it also has: zero is rejected
+# (ParseDaemonFlag), plus ucqnc for the six runtime ones: zero is rejected
 # everywhere (ucqn_workload used to accept it for five of them), as are
 # garbage, trailing junk, negatives, overflow and a missing value.
 set(ucqnc_count_flags --retry --parallelism --pipeline-depth
@@ -73,7 +74,7 @@ foreach(flag --retry --parallelism --pipeline-depth --disjunct-concurrency
         ${flag})
   endforeach()
 endforeach()
-foreach(binary "${UCQND}" "${UCQN_WORKLOAD}")
+foreach(binary "${UCQNC}" "${UCQND}" "${UCQN_WORKLOAD}")
   expect_tool_rejects("${binary}"
       "--cost-model expects static or adaptive, got \"psychic\""
       --cost-model psychic)
@@ -91,6 +92,11 @@ endforeach()
 expect_tool_rejects("${UCQND}"
     "--tenant-deadline-ms expects a positive integer, got \"18446744073709552\""
     --tenant-deadline-ms 18446744073709552)
+foreach(binary "${UCQNC}" "${UCQND}")
+  expect_tool_rejects("${binary}"
+      "--cache-negative-ttl-ms expects a positive integer, got \"18446744073709552\""
+      --cache-negative-ttl-ms 18446744073709552)
+endforeach()
 
 # The wire replay is lockstep over one pipe: concurrent client threads
 # cannot share it, so the combination is refused rather than serialized.

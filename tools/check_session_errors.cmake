@@ -3,7 +3,8 @@
 # keeps running the blocks after it, and exits nonzero at the end. A
 # standing query whose maintenance and rebuild both fail must print its
 # error from then on, never a bracket. A call budget that runs out after
-# ANSWER* is one diagnostic line and exit 1.
+# ANSWER* is one diagnostic line and exit 1. `--cost-model static` names
+# the default: its stdout equals the flag-less run's.
 #
 # Run as a script:
 #   cmake -DUCQNC=<path-to-ucqnc> -DWORK_DIR=<scratch dir> \
@@ -123,5 +124,31 @@ foreach(case "explain;--max-calls;1;delta explanation failed: "
         "starting \"${needle}\", got exit ${rc} and stderr:\n${err}")
   endif()
 endforeach()
+
+# --cost-model static is the default, as in ucqnd. Handing the static
+# model to the executor would reorder the literals: 4 source calls here
+# where the flag-less run makes 5.
+set(rst "${WORK_DIR}/rst")
+file(WRITE "${rst}_schema.txt" "R/2: oo\nS/2: io\nT/1: o\n")
+file(WRITE "${rst}_facts.txt" "R(\"a\", \"b\"). R(\"c\", \"d\"). "
+    "R(\"e\", \"f\").\nS(\"b\", \"x\"). S(\"d\", \"y\").\nT(\"a\"). T(\"e\").\n")
+file(WRITE "${rst}_query.txt" "Q(x, z) :- R(x, y), S(y, z), T(x).\n")
+foreach(model default static)
+  set(model_flags "")
+  if(model STREQUAL "static")
+    set(model_flags --cost-model static)
+  endif()
+  execute_process(COMMAND "${UCQNC}" --schema "${rst}_schema.txt"
+      --query "${rst}_query.txt" --facts "${rst}_facts.txt" --explain
+      ${model_flags}
+      OUTPUT_VARIABLE ${model}_out ERROR_VARIABLE err RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "ucqnc ${model_flags} on the R/S/T query exited ${rc}:\n${err}")
+  endif()
+endforeach()
+if(NOT default_out STREQUAL static_out)
+  message(FATAL_ERROR "--cost-model static changed ucqnc's stdout; default:\n"
+      "${default_out}\n--cost-model static:\n${static_out}")
+endif()
 
 message(STATUS "malformed --queries blocks are diagnosed and skipped; the session continues")

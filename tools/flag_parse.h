@@ -46,11 +46,12 @@ inline bool NextCount(int argc, char** argv, int* i, std::size_t* slot,
 // microseconds, and the conversion must not wrap.
 constexpr long long kMaxMillis = LLONG_MAX / 1000;
 
-// The daemon flags ucqnd and ucqn_workload both accept, one parser and
-// one help block for the two: each fills a QueryDaemon::Options field.
-// Each tool keeps its own defaults (ucqnd: static model, no retry;
-// ucqn_workload: WorkloadReplayOptions's adaptive model, 3 attempts).
-constexpr char kDaemonFlagHelp[] =
+// The runtime flags ucqnc, ucqnd and ucqn_workload all accept, one parser
+// and one help block for the three: each fills a QueryDaemon::Options
+// field. Each tool keeps its own defaults (ucqnc and ucqnd: static model,
+// no retry; ucqn_workload: WorkloadReplayOptions's adaptive model, 3
+// attempts).
+constexpr char kRuntimeFlagHelp[] =
     "  --cost-model static|adaptive\n"
     "                       plan from heuristics or from the observed stats\n"
     "                       the sessions accumulate\n"
@@ -66,7 +67,11 @@ constexpr char kDaemonFlagHelp[] =
     "                       round (operator DAG; 1 = sequential disjuncts)\n"
     "  --cache-ttl-ms N     expire shared-cache entries N ms after insert\n"
     "  --cache-budget N     bound the shared cache to N resident bytes\n"
-    "                       (exact entry+tuple footprint), LRU eviction\n"
+    "                       (exact entry+tuple footprint), LRU eviction\n";
+
+// The admission flags of the two tools that run a daemon, ucqnd and
+// ucqn_workload; their help prints kRuntimeFlagHelp, then this.
+constexpr char kAdmissionFlagHelp[] =
     "  --max-in-flight N    sessions running concurrently; arrivals past\n"
     "                       this wait (default: unbounded)\n"
     "  --max-queued N       arrivals allowed to wait for a slot; the rest\n"
@@ -75,12 +80,12 @@ constexpr char kDaemonFlagHelp[] =
     "                       per-tenant concurrent-session cap; over-quota\n"
     "                       requests get status \"quota\"\n";
 
-// The daemon flags that set one std::size_t field straight from a count.
+// The flags that set one std::size_t field straight from a count.
 struct DaemonCountFlag {
   const char* name;
   std::size_t* (*field)(QueryDaemon::Options*);
 };
-inline constexpr DaemonCountFlag kDaemonCountFlags[] = {
+inline constexpr DaemonCountFlag kRuntimeCountFlags[] = {
     {"--parallelism",
      [](QueryDaemon::Options* o) { return &o->runtime.parallelism; }},
     {"--pipeline-depth",
@@ -89,6 +94,8 @@ inline constexpr DaemonCountFlag kDaemonCountFlags[] = {
      [](QueryDaemon::Options* o) { return &o->disjunct_concurrency; }},
     {"--cache-budget",
      [](QueryDaemon::Options* o) { return &o->cache.budget_bytes; }},
+};
+inline constexpr DaemonCountFlag kAdmissionCountFlags[] = {
     {"--max-in-flight",
      [](QueryDaemon::Options* o) { return &o->admission.max_in_flight; }},
     {"--max-queued",
@@ -99,19 +106,29 @@ inline constexpr DaemonCountFlag kDaemonCountFlags[] = {
 
 enum class FlagMatch { kNotMine, kParsed, kBad };
 
-// Offers argv[*i] to the daemon-flag parser: kNotMine leaves *i alone for
-// the tool's own flags; kParsed stores the value and advances *i past it;
-// kBad has printed a one-line diagnostic naming the flag.
-inline FlagMatch ParseDaemonFlag(int argc, char** argv, int* i,
-                                 QueryDaemon::Options* options) {
-  const char* flag = argv[*i];
-  for (const DaemonCountFlag& count : kDaemonCountFlags) {
-    if (std::strcmp(flag, count.name) == 0) {
+// Offers argv[*i] to one table of count flags.
+template <std::size_t N>
+FlagMatch ParseCountFlag(const DaemonCountFlag (&flags)[N], int argc,
+                         char** argv, int* i, QueryDaemon::Options* options) {
+  for (const DaemonCountFlag& count : flags) {
+    if (std::strcmp(argv[*i], count.name) == 0) {
       return NextCount(argc, argv, i, count.field(options))
                  ? FlagMatch::kParsed
                  : FlagMatch::kBad;
     }
   }
+  return FlagMatch::kNotMine;
+}
+
+// Offers argv[*i] to the runtime-flag parser: kNotMine leaves *i alone for
+// the tool's own flags; kParsed stores the value and advances *i past it;
+// kBad has printed a one-line diagnostic naming the flag.
+inline FlagMatch ParseRuntimeFlag(int argc, char** argv, int* i,
+                                  QueryDaemon::Options* options) {
+  const FlagMatch count =
+      ParseCountFlag(kRuntimeCountFlags, argc, argv, i, options);
+  if (count != FlagMatch::kNotMine) return count;
+  const char* flag = argv[*i];
   if (std::strcmp(flag, "--cost-model") == 0) {
     if (*i + 1 >= argc) {
       std::fprintf(stderr, "--cost-model expects static or adaptive\n");
@@ -148,6 +165,15 @@ inline FlagMatch ParseDaemonFlag(int argc, char** argv, int* i,
   return FlagMatch::kNotMine;
 }
 
+// ParseRuntimeFlag plus the admission counts: the daemon flags ucqnd and
+// ucqn_workload share.
+inline FlagMatch ParseDaemonFlag(int argc, char** argv, int* i,
+                                 QueryDaemon::Options* options) {
+  const FlagMatch runtime = ParseRuntimeFlag(argc, argv, i, options);
+  if (runtime != FlagMatch::kNotMine) return runtime;
+  return ParseCountFlag(kAdmissionCountFlags, argc, argv, i, options);
+}
+
 // The inverse of ParseDaemonFlag: the daemon-flag tokens that configure a
 // ucqnd like `options`, defaults included (--cost-model always; a count
 // only when set, since 0 — unbounded, off — is each one's default).
@@ -163,12 +189,16 @@ inline std::vector<std::string> DaemonFlagArgs(QueryDaemon::Options options) {
     args.push_back("--cache-ttl-ms");
     args.push_back(std::to_string(options.cache.default_ttl_micros / 1000));
   }
-  for (const DaemonCountFlag& count : kDaemonCountFlags) {
-    const std::size_t value = *count.field(&options);
-    if (value == 0) continue;
-    args.push_back(count.name);
-    args.push_back(std::to_string(value));
-  }
+  const auto add_counts = [&](const auto& table) {
+    for (const DaemonCountFlag& count : table) {
+      const std::size_t value = *count.field(&options);
+      if (value == 0) continue;
+      args.push_back(count.name);
+      args.push_back(std::to_string(value));
+    }
+  };
+  add_counts(kRuntimeCountFlags);
+  add_counts(kAdmissionCountFlags);
   return args;
 }
 

@@ -110,7 +110,8 @@ constexpr char kUsage[] =
     "model, --retry 3):\n";
 
 void PrintUsage(std::FILE* out) {
-  std::fprintf(out, "%s%s", kUsage, ucqn::kDaemonFlagHelp);
+  std::fprintf(out, "%s%s%s", kUsage, ucqn::kRuntimeFlagHelp,
+               ucqn::kAdmissionFlagHelp);
 }
 
 int Usage() {

@@ -103,7 +103,7 @@ std::optional<std::string> ReadFile(const char* path) {
   return out.str();
 }
 
-constexpr char kUsage[] =
+constexpr char kUsageHead[] =
     "usage: ucqnc --schema FILE --query FILE [options]\n"
     "       ucqnc --schema FILE --queries FILE --facts FILE [options]\n"
     "\n"
@@ -130,44 +130,35 @@ constexpr char kUsage[] =
     "  --shared-cache       process-wide cache store shared across the\n"
     "                       queries of a --queries session, single-flighting\n"
     "                       concurrent misses\n"
-    "  --cache-ttl-ms N     expire shared-cache entries N ms after insert\n"
-    "                       (implies --shared-cache)\n"
     "  --cache-negative-ttl-ms N\n"
     "                       expire *empty* shared-cache results after N ms\n"
-    "                       instead of the relation/default TTL (implies\n"
+    "                       instead of the default TTL (implies\n"
     "                       --shared-cache)\n"
-    "  --cache-budget N     bound the shared cache to N resident bytes\n"
-    "                       (exact entry+tuple footprint), LRU eviction\n"
-    "                       (implies --shared-cache)\n"
-    "  --retry N            retry transient source failures up to N attempts\n"
     "  --max-calls N        per-run physical source-call budget\n"
-    "  --parallelism N      overlap each batched wave on N worker threads\n"
-    "  --pipeline-depth N   keep up to N different literals' waves in\n"
-    "                       flight at once (1 = classic one-wave-at-a-time)\n"
     "  --batch | --no-batch batched waves (default) or the per-binding\n"
     "                       reference loop\n"
-    "  --disjunct-concurrency N\n"
-    "                       overlap up to N disjunct chains' waves per\n"
-    "                       round (operator DAG; 1 = sequential disjuncts,\n"
-    "                       identical answers at every setting)\n"
     "  --morsel-rows N      split frontiers into morsels of at most N rows\n"
     "                       before pushing them through the operator DAG\n"
     "  --metrics text|json  print the per-relation metrics table after runs\n"
     "\n"
     "cost model (src/cost/):\n"
-    "  --cost-model static|adaptive\n"
-    "                       model behind pattern choice + literal ordering\n"
     "  --stats-in FILE      stats snapshot feeding the adaptive model\n"
     "  --stats-out FILE     write this run's observed stats snapshot\n"
-    "  --no-fanout-feedback with the adaptive model, price unknown relations\n"
-    "                       at the fallback cardinality instead of observed\n"
-    "                       result fanouts (see docs/WORKLOADS.md)\n"
     "  --explain            print per-literal pattern decisions with costs\n"
+    "\n"
+    "shared with ucqnd and ucqn_workload (defaults here: the static model,\n"
+    "no retry; --cache-ttl-ms and --cache-budget imply --shared-cache):\n";
+
+constexpr char kUsageTail[] =
     "\n"
     "  --help               print this text and exit\n";
 
+void PrintUsage(std::FILE* out) {
+  std::fprintf(out, "%s%s%s", kUsageHead, ucqn::kRuntimeFlagHelp, kUsageTail);
+}
+
 int Usage() {
-  std::fprintf(stderr, "%s", kUsage);
+  PrintUsage(stderr);
   return 2;
 }
 
@@ -228,18 +219,17 @@ int main(int argc, char** argv) {
   const char* facts_path = nullptr;
   bool improve = false;
   bool standing_mode = false;
-  RuntimeOptions runtime;
+  // The runtime flags ucqnd and ucqn_workload share fill the daemon's
+  // option block (flag_parse.h): its runtime template is this run's
+  // source stack, and the rest configures the executor, the shared cache
+  // store and the cost model below.
+  QueryDaemon::Options shared;
+  RuntimeOptions& runtime = shared.runtime;
   ExecutionOptions exec;
   bool shared_cache = false;
-  std::size_t cache_ttl_ms = 0;
-  std::size_t cache_negative_ttl_ms = 0;
-  std::size_t cache_budget = 0;
   const char* metrics_format = nullptr;
-  const char* cost_model_name = "static";
-  bool cost_model_explicit = false;
   const char* stats_in_path = nullptr;
   const char* stats_out_path = nullptr;
-  bool fanout_feedback = true;
   bool explain_plans = false;
 
   for (int i = 1; i < argc; ++i) {
@@ -251,8 +241,11 @@ int main(int argc, char** argv) {
     auto next_count = [&](std::size_t& slot) {
       return NextCount(argc, argv, &i, &slot);
     };
+    const FlagMatch runtime_flag = ParseRuntimeFlag(argc, argv, &i, &shared);
+    if (runtime_flag == FlagMatch::kBad) return Usage();
+    if (runtime_flag == FlagMatch::kParsed) continue;
     if (std::strcmp(argv[i], "--help") == 0) {
-      std::printf("%s", kUsage);
+      PrintUsage(stdout);
       return 0;
     } else if (std::strcmp(argv[i], "--schema") == 0) {
       if (!next(schema_path)) return Usage();
@@ -279,34 +272,18 @@ int main(int argc, char** argv) {
       runtime.cache_capacity = capacity;
     } else if (std::strcmp(argv[i], "--shared-cache") == 0) {
       shared_cache = true;
-    } else if (std::strcmp(argv[i], "--cache-ttl-ms") == 0) {
-      if (!next_count(cache_ttl_ms)) return Usage();
-      shared_cache = true;
     } else if (std::strcmp(argv[i], "--cache-negative-ttl-ms") == 0) {
-      if (!next_count(cache_negative_ttl_ms)) return Usage();
-      shared_cache = true;
-    } else if (std::strcmp(argv[i], "--cache-budget") == 0) {
-      if (!next_count(cache_budget)) return Usage();
-      shared_cache = true;
-    } else if (std::strcmp(argv[i], "--retry") == 0) {
-      std::size_t attempts = 0;
-      if (!next_count(attempts)) return Usage();
-      runtime.retry = true;
-      runtime.retry_policy.max_attempts = static_cast<int>(attempts);
+      std::size_t ms = 0;
+      if (!NextCount(argc, argv, &i, &ms, kMaxMillis)) return Usage();
+      shared.cache.negative_ttl_micros = static_cast<std::uint64_t>(ms) * 1000;
     } else if (std::strcmp(argv[i], "--max-calls") == 0) {
       std::size_t max_calls = 0;
       if (!next_count(max_calls)) return Usage();
       runtime.budget.max_calls = max_calls;
-    } else if (std::strcmp(argv[i], "--parallelism") == 0) {
-      if (!next_count(runtime.parallelism)) return Usage();
-    } else if (std::strcmp(argv[i], "--pipeline-depth") == 0) {
-      if (!next_count(exec.runtime.pipeline_depth)) return Usage();
     } else if (std::strcmp(argv[i], "--batch") == 0) {
       exec.batch = true;
     } else if (std::strcmp(argv[i], "--no-batch") == 0) {
       exec.batch = false;
-    } else if (std::strcmp(argv[i], "--disjunct-concurrency") == 0) {
-      if (!next_count(exec.disjunct_concurrency)) return Usage();
     } else if (std::strcmp(argv[i], "--morsel-rows") == 0) {
       if (!next_count(exec.morsel_rows)) return Usage();
     } else if (std::strcmp(argv[i], "--metrics") == 0) {
@@ -316,20 +293,11 @@ int main(int argc, char** argv) {
         return Usage();
       }
       runtime.metering = true;
-    } else if (std::strcmp(argv[i], "--cost-model") == 0) {
-      if (!next(cost_model_name)) return Usage();
-      if (std::strcmp(cost_model_name, "static") != 0 &&
-          std::strcmp(cost_model_name, "adaptive") != 0) {
-        return Usage();
-      }
-      cost_model_explicit = true;
     } else if (std::strcmp(argv[i], "--stats-in") == 0) {
       if (!next(stats_in_path)) return Usage();
     } else if (std::strcmp(argv[i], "--stats-out") == 0) {
       if (!next(stats_out_path)) return Usage();
       runtime.metering = true;  // the snapshot is read off the meter
-    } else if (std::strcmp(argv[i], "--no-fanout-feedback") == 0) {
-      fanout_feedback = false;
     } else if (std::strcmp(argv[i], "--explain") == 0) {
       explain_plans = true;
     } else {
@@ -362,17 +330,22 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--standing requires --queries\n");
     return Usage();
   }
+  // Each cache flag configures the shared store, so it implies
+  // --shared-cache (counts are positive: a set field was given).
+  if (shared.cache.default_ttl_micros != 0 || shared.cache.budget_bytes != 0 ||
+      shared.cache.negative_ttl_micros != 0) {
+    shared_cache = true;
+  }
+  // --pipeline-depth and --disjunct-concurrency are executor decisions,
+  // not stack layers: they ride `exec`, and the stack's runtime line
+  // prints only when a stack layer is on.
+  exec.runtime.pipeline_depth = std::exchange(runtime.pipeline_depth, 1);
+  exec.disjunct_concurrency = shared.disjunct_concurrency;
 
   // The process-wide cache store. Constructed unconditionally (it is
   // cheap when unused) so its lifetime spans every execution below; wired
   // into the runtime stack and the adaptive model only when requested.
-  SharedCacheStore::Options store_options;
-  store_options.default_ttl_micros =
-      static_cast<std::uint64_t>(cache_ttl_ms) * 1000;
-  store_options.negative_ttl_micros =
-      static_cast<std::uint64_t>(cache_negative_ttl_ms) * 1000;
-  store_options.budget_bytes = cache_budget;
-  SharedCacheStore shared_store(store_options);
+  SharedCacheStore shared_store(shared.cache);
   if (shared_cache) runtime.shared_cache = &shared_store;
 
   std::string error;
@@ -446,9 +419,10 @@ int main(int argc, char** argv) {
   if (!constraints.empty()) options.constraints = &constraints;
 
   // Plan-quality layer (src/cost/): the model every pattern and ordering
-  // decision flows through. The static model is also used for --explain
-  // when no model was requested; exec.cost_model is only set when
-  // --cost-model was passed, so default runs keep the classic plans.
+  // decision flows through. Only the adaptive model is handed to the
+  // executor (and so reorders literals); the static default leaves
+  // exec.cost_model null and keeps PLAN*'s order, as ucqnd does, and
+  // prices --explain.
   StatsCatalog stats;
   if (stats_in_path != nullptr) {
     std::optional<std::string> text = ReadFile(stats_in_path);
@@ -469,20 +443,20 @@ int main(int argc, char** argv) {
   StaticCostModel static_model;
   AdaptiveCostOptions adaptive_options;
   if (shared_cache) adaptive_options.shared_cache = &shared_store;
-  adaptive_options.use_observed_fanouts = fanout_feedback;
+  adaptive_options.use_observed_fanouts = shared.fanout_feedback;
   // With feedback on (the default), a --stats-in snapshot's observed scan
   // fanouts fill the estimate gaps the catalog's @N annotations leave, so
   // relations the fallback would price at 1000 tuples are priced at their
   // measured size (docs/WORKLOADS.md, "Fanout feedback").
   CardinalityEstimates estimates = CardinalityEstimates::FromCatalog(*catalog);
-  if (fanout_feedback) estimates.ApplyObservedFanouts(stats);
+  if (shared.fanout_feedback) estimates.ApplyObservedFanouts(stats);
   AdaptiveCostModel adaptive_model(&stats, std::move(estimates),
                                    adaptive_options);
-  const bool adaptive = std::strcmp(cost_model_name, "adaptive") == 0;
   const CostModel* model =
-      adaptive ? static_cast<const CostModel*>(&adaptive_model)
-               : static_cast<const CostModel*>(&static_model);
-  if (cost_model_explicit) exec.cost_model = model;
+      shared.adaptive_cost_model
+          ? static_cast<const CostModel*>(&adaptive_model)
+          : static_cast<const CostModel*>(&static_model);
+  if (shared.adaptive_cost_model) exec.cost_model = model;
 
   const auto write_stats_out = [&](const StatsCatalog& snapshot) {
     if (stats_out_path == nullptr) return;
@@ -607,22 +581,17 @@ int main(int argc, char** argv) {
             if (begin == std::string::npos) continue;
             const std::size_t end = delta_line.find_last_not_of(" \t\r");
             delta_line = delta_line.substr(begin, end - begin + 1);
-            const char sign = delta_line.front();
             std::string fact_error;
-            std::optional<Database> fact =
-                sign == '+' || sign == '-'
-                    ? Database::ParseFacts(delta_line.substr(1), &fact_error)
-                    : std::nullopt;
-            if (!fact || fact->TotalTuples() != 1) {
+            std::optional<SignedFact> fact =
+                ParseSignedFact(delta_line, &fact_error);
+            if (!fact) {
               std::fprintf(stderr,
-                           "query %zu error: bad !delta line \"%s\"%s%s\n",
-                           qi + 1, delta_line.c_str(),
-                           fact_error.empty() ? "" : ": ",
-                           fact_error.c_str());
+                           "query %zu error: bad !delta line \"%s\": %s\n",
+                           qi + 1, delta_line.c_str(), fact_error.c_str());
               bad = true;
               break;
             }
-            const std::string relation = fact->RelationNames().front();
+            const std::string& relation = fact->relation;
             if (!catalog->Contains(relation)) {
               std::fprintf(stderr,
                            "query %zu error: !delta touches undeclared "
@@ -642,8 +611,8 @@ int main(int argc, char** argv) {
               batch.push_back(RelationDelta{relation, {}, {}});
               group = &batch.back();
             }
-            (sign == '+' ? group->inserts : group->deletes)
-                .push_back(*fact->Find(relation)->begin());
+            (fact->insert ? group->inserts : group->deletes)
+                .push_back(std::move(fact->tuple));
           }
           if (bad || batch.empty()) {
             if (batch.empty() && !bad) {

@@ -92,7 +92,8 @@ constexpr char kUsageTail[] =
     "  --help               print this text and exit\n";
 
 void PrintUsage(std::FILE* out) {
-  std::fprintf(out, "%s%s%s", kUsageHead, ucqn::kDaemonFlagHelp, kUsageTail);
+  std::fprintf(out, "%s%s%s%s", kUsageHead, ucqn::kRuntimeFlagHelp,
+               ucqn::kAdmissionFlagHelp, kUsageTail);
 }
 
 int Usage() {
