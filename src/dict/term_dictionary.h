@@ -21,8 +21,9 @@ namespace ucqn {
 // interned once into a uint32 and joins, wave dedup, cache keys, and
 // negated-literal membership probes all run over flat id vectors
 // (rdf3x's id-encoded triples, DictionarySegment, are the exemplar).
-// Strings are decoded back only at result materialization and at
-// JSON/protocol boundaries.
+// Sources answer in ids too (Source::FetchEncoded), so on the executor's
+// path strings are decoded back only at result materialization (each
+// distinct answer tuple once) and at JSON/protocol boundaries.
 //
 // Id space:
 //   - kNullId (0) is reserved for the paper's distinguished Δ-null

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "cost/cost_model.h"
-#include "dict/term_dictionary.h"
 #include "eval/exec_common.h"
 #include "eval/frontier.h"
 #include "eval/op/lowering.h"
@@ -33,12 +32,7 @@ class RowQueue {
       size_ = buffer_.rows();
       return;
     }
-    for (std::size_t c = 0; c < buffer_.width(); ++c) {
-      std::vector<std::uint32_t>& column = buffer_.MutableColumn(c);
-      column.insert(column.end(), rows.Column(c).begin(),
-                    rows.Column(c).end());
-    }
-    buffer_.SetRows(buffer_.rows() + rows.rows());
+    buffer_.Append(rows);
     size_ += rows.rows();
   }
 
@@ -120,7 +114,6 @@ UnionChainsResult ExecuteChainsDag(
     const Catalog& catalog, Source* source, const ExecutionOptions& options,
     Clock* clock, OperatorCounters* counters) {
   UnionChainsResult result;
-  TermDictionary& dict = TermDictionary::Global();
   const CostModel& model = ResolveCostModel(options);
 
   std::vector<Chain> chains;
@@ -130,7 +123,7 @@ UnionChainsResult ExecuteChainsDag(
     const std::vector<Literal>& body = q->body();
     if (body.empty()) {
       // An empty body satisfies the one empty binding it started from.
-      chain.materialize.Push(ColumnarFrontier(), dict);
+      chain.materialize.Push(ColumnarFrontier());
       chain.done = true;
       ++counters->disjuncts_executed;
       chains.push_back(std::move(chain));
@@ -156,7 +149,7 @@ UnionChainsResult ExecuteChainsDag(
     Chain* chain = nullptr;
     std::size_t stage = 0;
     PendingWave wave;
-    std::vector<FetchResult> fetched;
+    std::vector<EncodedFetchResult> fetched;
   };
 
   while (true) {
@@ -205,8 +198,9 @@ UnionChainsResult ExecuteChainsDag(
     for (Lane& lane : lanes) {
       const FetchOperator& op = lane.chain->ops[lane.stage];
       if (overlap) clock->BeginLane();
-      lane.fetched = source->FetchBatch(op.literal().relation(),
-                                        *op.pattern(), lane.wave.requests);
+      lane.fetched =
+          source->FetchEncoded(op.literal().relation(), *op.pattern(),
+                               lane.wave.requests, CallShape::kWave);
       if (overlap) clock->EndLane();
     }
     if (overlap) clock->EndOverlap();
@@ -235,7 +229,7 @@ UnionChainsResult ExecuteChainsDag(
       // the reference loop's break on an empty frontier.
       if (out.rows() == 0) continue;
       if (lane.stage + 1 == chain.ops.size()) {
-        chain.materialize.Push(out, dict);
+        chain.materialize.Push(std::move(out));
       } else {
         chain.queues[lane.stage + 1].Push(std::move(out));
       }
@@ -243,9 +237,9 @@ UnionChainsResult ExecuteChainsDag(
   }
 
   result.ok = true;
-  result.bindings.reserve(chains.size());
+  result.witnesses.reserve(chains.size());
   for (Chain& chain : chains) {
-    result.bindings.push_back(std::move(chain.materialize.bindings()));
+    result.witnesses.push_back(std::move(chain.materialize.witnesses()));
   }
   return result;
 }

@@ -5,8 +5,8 @@
 #include <vector>
 
 #include "ast/query.h"
-#include "ast/substitution.h"
 #include "eval/executor.h"
+#include "eval/frontier.h"
 #include "eval/op/operator.h"
 #include "eval/source.h"
 #include "runtime/clock.h"
@@ -15,14 +15,15 @@
 namespace ucqn {
 
 // Result of driving a set of disjunct chains through the operator DAG:
-// either every chain ran to completion (ok, one binding vector per
-// disjunct in input order, each in witness order), or some operator
-// failed and the whole execution aborted with its error — no partial
-// answers, matching the reference loop's contract.
+// either every chain ran to completion (ok, one witness frontier per
+// disjunct in input order, each in witness order and still as id
+// columns), or some operator failed and the whole execution aborted with
+// its error — no partial answers, matching the reference loop's
+// contract.
 struct UnionChainsResult {
   bool ok = false;
   std::string error;
-  std::vector<std::vector<Substitution>> bindings;
+  std::vector<ColumnarFrontier> witnesses;
 };
 
 // The push-based DAG driver, which runs every batched execution: lowers
@@ -35,7 +36,7 @@ struct UnionChainsResult {
 // to `cap` rows off the front of its queue (morsel_rows when set, else
 // max(1, parallelism) when pipelining, else the whole queue). A stage
 // prices its access pattern once, on first contact, with every row then
-// queued at it. Each lane's wave is one FetchBatch, issued in lane
+// queued at it. Each lane's wave is one FetchEncoded, issued in lane
 // order; a multi-lane round brackets them in one clock overlap, each in
 // its own lane, so a SimulatedClock charges the round max-over-lanes.
 // Lanes merge in issue order and append their rows

@@ -1,5 +1,6 @@
 #include "eval/exec_common.h"
 
+#include <unordered_set>
 #include <utility>
 
 namespace ucqn {
@@ -78,29 +79,65 @@ ExecutionResult ExecuteTrueQuery(const ConjunctiveQuery& q) {
   return result;
 }
 
-// Projects the body's witnesses through `q`'s head into `result`'s tuple
-// set (set semantics). False — with the error set and the tuples cleared
-// — when some witness leaves a head term non-ground.
+namespace {
+
+void FailProjection(const ConjunctiveQuery& q, ExecutionResult* result) {
+  result->ok = false;
+  result->error = "head not fully bound by executable body: " + q.ToString();
+  result->tuples.clear();
+}
+
+}  // namespace
+
 bool ProjectHead(const ConjunctiveQuery& q,
                  const std::vector<Substitution>& bindings,
                  ExecutionResult* result) {
   for (const Substitution& binding : bindings) {
     Tuple head = binding.Apply(q.head_terms());
-    bool ground = true;
     for (const Term& t : head) {
       if (!t.IsGround()) {
-        ground = false;
-        break;
+        FailProjection(q, result);
+        return false;
       }
     }
-    if (!ground) {
-      result->ok = false;
-      result->error = "head not fully bound by executable body: " +
-                      q.ToString();
-      result->tuples.clear();
+    result->tuples.insert(std::move(head));
+  }
+  return true;
+}
+
+bool ProjectHeadColumns(const ConjunctiveQuery& q,
+                        const ColumnarFrontier& witnesses,
+                        ExecutionResult* result) {
+  if (witnesses.rows() == 0) return true;
+  TermDictionary& dict = TermDictionary::Global();
+  const std::vector<Term>& head = q.head_terms();
+  // Per head position: a ground term's id, or the column binding it. A
+  // variable with no column stays unbound in every witness.
+  EncodedTuple ids(head.size());
+  std::vector<std::size_t> columns(head.size(), ColumnarFrontier::kNoColumn);
+  for (std::size_t k = 0; k < head.size(); ++k) {
+    if (head[k].IsGround()) {
+      ids[k] = dict.EncodeGround(head[k]);
+      continue;
+    }
+    columns[k] = witnesses.ColumnOf(head[k].name());
+    if (columns[k] == ColumnarFrontier::kNoColumn) {
+      FailProjection(q, result);
       return false;
     }
-    result->tuples.insert(std::move(head));
+  }
+  std::unordered_set<EncodedTuple, EncodedTupleHash> seen;
+  for (std::size_t r = 0; r < witnesses.rows(); ++r) {
+    for (std::size_t k = 0; k < head.size(); ++k) {
+      if (columns[k] != ColumnarFrontier::kNoColumn) {
+        ids[k] = witnesses.Column(columns[k])[r];
+      }
+    }
+    if (!seen.insert(ids).second) continue;
+    Tuple tuple;
+    tuple.reserve(ids.size());
+    for (std::uint32_t id : ids) tuple.push_back(dict.DecodeTerm(id));
+    result->tuples.insert(std::move(tuple));
   }
   return true;
 }

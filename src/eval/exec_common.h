@@ -9,6 +9,7 @@
 #include "ast/substitution.h"
 #include "cost/cost_model.h"
 #include "eval/executor.h"
+#include "eval/frontier.h"
 #include "eval/source.h"
 #include "schema/access_pattern.h"
 
@@ -53,6 +54,13 @@ ExecutionResult ExecuteTrueQuery(const ConjunctiveQuery& q);
 bool ProjectHead(const ConjunctiveQuery& q,
                  const std::vector<Substitution>& bindings,
                  ExecutionResult* result);
+
+// ProjectHead straight from the id columns of a witness frontier (the
+// operator DAG's output): each row's head tuple is built from ids, and
+// each distinct one is decoded once. Same contract as ProjectHead.
+bool ProjectHeadColumns(const ConjunctiveQuery& q,
+                        const ColumnarFrontier& witnesses,
+                        ExecutionResult* result);
 
 // The model every pattern decision of an execution flows through: the
 // caller's, or the default StaticCostModel.

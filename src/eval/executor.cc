@@ -6,8 +6,10 @@
 
 #include "ast/substitution.h"
 #include "cost/cost_model.h"
+#include "dict/term_dictionary.h"
 #include "eval/dag_executor.h"
 #include "eval/exec_common.h"
+#include "eval/frontier.h"
 #include "eval/op/operator.h"
 #include "schema/adornment.h"
 
@@ -93,34 +95,11 @@ BindingsResult ExecuteReference(const ConjunctiveQuery& q,
   return result;
 }
 
-// Runs the bodies of `disjuncts` (all non-empty) to their witnesses: the
-// reference loop one body after another when `batch` is off, otherwise
-// one operator-DAG drive.
-UnionChainsResult ExecuteBodies(
-    const std::vector<const ConjunctiveQuery*>& disjuncts,
-    const Catalog& catalog, Source* source, const ExecutionOptions& options,
-    Clock* clock, OperatorCounters* counters) {
-  if (options.batch) {
-    return ExecuteChainsDag(disjuncts, catalog, source, options, clock,
-                            counters);
-  }
-  UnionChainsResult result;
-  for (const ConjunctiveQuery* q : disjuncts) {
-    BindingsResult body = ExecuteReference(*q, catalog, source, options);
-    if (!body.ok) {
-      result.error = std::move(body.error);
-      result.bindings.clear();
-      return result;
-    }
-    result.bindings.push_back(std::move(body.bindings));
-  }
-  result.ok = true;
-  return result;
-}
-
 // Executes every disjunct and unions the projected heads. Empty-body
 // disjuncts resolve inline, in disjunct order; the rest run their bodies
-// together, and heads project in disjunct order afterwards.
+// together — one operator-DAG drive, or the reference loop one body after
+// another when `batch` is off — and heads project in disjunct order
+// afterwards.
 ExecutionResult ExecuteDisjuncts(
     const std::vector<ConjunctiveQuery>& disjuncts, const Catalog& catalog,
     Source* source, const ExecutionOptions& options, Clock* clock,
@@ -138,15 +117,28 @@ ExecutionResult ExecuteDisjuncts(
     result.tuples.insert(part.tuples.begin(), part.tuples.end());
   }
   if (bodies.empty()) return result;
-  UnionChainsResult chains =
-      ExecuteBodies(bodies, catalog, source, options, clock, counters);
-  if (!chains.ok) {
+  auto fail = [](std::string error) {
     ExecutionResult failed;
-    failed.error = std::move(chains.error);
+    failed.error = std::move(error);
     return failed;
+  };
+  if (options.batch) {
+    UnionChainsResult chains =
+        ExecuteChainsDag(bodies, catalog, source, options, clock, counters);
+    if (!chains.ok) return fail(std::move(chains.error));
+    for (std::size_t i = 0; i < bodies.size(); ++i) {
+      if (!ProjectHeadColumns(*bodies[i], chains.witnesses[i], &result)) break;
+    }
+    return result;
+  }
+  std::vector<std::vector<Substitution>> witnesses;
+  for (const ConjunctiveQuery* q : bodies) {
+    BindingsResult body = ExecuteReference(*q, catalog, source, options);
+    if (!body.ok) return fail(std::move(body.error));
+    witnesses.push_back(std::move(body.bindings));
   }
   for (std::size_t i = 0; i < bodies.size(); ++i) {
-    if (!ProjectHead(*bodies[i], chains.bindings[i], &result)) break;
+    if (!ProjectHead(*bodies[i], witnesses[i], &result)) break;
   }
   return result;
 }
@@ -159,12 +151,18 @@ BindingsResult ExecuteForBindings(const ConjunctiveQuery& q,
   return WithRuntime<BindingsResult>(
       source, options,
       [&](Source* effective, Clock* clock, OperatorCounters* counters) {
+        if (!options.batch) {
+          return ExecuteReference(q, catalog, effective, options);
+        }
         BindingsResult result;
-        UnionChainsResult chains =
-            ExecuteBodies({&q}, catalog, effective, options, clock, counters);
+        UnionChainsResult chains = ExecuteChainsDag(
+            {&q}, catalog, effective, options, clock, counters);
         result.ok = chains.ok;
         result.error = std::move(chains.error);
-        if (chains.ok) result.bindings = std::move(chains.bindings.front());
+        if (chains.ok) {
+          result.bindings =
+              chains.witnesses.front().DecodeAll(TermDictionary::Global());
+        }
         return result;
       });
 }

@@ -32,11 +32,11 @@ struct ExecutionOptions {
   // The executor has two paths. On (default), every disjunct runs
   // through the operator DAG (eval/dag_executor.h): each literal's calls
   // for a morsel of live bindings fly as one deduplicated wave over
-  // dictionary-encoded columnar frontiers, issued via Source::FetchBatch
-  // so a parallel dispatcher can overlap them. Off runs the per-binding
-  // reference loop — one call per binding per literal — kept as the
-  // semantic oracle. Answers and witness order are identical; waves only
-  // change transport scheduling.
+  // dictionary-encoded columnar frontiers, issued via
+  // Source::FetchEncoded so a parallel dispatcher can overlap them. Off
+  // runs the per-binding reference loop — one call per binding per
+  // literal — kept as the semantic oracle. Answers and witness order are
+  // identical; waves only change transport scheduling.
   bool batch = true;
   // Rows per morsel a DAG stage cuts from its queue per round. 0
   // (default) cuts the whole queue — one wave per literal — or, when

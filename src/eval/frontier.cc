@@ -10,6 +10,14 @@ std::size_t ColumnarFrontier::AddVar(const std::string& var) {
   return index;
 }
 
+void ColumnarFrontier::Append(const ColumnarFrontier& rows) {
+  for (std::size_t c = 0; c < columns_.size(); ++c) {
+    columns_[c].insert(columns_[c].end(), rows.columns_[c].begin(),
+                       rows.columns_[c].end());
+  }
+  rows_ += rows.rows_;
+}
+
 void ColumnarFrontier::Retain(const std::vector<std::size_t>& selection) {
   for (std::vector<std::uint32_t>& column : columns_) {
     for (std::size_t i = 0; i < selection.size(); ++i) {

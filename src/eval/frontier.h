@@ -56,6 +56,10 @@ class ColumnarFrontier {
   // exactly `rows` entries.
   void SetRows(std::size_t rows) { rows_ = rows; }
 
+  // Appends every row of `rows`, which binds the same variables in the
+  // same column order, after the rows already here.
+  void Append(const ColumnarFrontier& rows);
+
   // Keeps exactly the rows in `selection` (ascending row indices),
   // compacting every column in place. The anti-join filter of a
   // negated literal.

@@ -1,8 +1,11 @@
 #include "eval/op/operators.h"
 
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
+
+#include "util/hash.h"
 
 namespace ucqn {
 
@@ -57,7 +60,32 @@ bool FetchOperator::Prepare(const ColumnarFrontier& frontier,
       plan_[j].first = it->second;
     }
   }
+  for (std::size_t j = 0; j < arity; ++j) {
+    if (!pattern_->IsInputSlot(j) &&
+        (plan_[j].kind == Slot::kConst || plan_[j].kind == Slot::kColumn)) {
+      filter_slots_.push_back(j);
+    }
+  }
   prepared_ = true;
+  return true;
+}
+
+bool FetchOperator::Matches(const std::uint32_t* tuple,
+                            const ColumnarFrontier& frontier,
+                            std::size_t r) const {
+  for (std::size_t j = 0; j < plan_.size(); ++j) {
+    switch (plan_[j].kind) {
+      case Slot::kConst:
+      case Slot::kColumn:
+        if (tuple[j] != Required(j, frontier, r)) return false;
+        break;
+      case Slot::kBindFirst:
+        break;
+      case Slot::kBindRepeat:
+        if (tuple[j] != tuple[plan_[j].first]) return false;
+        break;
+    }
+  }
   return true;
 }
 
@@ -65,14 +93,12 @@ bool FetchOperator::Stage(ColumnarFrontier&& morsel, std::size_t queued_rows,
                           PendingWave* wave) {
   if (!prepared_ && !Prepare(morsel, queued_rows)) return false;
   ++counters_->morsels;
-  TermDictionary& dict = TermDictionary::Global();
   const std::size_t arity = literal_->args().size();
 
   // Build the wave: one flat id signature per row (input slots whose
-  // value is known before the call), deduplicated by integer hashing.
-  // Only the distinct signatures decode to Term vectors for the Source
-  // API, in first-occurrence order — the order every runtime ledger is
-  // keyed on.
+  // value is known before the call, kAbsentId elsewhere), deduplicated by
+  // integer hashing, in first-occurrence order — the order every runtime
+  // ledger is keyed on. The signatures go to the source as they are.
   std::unordered_map<EncodedTuple, std::size_t, EncodedTupleHash> index;
   wave->requests.clear();
   wave->slot_of.assign(morsel.rows(), 0);
@@ -90,15 +116,7 @@ bool FetchOperator::Stage(ColumnarFrontier&& morsel, std::size_t queued_rows,
       signature[j] = id;
     }
     auto [it, fresh] = index.try_emplace(signature, wave->requests.size());
-    if (fresh) {
-      std::vector<std::optional<Term>> request(arity);
-      for (std::size_t j = 0; j < arity; ++j) {
-        if (signature[j] != TermDictionary::kAbsentId) {
-          request[j] = dict.DecodeTerm(signature[j]);
-        }
-      }
-      wave->requests.push_back(std::move(request));
-    }
+    if (fresh) wave->requests.push_back(signature);
     wave->slot_of[r] = it->second;
   }
   wave->morsel = std::move(morsel);
@@ -106,44 +124,26 @@ bool FetchOperator::Stage(ColumnarFrontier&& morsel, std::size_t queued_rows,
 }
 
 bool FetchOperator::Absorb(PendingWave&& wave,
-                           std::vector<FetchResult> fetched,
+                           std::vector<EncodedFetchResult> fetched,
                            ColumnarFrontier* out) {
-  TermDictionary& dict = TermDictionary::Global();
   const std::vector<Term>& args = literal_->args();
   const std::size_t arity = args.size();
   ColumnarFrontier& frontier = wave.morsel;
   const std::vector<std::size_t>& slot_of = wave.slot_of;
 
-  for (const FetchResult& f : fetched) {
+  for (const EncodedFetchResult& f : fetched) {
     if (!f.ok()) {
       return Fail("source call for literal " + literal_->ToString() +
                   " failed: " + f.error);
     }
   }
 
-  // Encode each distinct result set once. A tuple whose arity differs
-  // from the literal's can never unify, and a tuple carrying a variable
-  // is not a fact — both are dropped here exactly as the reference
-  // loop's unification would reject them.
-  std::vector<std::vector<EncodedTuple>> encoded(fetched.size());
+  // Each request's rows, straight from the source (for a cache hit, the
+  // cache's own). Rows of another arity can never unify and count as
+  // none, as the string boundary drops such tuples (EncodeRows).
+  std::vector<const EncodedRows*> rows(fetched.size(), nullptr);
   for (std::size_t f = 0; f < fetched.size(); ++f) {
-    encoded[f].reserve(fetched[f].tuples.size());
-    for (const Tuple& tuple : fetched[f].tuples) {
-      if (tuple.size() != arity) continue;
-      bool ground = true;
-      for (const Term& term : tuple) {
-        if (!term.IsGround()) {
-          ground = false;
-          break;
-        }
-      }
-      if (!ground) continue;
-      EncodedTuple ids(arity);
-      for (std::size_t j = 0; j < arity; ++j) {
-        ids[j] = dict.EncodeGround(tuple[j]);
-      }
-      encoded[f].push_back(std::move(ids));
-    }
+    if (fetched[f].rows->arity() == arity) rows[f] = fetched[f].rows.get();
   }
 
   if (literal_->positive()) {
@@ -153,37 +153,60 @@ bool FetchOperator::Absorb(PendingWave&& wave,
     // reading derives witnesses in. A Filter simply has no binder slots:
     // surviving rows repeat once per matching fetched tuple, preserving
     // witness multiplicity.
+    //
+    // A request shared by several rows and selected on output slots (a
+    // scan checked against a bound column, say) is indexed once on those
+    // slots; each row then visits only the tuples with its values there,
+    // still in fetch order. Hash collisions only add candidates, which
+    // Matches rejects.
+    std::vector<std::size_t> uses(fetched.size(), 0);
+    for (std::size_t r = 0; r < frontier.rows(); ++r) ++uses[slot_of[r]];
+    using Buckets = std::unordered_map<std::size_t, std::vector<std::size_t>>;
+    std::vector<std::optional<Buckets>> indexes(fetched.size());
+    auto filter_key = [&](auto&& value_at) {
+      std::size_t key = filter_slots_.size();
+      for (std::size_t j : filter_slots_) HashCombine(&key, value_at(j));
+      return key;
+    };
+    if (!filter_slots_.empty()) {
+      for (std::size_t f = 0; f < fetched.size(); ++f) {
+        if (rows[f] == nullptr || uses[f] < 2) continue;
+        Buckets& buckets = indexes[f].emplace();
+        for (std::size_t t = 0; t < rows[f]->size(); ++t) {
+          const std::uint32_t* tuple = rows[f]->Row(t);
+          buckets[filter_key([&](std::size_t j) { return tuple[j]; })]
+              .push_back(t);
+        }
+      }
+    }
+
     ColumnarFrontier next;
     for (const std::string& var : frontier.vars()) next.AddVar(var);
     for (std::size_t s : binder_slots_) next.AddVar(args[s].name());
     std::size_t matched = 0;
     const std::size_t base = frontier.width();
+    auto emit = [&](std::size_t r, const std::uint32_t* tuple) {
+      if (!Matches(tuple, frontier, r)) return;
+      for (std::size_t c = 0; c < base; ++c) {
+        next.MutableColumn(c).push_back(frontier.Column(c)[r]);
+      }
+      for (std::size_t v = 0; v < binder_slots_.size(); ++v) {
+        next.MutableColumn(base + v).push_back(tuple[binder_slots_[v]]);
+      }
+      ++matched;
+    };
     for (std::size_t r = 0; r < frontier.rows(); ++r) {
-      for (const EncodedTuple& tuple : encoded[slot_of[r]]) {
-        bool match = true;
-        for (std::size_t j = 0; j < arity && match; ++j) {
-          switch (plan_[j].kind) {
-            case Slot::kConst:
-              match = tuple[j] == plan_[j].id;
-              break;
-            case Slot::kColumn:
-              match = tuple[j] == frontier.Column(plan_[j].column)[r];
-              break;
-            case Slot::kBindFirst:
-              break;
-            case Slot::kBindRepeat:
-              match = tuple[j] == tuple[plan_[j].first];
-              break;
-          }
+      const std::size_t f = slot_of[r];
+      if (rows[f] == nullptr) continue;
+      if (indexes[f].has_value()) {
+        auto bucket = indexes[f]->find(filter_key(
+            [&](std::size_t j) { return Required(j, frontier, r); }));
+        if (bucket == indexes[f]->end()) continue;
+        for (std::size_t t : bucket->second) emit(r, rows[f]->Row(t));
+      } else {
+        for (std::size_t t = 0; t < rows[f]->size(); ++t) {
+          emit(r, rows[f]->Row(t));
         }
-        if (!match) continue;
-        for (std::size_t c = 0; c < base; ++c) {
-          next.MutableColumn(c).push_back(frontier.Column(c)[r]);
-        }
-        for (std::size_t v = 0; v < binder_slots_.size(); ++v) {
-          next.MutableColumn(base + v).push_back(tuple[binder_slots_[v]]);
-        }
-        ++matched;
       }
     }
     next.SetRows(matched);
@@ -193,9 +216,13 @@ bool FetchOperator::Absorb(PendingWave&& wave,
     // its fetched tuples, probe each row's instantiation, and keep the
     // row iff absent (ChoosePattern guarantees all variables are bound).
     std::vector<std::unordered_set<EncodedTuple, EncodedTupleHash>> probe(
-        encoded.size());
-    for (std::size_t f = 0; f < encoded.size(); ++f) {
-      probe[f].insert(encoded[f].begin(), encoded[f].end());
+        fetched.size());
+    for (std::size_t f = 0; f < fetched.size(); ++f) {
+      if (rows[f] == nullptr) continue;
+      for (std::size_t t = 0; t < rows[f]->size(); ++t) {
+        const std::uint32_t* tuple = rows[f]->Row(t);
+        probe[f].emplace(tuple, tuple + arity);
+      }
       counters_->antijoin_build_tuples += probe[f].size();
     }
     std::vector<std::size_t> keep;
@@ -203,9 +230,7 @@ bool FetchOperator::Absorb(PendingWave&& wave,
     EncodedTuple instantiated(arity);
     for (std::size_t r = 0; r < frontier.rows(); ++r) {
       for (std::size_t j = 0; j < arity; ++j) {
-        instantiated[j] = plan_[j].kind == Slot::kConst
-                              ? plan_[j].id
-                              : frontier.Column(plan_[j].column)[r];
+        instantiated[j] = Required(j, frontier, r);
       }
       if (probe[slot_of[r]].count(instantiated) == 0) {
         keep.push_back(r);

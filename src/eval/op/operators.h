@@ -18,14 +18,14 @@
 namespace ucqn {
 
 // One staged (not yet fetched) wave of a fetch operator for one input
-// morsel: the deduplicated requests (first-occurrence order — the order
-// every runtime ledger is keyed on) plus the row -> request mapping the
-// merge needs back. The driver owns the transport call between Stage and
+// morsel: the deduplicated call signatures (first-occurrence order — the
+// order every runtime ledger is keyed on; see EncodeSignature) plus the
+// row -> request mapping the merge needs back. The driver owns the transport call between Stage and
 // Absorb, which is what lets several disjuncts' waves resolve inside one
 // clock overlap bracket.
 struct PendingWave {
   ColumnarFrontier morsel;
-  std::vector<std::vector<std::optional<Term>>> requests;
+  std::vector<EncodedTuple> requests;
   std::vector<std::size_t> slot_of;  // row -> index into `requests`
 };
 
@@ -70,7 +70,7 @@ class FetchOperator {
   // Merges one fetched wave into `out` (join kinds append matched rows
   // column-wise; the anti-join retains non-members), preserving row
   // order. False on failure (a failed fetch, reported in request order).
-  bool Absorb(PendingWave&& wave, std::vector<FetchResult> fetched,
+  bool Absorb(PendingWave&& wave, std::vector<EncodedFetchResult> fetched,
               ColumnarFrontier* out);
 
  private:
@@ -84,6 +84,16 @@ class FetchOperator {
   };
 
   bool Prepare(const ColumnarFrontier& frontier, std::size_t live_rows);
+  // True when `tuple` agrees with row `r` of `frontier` at every slot.
+  bool Matches(const std::uint32_t* tuple, const ColumnarFrontier& frontier,
+               std::size_t r) const;
+  // The value row `r` of `frontier` requires at filter slot `j`.
+  std::uint32_t Required(std::size_t j, const ColumnarFrontier& frontier,
+                         std::size_t r) const {
+    return plan_[j].kind == Slot::kConst
+               ? plan_[j].id
+               : frontier.Column(plan_[j].column)[r];
+  }
   bool Fail(std::string error) {
     error_ = std::move(error);
     return false;
@@ -99,25 +109,34 @@ class FetchOperator {
   std::optional<AccessPattern> pattern_;
   std::vector<SlotPlan> plan_;
   std::vector<std::size_t> binder_slots_;  // slots introducing new vars
+  // Output slots of the chosen pattern holding a constant or a bound
+  // column: the source does not select on them (footnote 4), so Absorb
+  // does, through a hash index on these slots.
+  std::vector<std::size_t> filter_slots_;
   bool binds_new_ = false;
   std::size_t rows_out_ = 0;
   std::string error_;
 };
 
-// The chain sink: decodes surviving morsels back into Substitutions, in
-// push (= derivation = witness) order.
+// The chain sink: collects surviving morsels in push (= derivation =
+// witness) order, still as id columns. Execute projects heads from them
+// directly; only ExecuteForBindings decodes rows into Substitutions.
 class MaterializeOp {
  public:
-  void Push(const ColumnarFrontier& morsel, const TermDictionary& dict) {
-    std::vector<Substitution> decoded = morsel.DecodeAll(dict);
-    bindings_.insert(bindings_.end(),
-                     std::make_move_iterator(decoded.begin()),
-                     std::make_move_iterator(decoded.end()));
+  MaterializeOp() { witnesses_.SetRows(0); }
+
+  void Push(ColumnarFrontier&& morsel) {
+    if (witnesses_.rows() == 0) {
+      witnesses_ = std::move(morsel);
+    } else {
+      witnesses_.Append(morsel);
+    }
   }
-  std::vector<Substitution>& bindings() { return bindings_; }
+  // Every pushed row; no rows (and no columns) when none arrived.
+  ColumnarFrontier& witnesses() { return witnesses_; }
 
  private:
-  std::vector<Substitution> bindings_;
+  ColumnarFrontier witnesses_;
 };
 
 }  // namespace ucqn

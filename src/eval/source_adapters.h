@@ -78,13 +78,19 @@ class CompositeSource : public Source {
       const std::vector<std::optional<Term>>& inputs) override;
 
   // A wave is per-literal, hence per-relation, so the whole batch routes
-  // to one backend — forwarded intact so that backend's own stack (and
-  // any batching it does) sees the wave as a unit.
+  // to one backend — forwarded intact, in whichever dialect it came, so
+  // that backend's own stack (and any batching it does) sees the wave as
+  // a unit.
   std::vector<FetchResult> FetchBatch(
       const std::string& relation, const AccessPattern& pattern,
       const std::vector<std::vector<std::optional<Term>>>& inputs) override;
+  std::vector<EncodedFetchResult> FetchEncoded(
+      const std::string& relation, const AccessPattern& pattern,
+      const std::vector<EncodedTuple>& signatures, CallShape shape) override;
 
  private:
+  Source* RouteFor(const std::string& relation) const;
+
   std::map<std::string, Source*> routes_;
 };
 

@@ -18,153 +18,108 @@ CachingSource::CachingSource(Source* inner, std::size_t capacity)
 CachingSource::CachingSource(Source* inner, SharedCacheStore& store)
     : inner_(inner), capacity_(0), store_(&store) {}
 
-FetchResult CachingSource::FetchShared(
+std::vector<EncodedFetchResult> CachingSource::FetchEncoded(
     const std::string& relation, const AccessPattern& pattern,
-    const std::vector<std::optional<Term>>& inputs, const std::string& key) {
-  while (true) {
-    SharedCacheStore::Lookup lookup = store_->TryAcquire(key, relation);
-    if (lookup.stale_drop) ++stats_.stale_drops;
-    switch (lookup.state) {
-      case SharedCacheStore::LookupState::kHit:
-        ++stats_.hits;
-        return FetchResult::Ok(std::move(lookup.tuples));
-      case SharedCacheStore::LookupState::kFollower: {
-        // Another execution is fetching this key; reuse its result. An
-        // abandoned flight (the leader's call failed) falls through to a
-        // fresh lookup so this execution can try the call itself.
-        auto tuples = store_->WaitForFlight(key);
-        if (tuples.has_value()) {
-          ++stats_.hits;
-          ++stats_.flight_waits;
-          return FetchResult::Ok(std::move(*tuples));
-        }
-        continue;
-      }
-      case SharedCacheStore::LookupState::kLeader: {
-        ++stats_.misses;
-        FetchResult result = inner_->Fetch(relation, pattern, inputs);
-        if (result.ok()) {
-          stats_.evictions += store_->Publish(key, relation, result.tuples);
-        } else {
-          store_->Abandon(key);  // failures are not cached
-        }
-        return result;
-      }
-    }
-  }
-}
-
-FetchResult CachingSource::Fetch(
-    const std::string& relation, const AccessPattern& pattern,
-    const std::vector<std::optional<Term>>& inputs) {
-  // Packed id keys: same footnote-4 signature as the textual
-  // SourceCacheKey, but built from dictionary ids (a few integer
-  // stores) instead of rendering every input value to a string.
-  return FetchShared(relation, pattern, inputs,
-                     PackedSourceCacheKey(relation, pattern, inputs));
-}
-
-std::vector<FetchResult> CachingSource::FetchBatch(
-    const std::string& relation, const AccessPattern& pattern,
-    const std::vector<std::vector<std::optional<Term>>>& inputs) {
-  const std::size_t n = inputs.size();
-  std::vector<FetchResult> out(n);
-  std::vector<std::string> keys(n);
+    const std::vector<EncodedTuple>& signatures, CallShape shape) {
+  const std::size_t n = signatures.size();
+  std::vector<EncodedFetchResult> out(n);
   // Group the wave by cache key *before* touching the store: each
-  // distinct key gets exactly one TryAcquire, so a wave can never become
-  // a follower of its own flight. The first requester of a key is its
-  // group leader; later requesters piggyback and count as hits.
+  // distinct key gets exactly one TryAcquire per round, so a wave can
+  // never become a follower of its own flight. The first requester of a
+  // key is its group leader; later requesters piggyback and count as
+  // hits.
+  const SourceCacheKeyPacker packer(relation, pattern);
   std::unordered_map<std::string, std::size_t> group_of;  // key -> group
-  std::vector<std::size_t> group_leader;   // group -> request index
+  group_of.reserve(n);
+  std::vector<std::string> group_key;
+  std::vector<std::size_t> group_leader;  // group -> request index
   std::vector<std::vector<std::size_t>> group_members;
-  std::vector<std::size_t> request_group(n, 0);
   for (std::size_t i = 0; i < n; ++i) {
-    keys[i] = PackedSourceCacheKey(relation, pattern, inputs[i]);
-    auto [it, fresh] = group_of.try_emplace(keys[i], group_leader.size());
+    std::string key = packer.Pack(signatures[i]);
+    auto [it, fresh] = group_of.try_emplace(key, group_leader.size());
     if (fresh) {
+      group_key.push_back(std::move(key));
       group_leader.push_back(i);
       group_members.emplace_back();
     }
-    request_group[i] = it->second;
     group_members[it->second].push_back(i);
   }
-
-  // Lookup phase: one store lookup per distinct key. Hits answer their
-  // whole group; leader groups are collected for one batched fetch;
-  // follower groups (in flight in another execution) are parked until
-  // after this wave's own leaders publish — waiting first could deadlock
-  // two waves leading/following each other's keys.
-  enum class Role { kHit, kLeader, kFollower };
-  std::vector<Role> role(group_leader.size(), Role::kHit);
-  std::vector<std::size_t> leader_groups;
-  std::vector<std::size_t> follower_groups;
-  for (std::size_t g = 0; g < group_leader.size(); ++g) {
-    const std::size_t i = group_leader[g];
-    SharedCacheStore::Lookup lookup = store_->TryAcquire(keys[i], relation);
-    if (lookup.stale_drop) ++stats_.stale_drops;
-    switch (lookup.state) {
-      case SharedCacheStore::LookupState::kHit: {
-        stats_.hits += group_members[g].size();
-        for (std::size_t member : group_members[g]) {
-          out[member] = FetchResult::Ok(lookup.tuples);
-        }
-        break;
-      }
-      case SharedCacheStore::LookupState::kLeader:
-        role[g] = Role::kLeader;
-        leader_groups.push_back(g);
-        ++stats_.misses;
-        stats_.hits += group_members[g].size() - 1;  // piggybacked dupes
-        break;
-      case SharedCacheStore::LookupState::kFollower:
-        role[g] = Role::kFollower;
-        follower_groups.push_back(g);
-        stats_.hits += group_members[g].size();
-        stats_.flight_waits += 1;
-        break;
-    }
-  }
-
-  // Fetch phase: one request per distinct missed key, batched so the
-  // layers below can overlap them; then publish successes (waking any
-  // cross-execution followers) and abandon failures so nothing stays
-  // pinned in flight.
-  if (!leader_groups.empty()) {
-    std::vector<std::vector<std::optional<Term>>> missed;
-    missed.reserve(leader_groups.size());
-    for (std::size_t g : leader_groups) {
-      missed.push_back(inputs[group_leader[g]]);
-    }
-    std::vector<FetchResult> fetched =
-        inner_->FetchBatch(relation, pattern, missed);
-    for (std::size_t f = 0; f < leader_groups.size(); ++f) {
-      const std::size_t g = leader_groups[f];
-      const std::string& key = keys[group_leader[g]];
-      if (fetched[f].ok()) {
-        stats_.evictions += store_->Publish(key, relation, fetched[f].tuples);
-      } else {
-        store_->Abandon(key);
-      }
-      for (std::size_t member : group_members[g]) out[member] = fetched[f];
-    }
-  }
-
-  // Wait phase: collect the other executions' flights. Abandoned flights
-  // fall back to the sequential acquire loop (rare: the other execution's
-  // call failed), which re-counts that lookup on whatever path it takes.
-  for (std::size_t g : follower_groups) {
-    const std::size_t i = group_leader[g];
-    FetchResult result;
-    auto tuples = store_->WaitForFlight(keys[i]);
-    if (tuples.has_value()) {
-      result = FetchResult::Ok(std::move(*tuples));
-    } else {
-      stats_.hits -= group_members[g].size();  // undo the optimistic count
-      stats_.flight_waits -= 1;
-      result = FetchShared(relation, pattern, inputs[i], keys[i]);
-      if (result.ok()) stats_.hits += group_members[g].size() - 1;
-    }
+  auto answer = [&](std::size_t g, const EncodedFetchResult& result) {
     for (std::size_t member : group_members[g]) out[member] = result;
+  };
+
+  std::vector<std::size_t> pending(group_leader.size());
+  for (std::size_t g = 0; g < pending.size(); ++g) pending[g] = g;
+  while (!pending.empty()) {
+    // Lookup phase: one store lookup per pending key. Hits answer their
+    // whole group; leader groups are collected for one batched fetch;
+    // follower groups (in flight in another execution) are parked until
+    // after this wave's own leaders publish — waiting first could
+    // deadlock two waves leading/following each other's keys.
+    std::vector<std::size_t> leader_groups;
+    std::vector<std::size_t> follower_groups;
+    for (std::size_t g : pending) {
+      const std::size_t members = group_members[g].size();
+      SharedCacheStore::Lookup lookup =
+          store_->TryAcquire(group_key[g], relation);
+      if (lookup.stale_drop) ++stats_.stale_drops;
+      switch (lookup.state) {
+        case SharedCacheStore::LookupState::kHit:
+          stats_.hits += members;
+          answer(g, EncodedFetchResult::Ok(std::move(lookup.rows)));
+          break;
+        case SharedCacheStore::LookupState::kLeader:
+          leader_groups.push_back(g);
+          ++stats_.misses;
+          stats_.hits += members - 1;  // piggybacked dupes
+          break;
+        case SharedCacheStore::LookupState::kFollower:
+          follower_groups.push_back(g);
+          stats_.hits += members;
+          stats_.flight_waits += 1;
+          break;
+      }
+    }
+
+    // Fetch phase: one request per distinct missed key, batched so the
+    // layers below can overlap them; then publish successes (waking any
+    // cross-execution followers) and abandon failures so nothing stays
+    // pinned in flight.
+    if (!leader_groups.empty()) {
+      std::vector<EncodedTuple> missed;
+      missed.reserve(leader_groups.size());
+      for (std::size_t g : leader_groups) {
+        missed.push_back(signatures[group_leader[g]]);
+      }
+      std::vector<EncodedFetchResult> fetched =
+          inner_->FetchEncoded(relation, pattern, missed, shape);
+      for (std::size_t f = 0; f < leader_groups.size(); ++f) {
+        const std::size_t g = leader_groups[f];
+        if (fetched[f].ok()) {
+          stats_.evictions +=
+              store_->Publish(group_key[g], relation, fetched[f].rows);
+        } else {
+          store_->Abandon(group_key[g]);
+        }
+        answer(g, fetched[f]);
+      }
+    }
+
+    // Wait phase: collect the other executions' flights. An abandoned
+    // flight (the other execution's call failed) undoes its optimistic
+    // count and goes round again, to be counted on whatever path it
+    // takes then.
+    pending.clear();
+    for (std::size_t g : follower_groups) {
+      SharedRows rows = store_->WaitForFlight(group_key[g]);
+      if (rows != nullptr) {
+        answer(g, EncodedFetchResult::Ok(std::move(rows)));
+      } else {
+        stats_.hits -= group_members[g].size();
+        stats_.flight_waits -= 1;
+        pending.push_back(g);
+      }
+    }
   }
   return out;
 }

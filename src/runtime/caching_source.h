@@ -30,7 +30,7 @@ namespace ucqn {
 // every execution viewing the same store reuses every other execution's
 // calls, with the store single-flighting concurrent misses so each
 // distinct call hits the transport once however many queries race on it.
-class CachingSource : public Source {
+class CachingSource : public EncodedSource {
  public:
   struct CacheStats {
     std::uint64_t hits = 0;
@@ -52,10 +52,6 @@ class CachingSource : public Source {
   // every view (and every execution) using it.
   CachingSource(Source* inner, SharedCacheStore& store);
 
-  FetchResult Fetch(
-      const std::string& relation, const AccessPattern& pattern,
-      const std::vector<std::optional<Term>>& inputs) override;
-
   // Batch lookups with single-flight semantics: hits are answered from the
   // cache, misses are grouped by cache key so each distinct call is
   // forwarded exactly once however many requests in the wave share it, and
@@ -64,10 +60,12 @@ class CachingSource : public Source {
   // what the sequential path would have done one call later. Hit/miss
   // accounting is therefore identical at every parallelism level. Keys
   // in flight in *another* execution are waited on after this wave's own
-  // leaders publish, so cross-execution coalescing can never deadlock.
-  std::vector<FetchResult> FetchBatch(
+  // leaders publish, so cross-execution coalescing can never deadlock;
+  // a key whose flight was abandoned goes round again. A hit hands out
+  // the store's rows, not a copy.
+  std::vector<EncodedFetchResult> FetchEncoded(
       const std::string& relation, const AccessPattern& pattern,
-      const std::vector<std::vector<std::optional<Term>>>& inputs) override;
+      const std::vector<EncodedTuple>& signatures, CallShape shape) override;
 
   bool Caches() const override { return true; }
 
@@ -87,14 +85,6 @@ class CachingSource : public Source {
   void InvalidateRelation(const std::string& relation);
 
  private:
-  // The single-call acquire loop: hit → return cached; leader → forward
-  // to `inner_` then Publish/Abandon; follower → WaitForFlight, retrying
-  // the lookup when the flight was abandoned.
-  FetchResult FetchShared(const std::string& relation,
-                          const AccessPattern& pattern,
-                          const std::vector<std::optional<Term>>& inputs,
-                          const std::string& key);
-
   Source* inner_;
   std::size_t capacity_;
   std::unique_ptr<SharedCacheStore> owned_store_;

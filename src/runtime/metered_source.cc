@@ -52,49 +52,31 @@ std::string LatencyHistogram::ToString() const {
          "us max=" + std::to_string(max_micros()) + "us";
 }
 
-FetchResult MeteredSource::Fetch(
+std::vector<EncodedFetchResult> MeteredSource::FetchEncoded(
     const std::string& relation, const AccessPattern& pattern,
-    const std::vector<std::optional<Term>>& inputs) {
+    const std::vector<EncodedTuple>& signatures, CallShape shape) {
   const std::uint64_t start = clock_ != nullptr ? clock_->NowMicros() : 0;
-  FetchResult result = inner_->Fetch(relation, pattern, inputs);
+  std::vector<EncodedFetchResult> results =
+      inner_->FetchEncoded(relation, pattern, signatures, shape);
   const std::uint64_t elapsed =
       clock_ != nullptr ? clock_->NowMicros() - start : 0;
 
   RelationMetrics& rel = per_relation_[relation];
   RelationMetrics& access = per_access_[relation][pattern.word()];
   for (RelationMetrics* m : {&totals_, &rel, &access}) {
-    ++m->calls;
-    if (result.ok()) {
-      m->tuples += result.tuples.size();
+    if (shape == CallShape::kSingle) {
+      m->latency.Record(elapsed);
     } else {
-      ++m->errors;
+      ++m->batches;
+      m->batch_size.Record(signatures.size());
+      // The wave is timed as one unit: under a parallel dispatcher the
+      // sub-calls overlap, so this is the wave's wall-clock, not a sum.
+      m->wave_micros.Record(elapsed);
     }
-    m->latency.Record(elapsed);
-  }
-  return result;
-}
-
-std::vector<FetchResult> MeteredSource::FetchBatch(
-    const std::string& relation, const AccessPattern& pattern,
-    const std::vector<std::vector<std::optional<Term>>>& inputs) {
-  const std::uint64_t start = clock_ != nullptr ? clock_->NowMicros() : 0;
-  std::vector<FetchResult> results =
-      inner_->FetchBatch(relation, pattern, inputs);
-  const std::uint64_t elapsed =
-      clock_ != nullptr ? clock_->NowMicros() - start : 0;
-
-  RelationMetrics& rel = per_relation_[relation];
-  RelationMetrics& access = per_access_[relation][pattern.word()];
-  for (RelationMetrics* m : {&totals_, &rel, &access}) {
-    ++m->batches;
-    m->batch_size.Record(inputs.size());
-    // The wave is timed as one unit: under a parallel dispatcher the
-    // sub-calls overlap, so this is the wave's wall-clock, not a sum.
-    m->wave_micros.Record(elapsed);
-    for (const FetchResult& result : results) {
+    for (const EncodedFetchResult& result : results) {
       ++m->calls;
       if (result.ok()) {
-        m->tuples += result.tuples.size();
+        m->tuples += result.rows->size();
       } else {
         ++m->errors;
       }

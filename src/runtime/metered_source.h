@@ -48,7 +48,7 @@ class LatencyHistogram {
 
 // Per-relation call/tuple/error counters plus latency histograms — the
 // access-cost observability the paper's web-service model calls for.
-// `latency` holds per-call timings from the single-Fetch path; batched
+// `latency` holds per-call timings of single Fetch calls; batched
 // waves are timed as a unit instead (individual sub-call latencies overlap
 // below the parallel dispatcher and are not observable from above):
 // `batch_size` histograms how many sub-calls each wave carried and
@@ -67,7 +67,7 @@ struct RelationMetrics {
 // the bottom of the stack (directly above the transport, or above the
 // parallel dispatcher when one is configured) so each retry attempt and
 // every cache miss is measured, while cache hits are not.
-class MeteredSource : public Source {
+class MeteredSource : public EncodedSource {
  public:
   // Does not take ownership; `inner` (and `clock`, if given) must outlive
   // the adapter. Without a clock, latencies are all recorded as zero but
@@ -75,13 +75,11 @@ class MeteredSource : public Source {
   explicit MeteredSource(Source* inner, Clock* clock = nullptr)
       : inner_(inner), clock_(clock) {}
 
-  FetchResult Fetch(
+  // A single call is timed into `latency`, a wave as one unit into
+  // `wave_micros`.
+  std::vector<EncodedFetchResult> FetchEncoded(
       const std::string& relation, const AccessPattern& pattern,
-      const std::vector<std::optional<Term>>& inputs) override;
-
-  std::vector<FetchResult> FetchBatch(
-      const std::string& relation, const AccessPattern& pattern,
-      const std::vector<std::vector<std::optional<Term>>>& inputs) override;
+      const std::vector<EncodedTuple>& signatures, CallShape shape) override;
 
   const RelationMetrics& totals() const { return totals_; }
   const std::map<std::string, RelationMetrics>& per_relation() const {

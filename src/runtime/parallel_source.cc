@@ -18,10 +18,12 @@ ParallelSource::~ParallelSource() {
   for (std::thread& thread : threads_) thread.join();
 }
 
-FetchResult ParallelSource::Fetch(
-    const std::string& relation, const AccessPattern& pattern,
-    const std::vector<std::optional<Term>>& inputs) {
-  return inner_->Fetch(relation, pattern, inputs);
+EncodedFetchResult ParallelSource::CallOne(const std::string& relation,
+                                           const AccessPattern& pattern,
+                                           const EncodedTuple& signature) {
+  return std::move(
+      inner_->FetchEncoded(relation, pattern, {signature}, CallShape::kSingle)
+          .front());
 }
 
 void ParallelSource::StartThreadsLocked() {
@@ -42,44 +44,49 @@ void ParallelSource::WorkerLoop(std::size_t worker) {
     if (worker >= wave_workers_) continue;  // not part of this wave
     const std::string& relation = *relation_;
     const AccessPattern& pattern = *pattern_;
-    const std::vector<std::vector<std::optional<Term>>>& batch = *batch_;
-    std::vector<FetchResult>* results = results_;
+    const std::vector<EncodedTuple>& batch = *batch_;
+    std::vector<EncodedFetchResult>* results = results_;
     const std::size_t stride = wave_workers_;
     lock.unlock();
     for (std::size_t i = worker; i < batch.size(); i += stride) {
-      (*results)[i] = inner_->Fetch(relation, pattern, batch[i]);
+      (*results)[i] = CallOne(relation, pattern, batch[i]);
     }
     lock.lock();
     if (--remaining_ == 0) done_cv_.notify_one();
   }
 }
 
-std::vector<FetchResult> ParallelSource::FetchBatch(
+std::vector<EncodedFetchResult> ParallelSource::FetchEncoded(
     const std::string& relation, const AccessPattern& pattern,
-    const std::vector<std::vector<std::optional<Term>>>& inputs) {
+    const std::vector<EncodedTuple>& signatures, CallShape shape) {
+  // A single call goes straight through: only waves are dispatched (and
+  // counted).
+  if (shape == CallShape::kSingle) {
+    return inner_->FetchEncoded(relation, pattern, signatures, shape);
+  }
   ++stats_.batches;
-  stats_.requests += inputs.size();
-  const std::size_t fanout = std::min(workers_, inputs.size());
+  stats_.requests += signatures.size();
+  const std::size_t fanout = std::min(workers_, signatures.size());
   if (fanout <= 1) {
     // Inline on the caller's thread: the historical sequential behavior,
     // with no wave bracketing (sum semantics on a SimulatedClock).
-    std::vector<FetchResult> results;
-    results.reserve(inputs.size());
-    for (const std::vector<std::optional<Term>>& request : inputs) {
-      results.push_back(inner_->Fetch(relation, pattern, request));
+    std::vector<EncodedFetchResult> results;
+    results.reserve(signatures.size());
+    for (const EncodedTuple& signature : signatures) {
+      results.push_back(CallOne(relation, pattern, signature));
     }
     return results;
   }
 
   ++stats_.parallel_batches;
-  std::vector<FetchResult> results(inputs.size());
+  std::vector<EncodedFetchResult> results(signatures.size());
   if (clock_ != nullptr) clock_->BeginWave(fanout);
   {
     std::lock_guard<std::mutex> lock(mu_);
     StartThreadsLocked();
     relation_ = &relation;
     pattern_ = &pattern;
-    batch_ = &inputs;
+    batch_ = &signatures;
     results_ = &results;
     wave_workers_ = fanout;
     remaining_ = fanout;

@@ -12,13 +12,14 @@
 
 namespace ucqn {
 
-// Fans a FetchBatch wave out over a fixed-size worker pool, issuing one
-// Fetch against the wrapped (transport) source per request. Sits at the
+// Fans a wave out over a fixed-size worker pool, issuing one call per
+// request against the wrapped (transport) source. Sits at the
 // very bottom of a SourceStack, directly above the transport, so every
 // decorator above it stays single-threaded: only the pool threads ever run
 // concurrently, and only inside the transport — which must therefore be
 // thread-safe (DatabaseSource, IndexedDatabaseSource and
-// FaultInjectingSource are).
+// FaultInjectingSource are). A string-only transport is reached through
+// Source's encoded-call adapter, on the worker's thread.
 //
 // Request i of a wave of size n is statically assigned to worker
 // i mod min(workers, n); each worker processes its share sequentially.
@@ -32,10 +33,10 @@ namespace ucqn {
 // With workers <= 1, or a single-request wave, everything runs inline on
 // the caller's thread: bit-for-bit the historical sequential behavior,
 // with no threads created and no wave bracketing.
-class ParallelSource : public Source {
+class ParallelSource : public EncodedSource {
  public:
   struct ParallelStats {
-    std::uint64_t batches = 0;           // FetchBatch waves seen
+    std::uint64_t batches = 0;           // waves seen
     std::uint64_t parallel_batches = 0;  // waves actually fanned out
     std::uint64_t requests = 0;          // total requests across waves
   };
@@ -47,13 +48,9 @@ class ParallelSource : public Source {
   ParallelSource(Source* inner, std::size_t workers, Clock* clock = nullptr);
   ~ParallelSource() override;
 
-  FetchResult Fetch(
+  std::vector<EncodedFetchResult> FetchEncoded(
       const std::string& relation, const AccessPattern& pattern,
-      const std::vector<std::optional<Term>>& inputs) override;
-
-  std::vector<FetchResult> FetchBatch(
-      const std::string& relation, const AccessPattern& pattern,
-      const std::vector<std::vector<std::optional<Term>>>& inputs) override;
+      const std::vector<EncodedTuple>& signatures, CallShape shape) override;
 
   std::size_t workers() const { return workers_; }
   const ParallelStats& parallel_stats() const { return stats_; }
@@ -61,6 +58,10 @@ class ParallelSource : public Source {
  private:
   void StartThreadsLocked();
   void WorkerLoop(std::size_t worker);
+  // Request i of a wave, as its own call against the transport.
+  EncodedFetchResult CallOne(const std::string& relation,
+                             const AccessPattern& pattern,
+                             const EncodedTuple& signature);
 
   Source* inner_;
   std::size_t workers_;
@@ -80,8 +81,8 @@ class ParallelSource : public Source {
   std::size_t remaining_ = 0;
   const std::string* relation_ = nullptr;
   const AccessPattern* pattern_ = nullptr;
-  const std::vector<std::vector<std::optional<Term>>>* batch_ = nullptr;
-  std::vector<FetchResult>* results_ = nullptr;
+  const std::vector<EncodedTuple>* batch_ = nullptr;
+  std::vector<EncodedFetchResult>* results_ = nullptr;
   std::vector<std::thread> threads_;
 };
 

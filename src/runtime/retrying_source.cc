@@ -61,72 +61,11 @@ bool RetryingSource::BackoffCrossesDeadlineLocked(std::uint64_t backoff) {
   return backoff >= budget_.deadline_micros - elapsed;
 }
 
-FetchResult RetryingSource::Fetch(
+std::vector<EncodedFetchResult> RetryingSource::FetchEncoded(
     const std::string& relation, const AccessPattern& pattern,
-    const std::vector<std::optional<Term>>& inputs) {
-  std::string last_error;
-  for (int attempt = 1; attempt <= policy_.max_attempts; ++attempt) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      std::string why;
-      if (BudgetExceededLocked(&why)) {
-        ++stats_.budget_refusals;
-        if (!last_error.empty()) why += "; last error: " + last_error;
-        return FetchResult::BudgetExhausted(std::move(why));
-      }
-      ++calls_used_;
-      ++stats_.attempts;
-      if (attempt > 1) ++stats_.retries;
-    }
-    FetchResult result = inner_->Fetch(relation, pattern, inputs);
-    if (result.ok()) {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.successes;
-      return result;
-    }
-    // A budget refusal from a nested layer is terminal — retrying within
-    // the same query can only burn more of an already-empty budget.
-    if (result.status == FetchStatus::kBudgetExhausted) return result;
-    last_error = std::move(result.error);
-    if (attempt < policy_.max_attempts) {
-      std::uint64_t micros;
-      bool crosses;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        micros = BackoffMicrosLocked(attempt);
-        crosses = BackoffCrossesDeadlineLocked(micros);
-        if (crosses) {
-          // The retry this sleep would set up could never be admitted, so
-          // sleeping is pure waste: fail now, without the sleep and
-          // without debiting the call budget for an attempt never made.
-          ++stats_.budget_refusals;
-        } else {
-          stats_.backoff_micros_total += micros;
-        }
-      }
-      if (crosses) {
-        return FetchResult::BudgetExhausted(
-            "deadline of " + std::to_string(budget_.deadline_micros) +
-            "us would be crossed by a " + std::to_string(micros) +
-            "us backoff; last error: " + last_error);
-      }
-      clock_->SleepMicros(micros);
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.giveups;
-  }
-  return FetchResult::TransientError(
-      "giving up on " + relation + " after " +
-      std::to_string(policy_.max_attempts) + " attempt(s): " + last_error);
-}
-
-std::vector<FetchResult> RetryingSource::FetchBatch(
-    const std::string& relation, const AccessPattern& pattern,
-    const std::vector<std::vector<std::optional<Term>>>& inputs) {
-  const std::size_t n = inputs.size();
-  std::vector<FetchResult> out(n);
+    const std::vector<EncodedTuple>& signatures, CallShape shape) {
+  const std::size_t n = signatures.size();
+  std::vector<EncodedFetchResult> out(n);
   std::vector<std::string> last_error(n);
   std::vector<std::size_t> pending(n);
   std::iota(pending.begin(), pending.end(), std::size_t{0});
@@ -155,7 +94,8 @@ std::vector<FetchResult> RetryingSource::FetchBatch(
         if (!last_error[request].empty()) {
           why += "; last error: " + last_error[request];
         }
-        out[request] = FetchResult::BudgetExhausted(std::move(why));
+        out[request] = EncodedFetchResult::Error(
+            FetchStatus::kBudgetExhausted, std::move(why));
       } else {
         admitted.push_back(request);
       }
@@ -164,16 +104,16 @@ std::vector<FetchResult> RetryingSource::FetchBatch(
 
     // Forward the round as one batch so the layers below can overlap the
     // sub-calls; retries of round k fly together in round k+1.
-    std::vector<std::vector<std::optional<Term>>> round;
+    std::vector<EncodedTuple> round;
     round.reserve(admitted.size());
-    for (std::size_t request : admitted) round.push_back(inputs[request]);
-    std::vector<FetchResult> results =
-        inner_->FetchBatch(relation, pattern, round);
+    for (std::size_t request : admitted) round.push_back(signatures[request]);
+    std::vector<EncodedFetchResult> results =
+        inner_->FetchEncoded(relation, pattern, round, shape);
 
     std::vector<std::size_t> still_failing;
     for (std::size_t j = 0; j < admitted.size(); ++j) {
       const std::size_t request = admitted[j];
-      FetchResult& result = results[j];
+      EncodedFetchResult& result = results[j];
       if (result.ok()) {
         std::lock_guard<std::mutex> lock(mu_);
         ++stats_.successes;
@@ -208,7 +148,8 @@ std::vector<FetchResult> RetryingSource::FetchBatch(
       }
       if (crosses) {
         for (std::size_t request : pending) {
-          out[request] = FetchResult::BudgetExhausted(
+          out[request] = EncodedFetchResult::Error(
+              FetchStatus::kBudgetExhausted,
               "deadline of " + std::to_string(budget_.deadline_micros) +
               "us would be crossed by a " + std::to_string(micros) +
               "us backoff; last error: " + last_error[request]);
@@ -224,7 +165,8 @@ std::vector<FetchResult> RetryingSource::FetchBatch(
       std::lock_guard<std::mutex> lock(mu_);
       ++stats_.giveups;
     }
-    out[request] = FetchResult::TransientError(
+    out[request] = EncodedFetchResult::Error(
+        FetchStatus::kTransientError,
         "giving up on " + relation + " after " +
         std::to_string(policy_.max_attempts) +
         " attempt(s): " + last_error[request]);

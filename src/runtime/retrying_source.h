@@ -43,14 +43,14 @@ struct CallBudget {
 // budget. Transient errors are retried up to the policy's attempt limit;
 // budget refusals are terminal for the query.
 //
-// FetchBatch retries sub-calls independently: a wave's failures are
+// A wave's sub-calls are retried independently: a wave's failures are
 // collected and re-batched together in the next retry round (so retries
 // overlap just like first attempts), with one backoff sleep per round —
 // the pending sub-calls back off together instead of serializing their
 // individual sleeps. The call/deadline budget is one per-query total,
 // debited per sub-call in request order under a lock, so the cap holds
 // exactly at any batch size or parallelism.
-class RetryingSource : public Source {
+class RetryingSource : public EncodedSource {
  public:
   struct RetryStats {
     std::uint64_t attempts = 0;   // calls forwarded to the wrapped source
@@ -67,13 +67,9 @@ class RetryingSource : public Source {
   RetryingSource(Source* inner, RetryPolicy policy = RetryPolicy{},
                  CallBudget budget = CallBudget{}, Clock* clock = nullptr);
 
-  FetchResult Fetch(
+  std::vector<EncodedFetchResult> FetchEncoded(
       const std::string& relation, const AccessPattern& pattern,
-      const std::vector<std::optional<Term>>& inputs) override;
-
-  std::vector<FetchResult> FetchBatch(
-      const std::string& relation, const AccessPattern& pattern,
-      const std::vector<std::vector<std::optional<Term>>>& inputs) override;
+      const std::vector<EncodedTuple>& signatures, CallShape shape) override;
 
   const RetryStats& retry_stats() const { return stats_; }
 

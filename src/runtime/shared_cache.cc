@@ -5,23 +5,9 @@
 #include <functional>
 #include <limits>
 
-namespace ucqn {
+#include "util/logging.h"
 
-std::string SourceCacheKey(const std::string& relation,
-                           const AccessPattern& pattern,
-                           const std::vector<std::optional<Term>>& inputs) {
-  std::string key = relation + "^" + pattern.word();
-  for (std::size_t j = 0; j < inputs.size(); ++j) {
-    key += "|";
-    // Only input slots participate in the call signature; the source
-    // ignores values at output slots, so two calls differing only there
-    // are the same call (footnote 4).
-    if (pattern.IsInputSlot(j) && inputs[j].has_value()) {
-      key += inputs[j]->ToString();
-    }
-  }
-  return key;
-}
+namespace ucqn {
 
 namespace {
 
@@ -54,19 +40,23 @@ std::string PackSourceCacheSignature(
   return key;
 }
 
-std::string PackedSourceCacheKey(
-    const std::string& relation, const AccessPattern& pattern,
-    const std::vector<std::optional<Term>>& inputs) {
+SourceCacheKeyPacker::SourceCacheKeyPacker(const std::string& relation,
+                                           const AccessPattern& pattern)
+    : pattern_(pattern) {
   TermDictionary& dict = TermDictionary::Global();
+  relation_id_ = dict.Intern(relation);
+  word_id_ = dict.Intern(pattern.word());
+}
+
+std::string SourceCacheKeyPacker::Pack(const EncodedTuple& signature) const {
   std::string key;
-  key.reserve((2 + inputs.size()) * sizeof(std::uint32_t));
-  AppendId(&key, dict.Intern(relation));
-  AppendId(&key, dict.Intern(pattern.word()));
-  for (std::size_t j = 0; j < inputs.size(); ++j) {
+  key.reserve((2 + signature.size()) * sizeof(std::uint32_t));
+  AppendId(&key, relation_id_);
+  AppendId(&key, word_id_);
+  for (std::size_t j = 0; j < signature.size(); ++j) {
     // Footnote 4 again: values at output slots never reach the key.
-    const bool keyed = pattern.IsInputSlot(j) && inputs[j].has_value();
-    AppendId(&key, keyed ? dict.EncodeGround(*inputs[j])
-                         : TermDictionary::kAbsentId);
+    AppendId(&key, pattern_.IsInputSlot(j) ? signature[j]
+                                           : TermDictionary::kAbsentId);
   }
   return key;
 }
@@ -153,11 +143,21 @@ std::uint64_t SharedCacheStore::ExpiryFor(std::uint64_t now,
 
 std::size_t SharedCacheStore::EntryCost(const std::string& key,
                                         const std::string& relation,
-                                        const std::vector<Tuple>& tuples) {
-  std::size_t bytes = sizeof(Entry) + key.size() + relation.size();
-  for (const Tuple& tuple : tuples) {
-    bytes += sizeof(Tuple);
-    for (const Term& term : tuple) bytes += sizeof(Term) + term.name().size();
+                                        const EncodedRows& rows) {
+  // The bookkeeping charge of an entry that held its result as decoded
+  // tuples: key and relation strings, the tuple vector, and the three
+  // counters. Entry itself is smaller now; the charge stays put.
+  constexpr std::size_t kBookkeeping = 2 * sizeof(std::string) +
+                                       sizeof(std::vector<Tuple>) +
+                                       3 * sizeof(std::uint64_t);
+  const TermDictionary& dict = TermDictionary::Global();
+  std::size_t bytes = kBookkeeping + key.size() + relation.size();
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    const std::uint32_t* row = rows.Row(r);
+    bytes += sizeof(Tuple) + rows.arity() * sizeof(Term);
+    for (std::size_t j = 0; j < rows.arity(); ++j) {
+      bytes += dict.Decode(row[j]).size();
+    }
   }
   return bytes;
 }
@@ -187,7 +187,7 @@ SharedCacheStore::Lookup SharedCacheStore::TryAcquire(
       ++shard.per_relation[relation].hits;
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
       result.state = LookupState::kHit;
-      result.tuples = entry.tuples;
+      result.rows = entry.rows;
       return result;
     }
   }
@@ -239,20 +239,20 @@ std::size_t SharedCacheStore::InsertFront(Shard& shard, Entry entry) {
 
 std::size_t SharedCacheStore::Publish(const std::string& key,
                                       const std::string& relation,
-                                      std::vector<Tuple> tuples) {
-  const std::uint64_t ttl = TtlFor(/*negative=*/tuples.empty());
+                                      SharedRows rows) {
+  UCQN_CHECK_MSG(rows != nullptr, "a published result needs its rows");
+  const std::uint64_t ttl = TtlFor(/*negative=*/rows->empty());
+  Entry entry;
+  entry.key = key;
+  entry.relation = relation;
+  entry.tuple_cost = std::max<std::size_t>(1, rows->size());
+  entry.byte_cost = EntryCost(key, relation, *rows);
+  entry.rows = std::move(rows);
   Shard& shard = ShardFor(key);
   std::size_t evicted = 0;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
     shard.flights.erase(key);
-
-    Entry entry;
-    entry.key = key;
-    entry.relation = relation;
-    entry.tuple_cost = std::max<std::size_t>(1, tuples.size());
-    entry.byte_cost = EntryCost(key, relation, tuples);
-    entry.tuples = std::move(tuples);
     // ttl == 0 keeps the "never expires" sentinel; otherwise saturate so
     // an enormous TTL cannot wrap around into the sentinel (or into the
     // past). ttl > 0 and a saturating sum also mean a *computed* expiry
@@ -283,7 +283,7 @@ std::vector<SharedCacheStore::ExportedEntry> SharedCacheStore::ExportEntries()
                                 &exported.pattern_word, &exported.inputs)) {
         exported.key = entry.key;
       }
-      exported.tuples = entry.tuples;
+      exported.tuples = DecodeRows(*entry.rows);
       exported.ttl_remaining_micros =
           entry.expire_at_micros == 0 ? 0 : entry.expire_at_micros - now;
       out.push_back(std::move(exported));
@@ -301,15 +301,16 @@ void SharedCacheStore::RestoreEntry(const ExportedEntry& restored) {
           ? PackSourceCacheSignature(restored.relation, restored.pattern_word,
                                      restored.inputs)
           : restored.key;
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-
+  const std::size_t arity =
+      restored.key.empty() ? restored.inputs.size()
+      : restored.tuples.empty() ? 0
+                                : restored.tuples.front().size();
   Entry entry;
   entry.key = key;
   entry.relation = restored.relation;
-  entry.tuple_cost = std::max<std::size_t>(1, restored.tuples.size());
-  entry.byte_cost = EntryCost(key, restored.relation, restored.tuples);
-  entry.tuples = restored.tuples;
+  entry.rows = EncodeRows(restored.tuples, arity);
+  entry.tuple_cost = std::max<std::size_t>(1, entry.rows->size());
+  entry.byte_cost = EntryCost(key, restored.relation, *entry.rows);
   // The exporter stored remaining lifetime; the clock epoch restarts
   // here. 0 stays the "never expires" sentinel, and ExpiryFor keeps a
   // huge remainder from wrapping into it. Empty results additionally
@@ -326,6 +327,8 @@ void SharedCacheStore::RestoreEntry(const ExportedEntry& restored) {
       remaining = remaining == 0 ? fresh : std::min(remaining, fresh);
     }
   }
+  Shard& shard = ShardFor(key);
+  std::lock_guard<std::mutex> lock(shard.mu);
   entry.expire_at_micros =
       remaining == 0 ? 0 : ExpiryFor(clock_->NowMicros(), remaining);
   InsertFront(shard, std::move(entry));
@@ -340,13 +343,12 @@ void SharedCacheStore::Abandon(const std::string& key) {
   shard.cv.notify_all();
 }
 
-std::optional<std::vector<Tuple>> SharedCacheStore::WaitForFlight(
-    const std::string& key) {
+SharedRows SharedCacheStore::WaitForFlight(const std::string& key) {
   Shard& shard = ShardFor(key);
   std::unique_lock<std::mutex> lock(shard.mu);
   shard.cv.wait(lock, [&] { return shard.flights.count(key) == 0; });
   auto it = shard.index.find(key);
-  if (it == shard.index.end()) return std::nullopt;  // abandoned or evicted
+  if (it == shard.index.end()) return nullptr;  // abandoned or evicted
   // Apply the same staleness rule as TryAcquire: a follower that wakes at
   // (or after) the published entry's expiry must not be handed a result
   // that a fresh lookup at the same instant would have stale-dropped.
@@ -355,10 +357,10 @@ std::optional<std::vector<Tuple>> SharedCacheStore::WaitForFlight(
   if (IsExpired(*it->second, clock_->NowMicros())) {
     ++shard.stats.stale_drops;
     Erase(shard, it->second);
-    return std::nullopt;  // caller refetches, as after an abandoned flight
+    return nullptr;  // caller refetches, as after an abandoned flight
   }
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  return it->second->tuples;
+  return it->second->rows;
 }
 
 void SharedCacheStore::InvalidateRelation(const std::string& relation) {
@@ -379,6 +381,25 @@ void SharedCacheStore::InvalidateRelation(const std::string& relation) {
 std::size_t SharedCacheStore::InvalidateDelta(
     const std::string& relation, const std::vector<Tuple>& changed) {
   if (changed.empty()) return 0;
+  // Encode once, outside the shard locks, without interning: a constant
+  // the dictionary has never seen is in no key, and neither is a
+  // variable, so both become kAbsentId, which no valued slot equals.
+  const TermDictionary& dict = TermDictionary::Global();
+  const std::uint32_t relation_id = dict.Find(relation);
+  std::vector<EncodedTuple> encoded;
+  encoded.reserve(changed.size());
+  for (const Tuple& tuple : changed) {
+    EncodedTuple ids(tuple.size(), TermDictionary::kAbsentId);
+    for (std::size_t j = 0; j < tuple.size(); ++j) {
+      if (tuple[j].IsNull()) {
+        ids[j] = TermDictionary::kNullId;
+      } else if (tuple[j].IsConstant()) {
+        ids[j] = dict.Find(tuple[j].name());
+      }
+    }
+    encoded.push_back(std::move(ids));
+  }
+  const std::size_t width = sizeof(std::uint32_t);
   std::size_t dropped = 0;
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
@@ -391,21 +412,22 @@ std::size_t SharedCacheStore::InvalidateDelta(
       // the tuple agrees with every valued slot of the packed key (valued
       // slots are exactly the bound input positions; footnote 4 keeps
       // output slots absent). Full scans have no valued slots and always
-      // drop; keys the unpacker does not recognize (opaque test keys)
-      // drop conservatively — we cannot prove the change misses them.
-      std::string pattern_word;
-      std::vector<std::optional<Term>> slots;
+      // drop; keys that are not packed keys of `relation` (opaque test
+      // keys) drop conservatively — we cannot prove the change misses
+      // them.
+      const std::string& key = it->key;
       bool drop = true;
-      if (UnpackSourceCacheKey(it->key, relation, &pattern_word, &slots)) {
+      if (key.size() >= 2 * width && key.size() % width == 0 &&
+          relation_id != TermDictionary::kAbsentId &&
+          IdAt(key, 0) == relation_id) {
+        const std::size_t slots = key.size() / width - 2;
         drop = false;
-        for (const Tuple& tuple : changed) {
-          if (tuple.size() != slots.size()) continue;
+        for (const EncodedTuple& tuple : encoded) {
+          if (tuple.size() != slots) continue;
           bool agrees = true;
-          for (std::size_t j = 0; j < slots.size(); ++j) {
-            if (slots[j].has_value() && *slots[j] != tuple[j]) {
-              agrees = false;
-              break;
-            }
+          for (std::size_t j = 0; j < slots && agrees; ++j) {
+            const std::uint32_t id = IdAt(key, 2 + j);
+            agrees = id == TermDictionary::kAbsentId || id == tuple[j];
           }
           if (agrees) {
             drop = true;

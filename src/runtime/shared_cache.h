@@ -19,27 +19,33 @@
 
 namespace ucqn {
 
-// The footnote-4 call signature: relation, pattern word, and the values at
-// the pattern's *input* slots. Output-slot values never participate — the
-// source ignores them, so two calls differing only there are the same
-// physical call. This textual rendering is kept for diagnostics and
-// tests; the store itself is keyed by the packed id form below.
-std::string SourceCacheKey(const std::string& relation,
-                           const AccessPattern& pattern,
-                           const std::vector<std::optional<Term>>& inputs);
+// The footnote-4 call signature as a fixed-width id sequence: raw
+// uint32s [relation_id, word_id, one id per slot] against the
+// process-wide TermDictionary, TermDictionary::kAbsentId at output slots
+// and at input slots the call does not ground. Output-slot values never
+// participate — the source ignores them, so two calls differing only
+// there are the same physical call. Hashing or comparing a key is a
+// short memcmp, which is what makes cache probes on the executor's hot
+// path cheap. Packed keys are process-local (ids do not survive a
+// restart); snapshots therefore persist the *decoded* signature and
+// re-encode on restore (see ExportedEntry).
+//
+// A packer resolves the relation and pattern-word ids once, so packing
+// each call of a wave is a handful of integer stores.
+class SourceCacheKeyPacker {
+ public:
+  SourceCacheKeyPacker(const std::string& relation,
+                       const AccessPattern& pattern);
 
-// The same signature as a fixed-width id sequence: raw uint32s
-// [relation_id, word_id, one id per slot] against the process-wide
-// TermDictionary (TermDictionary::kAbsentId for output slots and for
-// input slots the binding does not ground). Building one is a handful
-// of integer stores — no per-value string rendering — and hashing or
-// comparing it is a short memcmp, which is what makes cache probes on
-// the executor's hot path cheap. Packed keys are process-local (ids do
-// not survive a restart); snapshots therefore persist the *decoded*
-// signature and re-encode on restore (see ExportedEntry).
-std::string PackedSourceCacheKey(
-    const std::string& relation, const AccessPattern& pattern,
-    const std::vector<std::optional<Term>>& inputs);
+  // `signature` as EncodeSignature (eval/source.h) builds it; values at
+  // output slots are masked out here all the same.
+  std::string Pack(const EncodedTuple& signature) const;
+
+ private:
+  AccessPattern pattern_;
+  std::uint32_t relation_id_;
+  std::uint32_t word_id_;
+};
 
 // Packs an already-decoded signature: one entry per slot, nullopt for
 // "no value" (the snapshot-restore and testing entry point).
@@ -49,7 +55,7 @@ std::string PackSourceCacheSignature(
 
 // Decodes a packed key back into (pattern word, per-slot values),
 // verifying it round-trips against `relation`. Returns false for keys
-// not produced by PackedSourceCacheKey (e.g. opaque test keys).
+// not produced by SourceCacheKeyPacker (e.g. opaque test keys).
 bool UnpackSourceCacheKey(const std::string& key, const std::string& relation,
                           std::string* pattern_word,
                           std::vector<std::optional<Term>>* slots);
@@ -59,11 +65,11 @@ bool UnpackSourceCacheKey(const std::string& key, const std::string& relation,
 // multi-tenant analogue of ANSWER*'s Qᵘ/Qᵒ overlap) reuse each other's
 // calls instead of paying full price every time.
 //
-// Structure: a sharded LRU keyed by SourceCacheKey. Each shard has its own
-// mutex, so concurrently executing queries mostly contend only when they
-// touch the same keys. Staleness is handled at the physical-access layer
-// (TTLs plus explicit InvalidateRelation/InvalidateAll
-// hooks) — predicting which *relations* a future query will touch is
+// Structure: a sharded LRU keyed by packed call signatures. Each shard
+// has its own mutex, so concurrently executing queries mostly contend
+// only when they touch the same keys. Staleness is handled at the
+// physical-access layer (TTLs plus explicit
+// InvalidateRelation/InvalidateAll hooks) — predicting which *relations* a future query will touch is
 // undecidable (Martinenghi), but dropping one service's entries when that
 // service is known to have changed is always sound.
 //
@@ -74,6 +80,9 @@ bool UnpackSourceCacheKey(const std::string& key, const std::string& relation,
 // no matter how many queries race on it. A leader that fails Abandon()s
 // the flight and followers fall back to fetching themselves, so a
 // transient error is never pinned and never deadlocks a waiter.
+//
+// Entries hold the encoded rows behind a shared pointer: a hit hands
+// out the pointer, never a copy of the rows.
 //
 // The store itself never calls a Source: CachingSource (the thin
 // per-execution view) drives the TryAcquire/Publish/Abandon/WaitForFlight
@@ -141,13 +150,13 @@ class SharedCacheStore {
   // --- lookup protocol (driven by CachingSource) --------------------------
 
   enum class LookupState {
-    kHit,       // `tuples` holds the cached result
+    kHit,       // `rows` holds the cached result
     kLeader,    // caller owns the flight: fetch, then Publish or Abandon
     kFollower,  // another caller is fetching this key: WaitForFlight
   };
   struct Lookup {
     LookupState state = LookupState::kLeader;
-    std::vector<Tuple> tuples;  // meaningful only for kHit
+    SharedRows rows;  // set only for kHit
     // True when this lookup dropped a TTL-expired entry on its way to a
     // miss — the per-execution staleness attribution.
     bool stale_drop = false;
@@ -161,7 +170,7 @@ class SharedCacheStore {
   // Publishes a leader's successful result and wakes the key's followers.
   // Returns the number of entries evicted to make room.
   std::size_t Publish(const std::string& key, const std::string& relation,
-                      std::vector<Tuple> tuples);
+                      SharedRows rows);
 
   // Releases a leader's flight without a result (the physical call
   // failed). Followers wake and fetch for themselves; the failure is not
@@ -169,10 +178,10 @@ class SharedCacheStore {
   void Abandon(const std::string& key);
 
   // Blocks until the in-flight fetch of `key` publishes or abandons.
-  // Returns the published tuples, or nullopt when the flight was
-  // abandoned (or the entry already evicted again) — the caller then
-  // fetches for itself.
-  std::optional<std::vector<Tuple>> WaitForFlight(const std::string& key);
+  // Returns the published rows, or null when the flight was abandoned
+  // (or the entry already evicted again) — the caller then fetches for
+  // itself.
+  SharedRows WaitForFlight(const std::string& key);
 
   // --- invalidation (the staleness hooks) ---------------------------------
 
@@ -186,9 +195,11 @@ class SharedCacheStore {
   // `relation` whose packed-key signature one of `changed` tuples can
   // match — a changed tuple affects a cached call's result iff it agrees
   // with every valued (bound-input) slot of the key, so keyed lookups
-  // bound to other values survive the update. Entries with unparseable
-  // keys are dropped conservatively. Returns the number of entries
-  // dropped (also counted in stats().invalidated).
+  // bound to other values survive the update. The changed tuples are
+  // encoded once and compared id by id under each shard lock. Entries
+  // whose key is not a packed key of `relation` are dropped
+  // conservatively. Returns the number of entries dropped (also counted
+  // in stats().invalidated).
   std::size_t InvalidateDelta(const std::string& relation,
                               const std::vector<Tuple>& changed);
 
@@ -204,8 +215,9 @@ class SharedCacheStore {
   // not ids — the restoring process re-encodes against its own
   // dictionary, which makes warm restarts survive dictionary
   // renumbering. Entries whose key was not produced by
-  // PackedSourceCacheKey (tests publishing opaque keys) carry the raw
+  // SourceCacheKeyPacker (tests publishing opaque keys) carry the raw
   // key verbatim in `key` instead, with `pattern_word`/`inputs` empty.
+  // Rows travel decoded too.
   struct ExportedEntry {
     std::string key;  // verbatim opaque key; empty for decoded entries
     std::string relation;
@@ -223,20 +235,26 @@ class SharedCacheStore {
   // Re-inserts a snapshot entry: expiry restarts at now +
   // ttl_remaining_micros (0 = never). Decoded entries are re-encoded
   // into a packed key against the current process dictionary; opaque
-  // entries keep their verbatim key. Counted as an insert; the capacity
+  // entries keep their verbatim key. The tuples are encoded into rows of
+  // their own arity (inputs.size() for a decoded entry, the first
+  // tuple's for an opaque one); callers validate that every tuple has it
+  // (RestoreCacheSnapshot does), since EncodeRows drops those that do not. Counted as an insert; the capacity
   // and byte budgets apply exactly as in Publish, so restoring into a
   // smaller store evicts from the cold end. Never touches flights — call
   // before serving, or concurrently with traffic (both are safe; a racing
   // Publish of the same key simply wins or is replaced by LRU age).
   void RestoreEntry(const ExportedEntry& entry);
 
-  // The exact resident cost Publish charges for one entry: struct
-  // bookkeeping plus the key, relation, and every tuple's terms. Public
-  // so budget tests and capacity planning can compute thresholds rather
+  // The resident cost Publish charges for one entry: bookkeeping plus
+  // the key, the relation, and every row as the decoded Tuple of Terms
+  // it stands for (each term's spelling length included). Entries hold
+  // ids now, so this overstates what they occupy; it is kept so budgets,
+  // evictions and reported bytes mean what they always meant. Public so
+  // budget tests and capacity planning can compute thresholds rather
   // than hard-coding platform-dependent sizes.
   static std::size_t EntryCost(const std::string& key,
                                const std::string& relation,
-                               const std::vector<Tuple>& tuples);
+                               const EncodedRows& rows);
 
   // --- observability ------------------------------------------------------
 
@@ -263,8 +281,8 @@ class SharedCacheStore {
   struct Entry {
     std::string key;
     std::string relation;
-    std::vector<Tuple> tuples;
-    std::size_t tuple_cost = 1;       // max(1, tuples.size())
+    SharedRows rows;
+    std::size_t tuple_cost = 1;       // max(1, rows->size())
     std::size_t byte_cost = 0;        // EntryCost at publish time
     std::uint64_t expire_at_micros = 0;  // 0 = never
   };

@@ -62,7 +62,7 @@ std::string CacheSnapshotToJson(const SharedCacheStore& store) {
       }
       e.Set("inputs", std::move(inputs));
     } else {
-      // An opaque key (not minted by PackedSourceCacheKey) travels
+      // An opaque key (not minted by SourceCacheKeyPacker) travels
       // verbatim — it can only ever hit again in a store that looks it
       // up verbatim too.
       e.Set("key", JsonValue::String(entry.key));
@@ -100,6 +100,10 @@ bool RestoreCacheSnapshot(const std::string& json, SharedCacheStore* store,
   if (entries == nullptr || !entries->is_array()) {
     return fail("cache snapshot lacks an \"entries\" array");
   }
+  // Parse and validate every entry before the store sees any of them: a
+  // bad entry anywhere leaves the store as it was.
+  std::vector<SharedCacheStore::ExportedEntry> parsed_entries;
+  parsed_entries.reserve(entries->items().size());
   for (const JsonValue& e : entries->items()) {
     if (!e.is_object()) return fail("snapshot entry must be an object");
     SharedCacheStore::ExportedEntry entry;
@@ -120,6 +124,11 @@ bool RestoreCacheSnapshot(const std::string& json, SharedCacheStore* store,
       entry.pattern_word = pattern->AsString();
       if (entry.pattern_word.empty()) {
         return fail("snapshot entry has an empty pattern word");
+      }
+      if (slots->items().size() != entry.pattern_word.size()) {
+        return fail("snapshot entry's pattern \"" + entry.pattern_word +
+                    "\" does not have " +
+                    std::to_string(slots->items().size()) + " slots");
       }
       for (const JsonValue& cell : slots->items()) {
         if (cell.is_null()) {
@@ -154,8 +163,21 @@ bool RestoreCacheSnapshot(const std::string& json, SharedCacheStore* store,
           return fail("snapshot tuple cells must be strings or null");
         }
       }
+      // Every row of a call has the call's arity: the slot count of a
+      // decoded signature, else the first row's.
+      const std::size_t arity = entry.key.empty() ? entry.inputs.size()
+                                : entry.tuples.empty() ? tuple.size()
+                                                       : entry.tuples[0].size();
+      if (tuple.size() != arity) {
+        return fail("snapshot entry of " + entry.relation + " has a tuple of " +
+                    std::to_string(tuple.size()) + " cells where " +
+                    std::to_string(arity) + " are expected");
+      }
       entry.tuples.push_back(std::move(tuple));
     }
+    parsed_entries.push_back(std::move(entry));
+  }
+  for (const SharedCacheStore::ExportedEntry& entry : parsed_entries) {
     store->RestoreEntry(entry);
   }
   return true;

@@ -27,7 +27,7 @@ namespace ucqn {
 // strings (pattern word + per-slot input values) and the restoring
 // process re-encodes it against its own TermDictionary. Warm restarts
 // therefore survive dictionary renumbering. Opaque keys (not minted by
-// PackedSourceCacheKey) travel verbatim under "key" instead.
+// SourceCacheKeyPacker) travel verbatim under "key" instead.
 //
 // {"entries": [{"pattern": "io", "inputs": ["a", null], "relation": "R",
 //               "ttl_remaining_us": 0,
@@ -39,7 +39,10 @@ std::string CacheSnapshotToJson(const SharedCacheStore& store);
 // Restores CacheSnapshotToJson output into `store` (entries append; call
 // on a fresh store for an exact restore). Constants and nulls
 // round-trip; capacity/budget limits of the receiving store apply.
-// Returns false and sets `*error` on malformed input.
+// All or nothing: every entry is parsed and validated (a decoded entry
+// has one input cell per pattern slot, and every tuple of an entry the
+// same arity) before any is restored, so on malformed input the store
+// is untouched. Returns false and sets `*error` (one line) then.
 bool RestoreCacheSnapshot(const std::string& json, SharedCacheStore* store,
                           std::string* error);
 

@@ -14,6 +14,11 @@
 namespace ucqn {
 namespace {
 
+// `tuples` (all of one arity) as the encoded rows the store holds.
+SharedRows Rows(const std::vector<Tuple>& tuples = {}) {
+  return EncodeRows(tuples, tuples.empty() ? 0 : tuples.front().size());
+}
+
 TEST(CacheSnapshotTest, ExportSkipsExpiredAndKeepsRemainingTtl) {
   SimulatedClock clock;
   SharedCacheStore::Options options;
@@ -21,9 +26,9 @@ TEST(CacheSnapshotTest, ExportSkipsExpiredAndKeepsRemainingTtl) {
   options.clock = &clock;
   SharedCacheStore store(options);
 
-  store.Publish("keep", "R", {{Term::Constant("a"), Term::Null()}});
+  store.Publish("keep", "R", Rows({{Term::Constant("a"), Term::Null()}}));
   clock.Advance(400);
-  store.Publish("young", "R", {});
+  store.Publish("young", "R", Rows());
 
   std::vector<SharedCacheStore::ExportedEntry> entries = store.ExportEntries();
   ASSERT_EQ(entries.size(), 2u);
@@ -51,7 +56,7 @@ TEST(CacheSnapshotTest, ExportKeepsTheNeverExpiresSentinel) {
   SharedCacheStore::Options options;
   options.clock = &clock;
   SharedCacheStore store(options);
-  store.Publish("forever", "S", {{Term::Constant("b")}});
+  store.Publish("forever", "S", Rows({{Term::Constant("b")}}));
   clock.Advance(1000000);
   std::vector<SharedCacheStore::ExportedEntry> entries = store.ExportEntries();
   ASSERT_EQ(entries.size(), 1u);
@@ -86,10 +91,10 @@ TEST(CacheSnapshotTest, JsonRoundTripPreservesEntries) {
   SharedCacheStore::Options options;
   options.clock = &clock;
   SharedCacheStore store(options);
-  store.Publish("k1", "R", {{Term::Constant("a"), Term::Constant("b")}});
-  store.Publish("k2", "R", {});  // negative result
+  store.Publish("k1", "R", Rows({{Term::Constant("a"), Term::Constant("b")}}));
+  store.Publish("k2", "R", Rows());  // negative result
   store.Publish("k3", "S",
-                {{Term::Constant("needs \"escaping\""), Term::Null()}});
+                Rows({{Term::Constant("needs \"escaping\""), Term::Null()}}));
 
   const std::string json = CacheSnapshotToJson(store);
   SharedCacheStore restored;
@@ -99,17 +104,19 @@ TEST(CacheSnapshotTest, JsonRoundTripPreservesEntries) {
 
   SharedCacheStore::Lookup k1 = restored.TryAcquire("k1", "R");
   ASSERT_EQ(k1.state, SharedCacheStore::LookupState::kHit);
-  ASSERT_EQ(k1.tuples.size(), 1u);
-  EXPECT_EQ(k1.tuples[0][0], Term::Constant("a"));
+  const std::vector<Tuple> k1_tuples = DecodeRows(*k1.rows);
+  ASSERT_EQ(k1_tuples.size(), 1u);
+  EXPECT_EQ(k1_tuples[0][0], Term::Constant("a"));
 
   SharedCacheStore::Lookup k2 = restored.TryAcquire("k2", "R");
   ASSERT_EQ(k2.state, SharedCacheStore::LookupState::kHit);
-  EXPECT_TRUE(k2.tuples.empty());  // the cached claim "no answers" survives
+  EXPECT_TRUE(k2.rows->empty());  // the cached claim "no answers" survives
 
   SharedCacheStore::Lookup k3 = restored.TryAcquire("k3", "S");
   ASSERT_EQ(k3.state, SharedCacheStore::LookupState::kHit);
-  EXPECT_EQ(k3.tuples[0][0], Term::Constant("needs \"escaping\""));
-  EXPECT_TRUE(k3.tuples[0][1].IsNull());
+  const std::vector<Tuple> k3_tuples = DecodeRows(*k3.rows);
+  EXPECT_EQ(k3_tuples[0][0], Term::Constant("needs \"escaping\""));
+  EXPECT_TRUE(k3_tuples[0][1].IsNull());
 }
 
 TEST(CacheSnapshotTest, RestoreRejectsMalformedSnapshots) {
@@ -137,15 +144,44 @@ TEST(CacheSnapshotTest, RestoreRejectsMalformedSnapshots) {
   EXPECT_EQ(store.size(), 0u);
 }
 
+TEST(CacheSnapshotTest, RestoreIsAllOrNothing) {
+  // Two good entries, then a malformed third: the load fails with one
+  // error line and the store keeps none of the three.
+  const std::string good =
+      R"({"pattern": "io", "inputs": ["a", null], "relation": "R", )"
+      R"("ttl_remaining_us": 0, "tuples": [["a", "b"]]}, )"
+      R"({"key": "k", "relation": "S", "ttl_remaining_us": 0, )"
+      R"("tuples": [["c"]]}, )";
+  for (const std::string& bad : {
+           std::string(R"({"key": "k3", "relation": "R", )"
+                       R"("ttl_remaining_us": 0, "tuples": [[1]]})"),
+           std::string(R"({"pattern": "io", "inputs": ["a", null], )"
+                       R"("relation": "R", "ttl_remaining_us": 0, )"
+                       R"("tuples": [["a"]]})"),
+           std::string(R"({"pattern": "io", "inputs": ["a"], )"
+                       R"("relation": "R", "ttl_remaining_us": 0, )"
+                       R"("tuples": []})")}) {
+    SharedCacheStore store;
+    std::string error;
+    EXPECT_FALSE(RestoreCacheSnapshot(R"({"entries": [)" + good + bad + "]}",
+                                      &store, &error))
+        << bad;
+    EXPECT_EQ(store.size(), 0u) << bad;
+    EXPECT_EQ(store.stats().inserts, 0u) << bad;
+    EXPECT_FALSE(error.empty()) << bad;
+    EXPECT_EQ(error.find('\n'), std::string::npos) << error;
+  }
+}
+
 TEST(CacheSnapshotTest, RestoreHonorsTheReceivingStoresBudget) {
   SharedCacheStore big;
-  big.Publish("k1", "R", {{Term::Constant("a")}, {Term::Constant("b")}});
-  big.Publish("k2", "R", {{Term::Constant("c")}, {Term::Constant("d")}});
+  big.Publish("k1", "R", Rows({{Term::Constant("a")}, {Term::Constant("b")}}));
+  big.Publish("k2", "R", Rows({{Term::Constant("c")}, {Term::Constant("d")}}));
   const std::string json = CacheSnapshotToJson(big);
 
   // A budget that fits exactly one of the two (cost-symmetric) entries.
   const std::size_t one_entry = SharedCacheStore::EntryCost(
-      "k1", "R", {{Term::Constant("a")}, {Term::Constant("b")}});
+      "k1", "R", *Rows({{Term::Constant("a")}, {Term::Constant("b")}}));
   SharedCacheStore::Options small_options;
   small_options.shards = 1;
   small_options.budget_bytes = one_entry;
@@ -165,7 +201,7 @@ TEST(CacheSnapshotTest, FileRoundTripCarriesCacheAndStats) {
   std::filesystem::remove_all(dir);
 
   SharedCacheStore store;
-  store.Publish("k", "R", {{Term::Constant("a")}});
+  store.Publish("k", "R", Rows({{Term::Constant("a")}}));
   StatsCatalog stats;
   RelationStats observed;
   observed.calls = 7;

@@ -94,11 +94,11 @@ TEST(InvalidateDeltaTest, DropsOnlyKeysTheChangedTuplesCanMatch) {
   for (const std::string& key : {key_a, key_b, key_scan}) {
     ASSERT_EQ(store.TryAcquire(key, "B").state,
               SharedCacheStore::LookupState::kLeader);
-    store.Publish(key, "B", {});
+    store.Publish(key, "B", EncodeRows({}, 2));
   }
   ASSERT_EQ(store.TryAcquire(key_other, "L").state,
             SharedCacheStore::LookupState::kLeader);
-  store.Publish(key_other, "L", {T1("a")});
+  store.Publish(key_other, "L", EncodeRows({T1("a")}, 1));
   ASSERT_EQ(store.size(), 4u);
 
   // ("a", "x") agrees with key_a's bound slot and (vacuously) with the
@@ -118,7 +118,7 @@ TEST(InvalidateDeltaTest, OpaqueKeysAreDroppedConservatively) {
   SharedCacheStore store;
   ASSERT_EQ(store.TryAcquire("opaque-key", "B").state,
             SharedCacheStore::LookupState::kLeader);
-  store.Publish("opaque-key", "B", {T2("q", "r")});
+  store.Publish("opaque-key", "B", EncodeRows({T2("q", "r")}, 2));
   // The key cannot be unpacked, so scoping is impossible — it must go.
   EXPECT_EQ(store.InvalidateDelta("B", {T2("zzz", "zzz")}), 1u);
   EXPECT_EQ(store.size(), 0u);

@@ -308,5 +308,69 @@ TEST_F(SharedCacheConcurrencyTest, HammerOverlappingKeysNoTornTuples) {
   EXPECT_EQ(totals.entries, 20u);
 }
 
+TEST_F(SharedCacheConcurrencyTest, HitsRaceScopedInvalidation) {
+  // Two executions hit one shared entry through the encoded call (a hit
+  // hands out the entry's rows) while a third thread keeps dropping it
+  // with InvalidateDelta on its relation. Every result must be the
+  // ground truth — rows a reader holds outlive the entry's eviction —
+  // and each view's ledger must count every request exactly once (the
+  // store's may count more: a follower whose flight's entry was dropped
+  // before it woke looks up again).
+  DatabaseSource backend(&db_, &catalog_);
+  SharedCacheStore store;
+  const AccessPattern keyed = AccessPattern::MustParse("io");
+  const std::vector<EncodedTuple> wave = {
+      EncodeSignature(keyed, {Term::Constant("a"), std::nullopt})};
+  const std::vector<Tuple> expected = {
+      {Term::Constant("a"), Term::Constant("b")}};
+  const std::vector<Tuple> changed = {
+      {Term::Constant("a"), Term::Constant("zzz")}};
+  {
+    CachingSource warm(&backend, store);
+    ASSERT_EQ(DecodeRows(*warm.FetchEncoded("R", keyed, wave, CallShape::kWave)[0].rows),
+              expected);
+  }
+
+  constexpr int kLookups = 400;
+  std::atomic<int> mismatches{0};
+  std::atomic<bool> readers_done{false};
+  std::vector<CachingSource::CacheStats> ledgers(2);
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&, t] {
+      CachingSource view(&backend, store);
+      for (int i = 0; i < kLookups; ++i) {
+        const EncodedFetchResult result =
+            view.FetchEncoded("R", keyed, wave, CallShape::kWave)[0];
+        if (!result.ok() || DecodeRows(*result.rows) != expected) {
+          ++mismatches;
+        }
+      }
+      ledgers[t] = view.cache_stats();
+    });
+  }
+  std::size_t dropped = 0;
+  std::thread invalidator([&] {
+    while (!readers_done.load()) {
+      dropped += store.InvalidateDelta("R", changed);
+      std::this_thread::yield();
+    }
+  });
+  for (std::thread& reader : readers) reader.join();
+  readers_done.store(true);
+  invalidator.join();
+
+  EXPECT_EQ(mismatches.load(), 0);
+  for (const CachingSource::CacheStats& ledger : ledgers) {
+    EXPECT_EQ(ledger.hits + ledger.misses, std::uint64_t{kLookups});
+  }
+  const SharedCacheStore::Stats totals = store.stats();
+  EXPECT_GE(totals.hits + totals.misses, 1u + 2u * kLookups);
+  EXPECT_EQ(totals.invalidated, dropped);
+  // Every drop forced exactly one refetch (a miss that became a leader).
+  EXPECT_EQ(backend.stats().calls, totals.misses);
+  EXPECT_LE(totals.entries, 1u);
+}
+
 }  // namespace
 }  // namespace ucqn

@@ -23,6 +23,19 @@
 namespace ucqn {
 namespace {
 
+// The packed store key of one call, as CachingSource builds it.
+std::string Key(const std::string& relation, const std::string& word,
+                const std::vector<std::optional<Term>>& inputs) {
+  const AccessPattern pattern = AccessPattern::MustParse(word);
+  return SourceCacheKeyPacker(relation, pattern)
+      .Pack(EncodeSignature(pattern, inputs));
+}
+
+// `tuples` (all of one arity) as the encoded rows the store holds.
+SharedRows Rows(const std::vector<Tuple>& tuples = {}) {
+  return EncodeRows(tuples, tuples.empty() ? 0 : tuples.front().size());
+}
+
 class SharedCacheTest : public ::testing::Test {
  protected:
   SharedCacheTest() {
@@ -38,51 +51,32 @@ class SharedCacheTest : public ::testing::Test {
   Database db_;
 };
 
-TEST_F(SharedCacheTest, SourceCacheKeyIgnoresOutputSlots) {
-  const AccessPattern keyed = AccessPattern::MustParse("io");
-  const std::string a = SourceCacheKey(
-      "R", keyed, {Term::Constant("a"), Term::Constant("b")});
-  const std::string b =
-      SourceCacheKey("R", keyed, {Term::Constant("a"), std::nullopt});
+TEST_F(SharedCacheTest, PackedKeyIgnoresOutputSlots) {
+  // Output-slot values ignored, inputs and pattern word significant —
+  // as a fixed-width id sequence.
+  const std::string a =
+      Key("R", "io", {Term::Constant("a"), Term::Constant("b")});
+  const std::string b = Key("R", "io", {Term::Constant("a"), std::nullopt});
   EXPECT_EQ(a, b);  // footnote 4: the source ignores output-slot values
-  const std::string c =
-      SourceCacheKey("R", keyed, {Term::Constant("c"), std::nullopt});
-  EXPECT_NE(a, c);
-  // Same inputs through a different pattern is a different operation.
-  const std::string scan = SourceCacheKey(
-      "R", AccessPattern::MustParse("oo"), {std::nullopt, std::nullopt});
-  EXPECT_NE(a, scan);
-}
-
-TEST_F(SharedCacheTest, PackedKeyMatchesTextualKeyEquivalence) {
-  // The packed id key groups calls exactly like the textual key:
-  // output-slot values ignored, inputs and pattern word significant —
-  // just as fixed-width id sequences instead of rendered strings.
-  const AccessPattern keyed = AccessPattern::MustParse("io");
-  const std::string a = PackedSourceCacheKey(
-      "R", keyed, {Term::Constant("a"), Term::Constant("b")});
-  const std::string b =
-      PackedSourceCacheKey("R", keyed, {Term::Constant("a"), std::nullopt});
-  EXPECT_EQ(a, b);
   EXPECT_EQ(a.size(), 4 * sizeof(std::uint32_t));  // relation, word, 2 slots
-  const std::string c =
-      PackedSourceCacheKey("R", keyed, {Term::Constant("c"), std::nullopt});
-  EXPECT_NE(a, c);
-  const std::string scan = PackedSourceCacheKey(
-      "R", AccessPattern::MustParse("oo"), {std::nullopt, std::nullopt});
-  EXPECT_NE(a, scan);
+  EXPECT_NE(a, Key("R", "io", {Term::Constant("c"), std::nullopt}));
+  // Same inputs through a different pattern is a different operation.
+  EXPECT_NE(a, Key("R", "oo", {std::nullopt, std::nullopt}));
   // Δ-null at an input slot keys differently from the constant "null".
-  const std::string null_key =
-      PackedSourceCacheKey("R", keyed, {Term::Null(), std::nullopt});
-  const std::string null_const = PackedSourceCacheKey(
-      "R", keyed, {Term::Constant("null"), std::nullopt});
-  EXPECT_NE(null_key, null_const);
+  EXPECT_NE(Key("R", "io", {Term::Null(), std::nullopt}),
+            Key("R", "io", {Term::Constant("null"), std::nullopt}));
+  // The packer masks output slots even when the signature carries ids
+  // there.
+  const AccessPattern keyed = AccessPattern::MustParse("io");
+  const std::uint32_t b_id = TermDictionary::Global().Intern("b");
+  EncodedTuple signature =
+      EncodeSignature(keyed, {Term::Constant("a"), std::nullopt});
+  signature[1] = b_id;
+  EXPECT_EQ(SourceCacheKeyPacker("R", keyed).Pack(signature), a);
 }
 
 TEST_F(SharedCacheTest, PackedKeyUnpacksToItsSignature) {
-  const AccessPattern keyed = AccessPattern::MustParse("io");
-  const std::string key =
-      PackedSourceCacheKey("R", keyed, {Term::Constant("a"), std::nullopt});
+  const std::string key = Key("R", "io", {Term::Constant("a"), std::nullopt});
   std::string word;
   std::vector<std::optional<Term>> slots;
   ASSERT_TRUE(UnpackSourceCacheKey(key, "R", &word, &slots));
@@ -155,7 +149,7 @@ TEST_F(SharedCacheTest, ExpiryBoundaryIsTheSameOnEveryReadPath) {
   options.clock = &clock;
   SharedCacheStore store(options);
 
-  store.Publish("k", "R", {});
+  store.Publish("k", "R", Rows());
   clock.Advance(999);
   SharedCacheStore::Lookup fresh = store.TryAcquire("k", "R");
   EXPECT_EQ(fresh.state, SharedCacheStore::LookupState::kHit);
@@ -169,12 +163,11 @@ TEST_F(SharedCacheTest, ExpiryBoundaryIsTheSameOnEveryReadPath) {
 
   // Same boundary through WaitForFlight's entry read: a published result
   // that expires before a late waiter gets to it must not be served.
-  store.Publish("k2", "R", {});
+  store.Publish("k2", "R", Rows());
   clock.Advance(999);
-  std::optional<std::vector<Tuple>> served = store.WaitForFlight("k2");
-  EXPECT_TRUE(served.has_value());  // TTL - 1: still fresh
+  EXPECT_NE(store.WaitForFlight("k2"), nullptr);  // TTL - 1: still fresh
   clock.Advance(1);  // now == expire_at exactly
-  EXPECT_FALSE(store.WaitForFlight("k2").has_value());
+  EXPECT_EQ(store.WaitForFlight("k2"), nullptr);
   EXPECT_EQ(store.stats().stale_drops, 2u);
   // The drop really evicted the entry, not just hid it.
   EXPECT_EQ(store.TryAcquire("k2", "R").state,
@@ -194,7 +187,7 @@ TEST_F(SharedCacheTest, HugeTtlSaturatesInsteadOfWrapping) {
   SharedCacheStore store(options);
 
   clock.Advance(5000);  // now != 0 so now + ttl overflows
-  store.Publish("k", "R", {});
+  store.Publish("k", "R", Rows());
   clock.Advance(std::numeric_limits<std::uint64_t>::max() / 2);
   SharedCacheStore::Lookup lookup = store.TryAcquire("k", "R");
   EXPECT_EQ(lookup.state, SharedCacheStore::LookupState::kHit);
@@ -211,12 +204,11 @@ TEST_F(SharedCacheTest, ZeroTtlMeansNeverExpiresAtAnyClockValue) {
   SharedCacheStore store(options);  // default TTL 0
 
   clock.Advance(std::numeric_limits<std::uint64_t>::max() - 10);
-  store.Publish("k", "R", {});
+  store.Publish("k", "R", Rows());
   clock.Advance(5);
   EXPECT_EQ(store.TryAcquire("k", "R").state,
             SharedCacheStore::LookupState::kHit);
-  std::optional<std::vector<Tuple>> served = store.WaitForFlight("k");
-  EXPECT_TRUE(served.has_value());
+  EXPECT_NE(store.WaitForFlight("k"), nullptr);
   EXPECT_EQ(store.stats().stale_drops, 0u);
 }
 
@@ -256,14 +248,11 @@ TEST_F(SharedCacheTest, ByteBudgetEvictsLru) {
   const Tuple ab = {Term::Constant("a"), Term::Constant("b")};
   const Tuple cd = {Term::Constant("c"), Term::Constant("d")};
   const std::size_t cost_a = SharedCacheStore::EntryCost(
-      PackedSourceCacheKey("R", keyed, {Term::Constant("a"), std::nullopt}),
-      "R", {ab});
+      Key("R", "io", {Term::Constant("a"), std::nullopt}), "R", *Rows({ab}));
   const std::size_t cost_c = SharedCacheStore::EntryCost(
-      PackedSourceCacheKey("R", keyed, {Term::Constant("c"), std::nullopt}),
-      "R", {cd});
+      Key("R", "io", {Term::Constant("c"), std::nullopt}), "R", *Rows({cd}));
   const std::size_t cost_scan = SharedCacheStore::EntryCost(
-      PackedSourceCacheKey("R", scan, {std::nullopt, std::nullopt}), "R",
-      {ab, cd});
+      Key("R", "oo", {std::nullopt, std::nullopt}), "R", *Rows({ab, cd}));
 
   SharedCacheStore::Options options;
   options.shards = 1;  // exact global LRU for a deterministic victim
@@ -290,15 +279,15 @@ TEST_F(SharedCacheTest, EmptyResultsStillPayTheirFootprint) {
   // tuple — the byte ledger charges its real bookkeeping footprint, so
   // negative entries can no longer ride for (nearly) free.
   SharedCacheStore store;
-  store.Publish("k", "R", {});
+  store.Publish("k", "R", Rows());
   EXPECT_GT(store.bytes(), 0u);
-  EXPECT_EQ(store.bytes(), SharedCacheStore::EntryCost("k", "R", {}));
+  EXPECT_EQ(store.bytes(), SharedCacheStore::EntryCost("k", "R", *Rows()));
   // And a wide tuple costs more than a narrow one under the same key.
   const Tuple narrow = {Term::Constant("x")};
   const Tuple wide = {Term::Constant("a-much-longer-constant-value"),
                       Term::Constant("second"), Term::Constant("third")};
-  EXPECT_GT(SharedCacheStore::EntryCost("k", "R", {wide}),
-            SharedCacheStore::EntryCost("k", "R", {narrow}));
+  EXPECT_GT(SharedCacheStore::EntryCost("k", "R", *Rows({wide})),
+            SharedCacheStore::EntryCost("k", "R", *Rows({narrow})));
 }
 
 TEST_F(SharedCacheTest, OversizedResultIsKeptForItsOwnExecution) {
@@ -325,10 +314,10 @@ TEST_F(SharedCacheTest, AbandonedFlightIsNotCached) {
   // The failure was not published: the next lookup leads again.
   SharedCacheStore::Lookup second = store.TryAcquire("k", "R");
   EXPECT_EQ(second.state, SharedCacheStore::LookupState::kLeader);
-  store.Publish("k", "R", {});
+  store.Publish("k", "R", Rows());
   SharedCacheStore::Lookup third = store.TryAcquire("k", "R");
   EXPECT_EQ(third.state, SharedCacheStore::LookupState::kHit);
-  EXPECT_TRUE(third.tuples.empty());  // empty results are cacheable
+  EXPECT_TRUE(third.rows->empty());  // empty results are cacheable
 }
 
 TEST_F(SharedCacheTest, StackWiringAndAnswerStar) {
@@ -384,16 +373,13 @@ TEST_F(SharedCacheTest, AdaptiveModelPricesCachedHotRelationsNearZero) {
   // Feed the model a store where R is cached-hot; the latency term of R's
   // candidates scales by the miss rate, so its patterns price near zero.
   SharedCacheStore store;
-  store.Publish(SourceCacheKey("R", AccessPattern::MustParse("oo"),
-                               {std::nullopt, std::nullopt}),
-                "R", {});
+  const std::string scan_key = Key("R", "oo", {std::nullopt, std::nullopt});
+  store.Publish(scan_key, "R", Rows());
   // 1 miss, then 9 hits: 90% hit rate.
   (void)store.TryAcquire("probe", "R");
   store.Abandon("probe");
   for (int i = 0; i < 9; ++i) {
-    (void)store.TryAcquire(SourceCacheKey("R", AccessPattern::MustParse("oo"),
-                                          {std::nullopt, std::nullopt}),
-                           "R");
+    (void)store.TryAcquire(scan_key, "R");
   }
 
   StatsCatalog stats;
@@ -459,7 +445,7 @@ TEST_F(SharedCacheTest, NegativeTtlExpiryBoundaryMatchesTheTtlRule) {
   options.clock = &clock;
   SharedCacheStore store(options);
 
-  store.Publish("neg", "R", {});
+  store.Publish("neg", "R", Rows());
   clock.Advance(999);
   SharedCacheStore::Lookup fresh = store.TryAcquire("neg", "R");
   EXPECT_EQ(fresh.state, SharedCacheStore::LookupState::kHit);
@@ -482,8 +468,8 @@ TEST_F(SharedCacheTest, NegativeTtlLeavesNonEmptyResultsOnTheDefaultTtl) {
   options.clock = &clock;
   SharedCacheStore store(options);
 
-  store.Publish("neg", "R", {});
-  store.Publish("pos", "R", {{Term::Constant("a")}});
+  store.Publish("neg", "R", Rows());
+  store.Publish("pos", "R", Rows({{Term::Constant("a")}}));
   clock.Advance(100);
   EXPECT_EQ(store.TryAcquire("neg", "R").state,
             SharedCacheStore::LookupState::kLeader);  // negative: expired

@@ -7,7 +7,8 @@
 #
 # Covers the numeric flags (--parallelism, --cache-ttl-ms, --cache-budget,
 # --max-calls, --pipeline-depth, ...) against garbage tokens, trailing
-# junk, zero/negative values, overflow, and a missing value. All three
+# junk, zero/negative values, overflow, and a missing value, and the
+# word-valued --cost-model and --metrics against a bad or missing word. All three
 # tools parse counts with one helper (tools/flag_parse.h) and the eight
 # runtime flags with one parser (ParseRuntimeFlag); ucqnd and
 # ucqn_workload add the admission counts (ParseDaemonFlag). Each shared
@@ -51,6 +52,10 @@ expect_rejects("--max-calls expects a positive integer, got \"-3\""
     --max-calls -3)
 expect_rejects("--cache-capacity expects a positive integer, got \"3.5\""
     --cache-capacity 3.5)
+# ucqnc's one word-valued flag of its own.
+expect_rejects("--metrics expects text or json, got \"banana\""
+    --metrics banana)
+expect_rejects("--metrics expects text or json" --metrics)
 
 # The nine count flags ucqnd and ucqn_workload share through one parser
 # (ParseDaemonFlag), plus ucqnc for the six runtime ones: zero is rejected

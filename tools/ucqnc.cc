@@ -287,9 +287,14 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--morsel-rows") == 0) {
       if (!next_count(exec.morsel_rows)) return Usage();
     } else if (std::strcmp(argv[i], "--metrics") == 0) {
-      if (!next(metrics_format)) return Usage();
+      if (!next(metrics_format)) {
+        std::fprintf(stderr, "--metrics expects text or json\n");
+        return Usage();
+      }
       if (std::strcmp(metrics_format, "text") != 0 &&
           std::strcmp(metrics_format, "json") != 0) {
+        std::fprintf(stderr, "--metrics expects text or json, got \"%s\"\n",
+                     metrics_format);
         return Usage();
       }
       runtime.metering = true;
