@@ -1,13 +1,14 @@
 #include "eval/delta.h"
 
 #include <algorithm>
+#include <deque>
+#include <unordered_set>
 #include <utility>
 
-#include "ast/substitution.h"
 #include "cost/cost_model.h"
+#include "eval/dag_executor.h"
 #include "eval/exec_common.h"
 #include "feasibility/plan_star.h"
-#include "schema/adornment.h"
 
 namespace ucqn {
 
@@ -92,179 +93,179 @@ std::optional<AppliedDelta> ApplyDelta(Database* db,
 
 namespace {
 
-// One stage of a materialized chain: the literal and the access pattern it
-// was compiled with. Patterns never change the answer set (only the call
-// cost), so the Build-time choice is recorded once and reused for every
-// maintenance and rebuild fetch.
-struct MaintainedStage {
-  Literal literal;
-  AccessPattern pattern;
+using IdSet = std::unordered_set<EncodedTuple, EncodedTupleHash>;
+
+// One relation's effective change as ids, encoded once per batch.
+struct IdDelta {
+  const std::string* relation;
+  SharedRows inserted;  // in set order
+  IdSet inserted_set;
+  IdSet deleted_set;
 };
 
-// One PLAN* disjunct with every intermediate binding frontier retained —
-// the chain-granular build-side state of the operator DAG (AccessScan →
-// HashJoin → HashAntiJoin → Materialize), kept as per-stage substitution
-// frontiers. frontiers[k] holds the rows surviving stages [0, k):
-// frontiers[0] is the single empty binding, frontiers[n] the full witness
-// set. Rows are duplicate-free derivations — each row bijectively
-// determines the tuple it used at every earlier positive stage — so set
-// maintenance needs no multiplicity counters: deleting a base tuple
-// deletes exactly the rows whose recorded derivation used it.
-struct MaintainedChain {
-  ConjunctiveQuery plan;
-  // In both Qᵘ and Qᵒ (a fully answerable disjunct), or only in Qᵒ (the
-  // null-padded answerable part of a partially answerable one).
-  bool exact = false;
-  std::vector<MaintainedStage> stages;
-  std::vector<std::vector<Substitution>> frontiers;
-};
-
-// Appends `rows` to frontiers[from] and extends them through the remaining
-// stages with ordinary fetches against the current instance, appending
-// the survivors at every level. The only fetch loop of maintenance: it
-// fills a chain at build and rebuild time and carries fresh rows forward
-// during repair.
-bool PropagateForward(MaintainedChain* chain, std::size_t from,
-                      std::vector<Substitution> rows, Source* source,
-                      std::string* error) {
-  for (std::size_t s = from;; ++s) {
-    std::vector<Substitution>& frontier = chain->frontiers[s];
-    frontier.insert(frontier.end(), rows.begin(), rows.end());
-    if (rows.empty() || s == chain->stages.size()) return true;
-    const MaintainedStage& stage = chain->stages[s];
-    std::vector<Substitution> next;
-    for (const Substitution& row : rows) {
-      if (!ExtendRow(stage.literal, stage.pattern, row, source, &next,
-                     error)) {
-        return false;
-      }
+IdDelta EncodeDelta(const AppliedDelta& delta) {
+  const std::size_t arity = delta.inserted.empty()
+                                ? delta.deleted.begin()->size()
+                                : delta.inserted.begin()->size();
+  auto encode = [&](const std::set<Tuple>& tuples, IdSet* set) {
+    SharedRows rows = EncodeRows({tuples.begin(), tuples.end()}, arity);
+    for (std::size_t r = 0; r < rows->size(); ++r) {
+      set->emplace(rows->Row(r), rows->Row(r) + arity);
     }
-    rows = std::move(next);
-  }
-}
-
-// Discards every frontier of `chain` and re-derives them from the single
-// empty binding — a full evaluation of the chain's recorded stages.
-// Unlike the executor, an empty frontier does not end the walk: every
-// stage keeps a (possibly empty) frontier so a later insert can revive
-// the chain from any position.
-bool FillChain(MaintainedChain* chain, Source* source, std::string* error) {
-  chain->frontiers.assign(chain->stages.size() + 1, {});
-  return PropagateForward(chain, 0, {Substitution()}, source, error);
-}
-
-// The maintenance engine: applies one normalized multi-relation update
-// batch to a materialized chain. Per affected chain it runs
-//
-//   1. a delete pass — drop every row whose derivation used a deleted tuple
-//      at a positive stage, or whose anti-join probe now finds an inserted
-//      tuple (anti-join inputs flip sign: an insert *deletes* downstream
-//      rows);
-//   2. an insert pass over the affected positions in ascending order —
-//      delta-join the surviving base rows of frontiers[k] against the
-//      inserted tuples (positive stage), or revive the base rows whose
-//      probe tuple was deleted (negated stage), then propagate each fresh
-//      row forward through the remaining stages with ordinary fetches
-//      against the post-update database.
-//
-// Rows appended by step 2 are excluded from later positions' delta-joins
-// (their forward propagation already saw the fully-updated relations), so
-// each new derivation is produced exactly once even under self-joins and
-// multi-relation batches. The database behind `source` must already hold
-// the post-update state for *every* relation in the batch. On a source
-// failure returns false, sets `*error`, and leaves the chain in an
-// unspecified state — refill it with FillChain.
-bool MaintainChain(const std::vector<AppliedDelta>& deltas,
-                   MaintainedChain* chain, Source* source,
-                   std::string* error) {
-  const std::size_t n = chain->stages.size();
-  std::vector<const AppliedDelta*> delta_at(n, nullptr);
-  bool affected = false;
-  for (std::size_t k = 0; k < n; ++k) {
-    for (const AppliedDelta& delta : deltas) {
-      if (!delta.empty() &&
-          delta.relation == chain->stages[k].literal.relation()) {
-        delta_at[k] = &delta;
-        affected = true;
-      }
-    }
-  }
-  if (!affected) return true;
-
-  // Delete pass: a frontier row past stage k dies when its derivation used
-  // a now-deleted tuple there (positive), or its anti-join probe tuple was
-  // inserted (negated — the insert flips the filter against it). The row
-  // itself records the probe: Apply(args) reproduces exactly the tuple the
-  // derivation consumed, so no multiplicity counting is needed.
-  for (std::size_t s = 1; s <= n; ++s) {
-    std::vector<Substitution>& rows = chain->frontiers[s];
-    rows.erase(
-        std::remove_if(
-            rows.begin(), rows.end(),
-            [&](const Substitution& row) {
-              for (std::size_t k = 0; k < s; ++k) {
-                const AppliedDelta* delta = delta_at[k];
-                if (delta == nullptr) continue;
-                const Tuple used = row.Apply(chain->stages[k].literal.args());
-                if (chain->stages[k].literal.positive()
-                        ? delta->deleted.count(used) > 0
-                        : delta->inserted.count(used) > 0) {
-                  return true;
-                }
-              }
-              return false;
-            }),
-        rows.end());
-  }
-
-  // Rows appended below are produced against the fully-updated database,
-  // so later positions' delta-joins must skip them: snapshot each
-  // frontier's post-delete size as the "base" region.
-  std::vector<std::size_t> base_end(n + 1);
-  for (std::size_t s = 0; s <= n; ++s) base_end[s] = chain->frontiers[s].size();
-
-  // Insert pass, affected positions in ascending order. Each position k
-  // pairs surviving base rows of frontiers[k] with the change at stage k —
-  // new tuples for a positive stage, removed probe targets for a negated
-  // one (the delete *revives* the row) — and propagates the fresh rows
-  // forward. A derivation whose first changed position is k is produced
-  // here and nowhere else: earlier positions didn't make it (base rows are
-  // old derivations) and later positions won't see it (base_end).
-  for (std::size_t k = 0; k < n; ++k) {
-    const AppliedDelta* delta = delta_at[k];
-    if (delta == nullptr) continue;
-    const MaintainedStage& stage = chain->stages[k];
-    std::vector<Substitution> fresh;
-    if (stage.literal.positive()) {
-      if (delta->inserted.empty()) continue;
-      for (std::size_t r = 0; r < base_end[k]; ++r) {
-        const Substitution& row = chain->frontiers[k][r];
-        for (const Tuple& tuple : delta->inserted) {
-          std::optional<Substitution> extended =
-              UnifyWithTuple(stage.literal, tuple, row);
-          if (extended.has_value()) fresh.push_back(std::move(*extended));
-        }
-      }
-    } else {
-      if (delta->deleted.empty()) continue;
-      for (std::size_t r = 0; r < base_end[k]; ++r) {
-        const Substitution& row = chain->frontiers[k][r];
-        if (delta->deleted.count(row.Apply(stage.literal.args())) > 0) {
-          fresh.push_back(row);
-        }
-      }
-    }
-    if (!PropagateForward(chain, k + 1, std::move(fresh), source, error)) {
-      return false;
-    }
-  }
-  return true;
+    return rows;
+  };
+  IdDelta ids{&delta.relation, nullptr, {}, {}};
+  ids.inserted = encode(delta.inserted, &ids.inserted_set);
+  encode(delta.deleted, &ids.deleted_set);
+  return ids;
 }
 
 }  // namespace
 
+// One PLAN* disjunct as a DAG chain keeping every stage's input:
+// kept(k) holds the rows surviving stages [0, k), kept(0) the unit row,
+// kept(stages()) the witnesses. Rows are duplicate-free derivations, and
+// each row's columns reproduce the tuple it used at every earlier stage
+// (FetchOperator::Consumed), so deleting a base tuple deletes exactly the
+// rows whose derivation used it, with no multiplicity counters.
+struct StandingQuery::Chain {
+  ConjunctiveQuery plan;
+  // In both Qᵘ and Qᵒ (a fully answerable disjunct), or only in Qᵒ (the
+  // null-padded answerable part of a partially answerable one).
+  bool exact = false;
+  std::optional<DagChain> dag;
+};
+
 struct StandingQuery::Chains {
-  std::vector<MaintainedChain> all;
+  const Catalog* catalog = nullptr;
+  // Pattern choice never changes the answer set, only the call cost, and
+  // the static model's choice ignores the context, so a stage first
+  // reached by a repair picks what a full evaluation would.
+  const StaticCostModel model;
+  OperatorCounters counters;  // maintenance reports no executor counters
+  std::deque<Chain> all;
+
+  // Lowers `chain` afresh, pushes the unit row and drives: a full
+  // evaluation. Unlike an execution, every stage keeps its (possibly
+  // empty) input, so a later insert can revive the chain anywhere.
+  bool Fill(Chain* chain, Source* source, std::string* error) {
+    chain->dag.emplace(chain->plan, *catalog, model, &counters,
+                       /*keep_inputs=*/true);
+    chain->dag->Push(0, ColumnarFrontier());
+    return DriveChains({&*chain->dag}, source, ExecutionOptions(), nullptr,
+                       &counters, error);
+  }
+
+  // Applies one normalized multi-relation update batch to `chain`:
+  //
+  //   1. a delete pass — drop every kept row whose derivation used a
+  //      deleted tuple at a positive stage, or whose anti-join probe now
+  //      finds an inserted tuple (anti-join inputs flip sign);
+  //   2. per affected stage k, the fresh rows of the surviving base rows
+  //      of kept(k) — a delta join with the inserted tuples (positive), or
+  //      the rows whose probe tuple was deleted (negated, revived);
+  //   3. stage by stage, ascending, the fresh rows are pushed at k + 1
+  //      and driven through the remaining stages against the post-update
+  //      source before the next stage's are pushed, so calls go out in
+  //      derivation order.
+  //
+  // All delta joins see only the rows kept before this batch (step 3
+  // comes last), so a derivation whose first changed position is k is
+  // produced there and nowhere else, even under self-joins and
+  // multi-relation batches. False on failure, leaving the chain in an
+  // unspecified state — refill it.
+  bool Repair(const std::vector<IdDelta>& deltas, Chain* chain,
+              Source* source, std::string* error) {
+    DagChain& dag = *chain->dag;
+    const std::size_t n = dag.stages();
+    std::vector<const IdDelta*> delta_at(n, nullptr);
+    bool affected = false;
+    for (std::size_t k = 0; k < n; ++k) {
+      for (const IdDelta& delta : deltas) {
+        if (*delta.relation == dag.op(k).literal().relation()) {
+          delta_at[k] = &delta;
+          affected = true;
+        }
+      }
+    }
+    if (!affected) return true;
+    EncodedTuple tuple;
+    auto used = [&](std::size_t k, const ColumnarFrontier& rows,
+                    std::size_t r, const IdSet& set) {
+      return dag.op(k).Consumed(rows, r, &tuple) && set.count(tuple) > 0;
+    };
+
+    // The stages whose change kills kept rows past them, with the tuples
+    // that do.
+    std::vector<std::pair<std::size_t, const IdSet*>> kills;
+    for (std::size_t k = 0; k < n; ++k) {
+      if (delta_at[k] == nullptr) continue;
+      const IdSet& set = dag.op(k).literal().positive()
+                             ? delta_at[k]->deleted_set
+                             : delta_at[k]->inserted_set;
+      if (!set.empty()) kills.emplace_back(k, &set);
+    }
+    for (std::size_t s = kills.empty() ? n + 1 : kills.front().first + 1;
+         s <= n; ++s) {
+      ColumnarFrontier& rows = dag.kept(s);
+      std::vector<std::size_t> keep;
+      for (std::size_t r = 0; r < rows.rows(); ++r) {
+        bool dies = false;
+        for (auto [k, set] : kills) {
+          if (dies || k >= s) break;
+          dies = used(k, rows, r, *set);
+        }
+        if (!dies) keep.push_back(r);
+      }
+      if (keep.size() < rows.rows()) rows.Retain(keep);
+    }
+
+    std::vector<std::pair<std::size_t, ColumnarFrontier>> fresh;
+    for (std::size_t k = 0; k < n; ++k) {
+      const ColumnarFrontier& base = dag.kept(k);
+      if (delta_at[k] == nullptr || base.rows() == 0) continue;
+      FetchOperator& op = dag.op(k);
+      ColumnarFrontier rows;
+      if (op.literal().positive()) {
+        if (delta_at[k]->inserted->empty()) continue;
+        // The delta join is the stage's own operator: the kept rows are
+        // staged as usual and every request is answered with all inserted
+        // rows, as if the source had returned them. Absorb checks every
+        // valued slot, input or output, so its binder, repeated-variable
+        // and output-slot logic keeps exactly the rows that join.
+        PendingWave wave;
+        if (!op.Stage(ColumnarFrontier(base), base.rows(), &wave)) {
+          *error = op.error();
+          return false;
+        }
+        std::vector<EncodedFetchResult> fetched(
+            wave.requests.size(),
+            EncodedFetchResult::Ok(delta_at[k]->inserted));
+        if (!op.Absorb(std::move(wave), std::move(fetched), &rows)) {
+          *error = op.error();
+          return false;
+        }
+      } else {
+        std::vector<std::size_t> revived;
+        for (std::size_t r = 0; r < base.rows(); ++r) {
+          if (used(k, base, r, delta_at[k]->deleted_set)) revived.push_back(r);
+        }
+        if (revived.empty()) continue;
+        rows = base;
+        rows.Retain(revived);
+      }
+      fresh.emplace_back(k + 1, std::move(rows));
+    }
+    for (auto& [stage, rows] : fresh) {
+      if (rows.rows() == 0) continue;
+      dag.Push(stage, std::move(rows));
+      if (!DriveChains({&dag}, source, ExecutionOptions(), nullptr,
+                       &counters, error)) {
+        return false;
+      }
+    }
+    return true;
+  }
 };
 
 StandingQuery::StandingQuery() : chains_(std::make_unique<Chains>()) {}
@@ -276,15 +277,16 @@ std::unique_ptr<StandingQuery> StandingQuery::Build(const UnionQuery& q,
                                                     Source* source,
                                                     std::string* error) {
   std::unique_ptr<StandingQuery> standing(new StandingQuery());
-  // Pattern choice never changes the answer set, only the call cost, so
-  // the static model's pick is as good as any for maintenance fetches.
-  const StaticCostModel model;
+  Chains& chains = *standing->chains_;
+  chains.catalog = &catalog;
   for (const DisjunctPlan& disjunct : PlanStar(q, catalog).disjuncts) {
     // An unsatisfiable disjunct is in neither plan; otherwise `over` is the
     // disjunct's Qᵒ plan, and the disjunct is exact when PLAN* put the same
     // plan into Qᵘ.
     if (!disjunct.over.has_value()) continue;
-    MaintainedChain chain{*disjunct.over, disjunct.under.has_value(), {}, {}};
+    Chain& chain = chains.all.emplace_back();
+    chain.plan = *disjunct.over;
+    chain.exact = disjunct.under.has_value();
     if (chain.plan.IsTrueQuery()) {
       ExecutionResult head = ExecuteTrueQuery(chain.plan);
       if (!head.ok) {
@@ -292,32 +294,27 @@ std::unique_ptr<StandingQuery> StandingQuery::Build(const UnionQuery& q,
         return nullptr;
       }
     }
-    BoundVariables bound;
     for (const Literal& literal : chain.plan.body()) {
-      std::optional<AccessPattern> pattern =
-          ChoosePattern(catalog, literal, bound, model);
-      if (!pattern.has_value()) {
-        *error = "literal " + literal.ToString() +
-                 " has no usable access pattern at its position";
-        return nullptr;
-      }
-      chain.stages.push_back({literal, *pattern});
       standing->relations_.insert(literal.relation());
-      if (literal.positive()) BindVariables(literal, &bound);
     }
-    if (!FillChain(&chain, source, error)) return nullptr;
-    standing->chains_->all.push_back(std::move(chain));
+    if (!chains.Fill(&chain, source, error)) return nullptr;
   }
   return standing;
 }
 
 bool StandingQuery::ApplyDeltas(const std::vector<AppliedDelta>& deltas,
                                 Source* source, std::string* error) {
-  for (MaintainedChain& chain : chains_->all) {
+  std::vector<IdDelta> changes;
+  for (const AppliedDelta& delta : deltas) {
+    if (!delta.empty() && relations_.count(delta.relation) > 0) {
+      changes.push_back(EncodeDelta(delta));
+    }
+  }
+  for (Chain& chain : chains_->all) {
     std::string maintain_error;
     std::string rebuild_error;
-    if (MaintainChain(deltas, &chain, source, &maintain_error) ||
-        FillChain(&chain, source, &rebuild_error)) {
+    if (chains_->Repair(changes, &chain, source, &maintain_error) ||
+        chains_->Fill(&chain, source, &rebuild_error)) {
       continue;
     }
     error_ = "maintenance failed (" + maintain_error +
@@ -343,11 +340,12 @@ AnswerBracket StandingQuery::Answers() const {
   ExecutionResult under;
   ExecutionResult over;
   under.ok = over.ok = true;
-  for (const MaintainedChain& chain : chains_->all) {
+  for (const Chain& chain : chains_->all) {
+    const ColumnarFrontier& witnesses = chain.dag->kept(chain.dag->stages());
     if (chain.exact && under.ok) {
-      ProjectHead(chain.plan, chain.frontiers.back(), &under);
+      ProjectHeadColumns(chain.plan, witnesses, &under);
     }
-    if (over.ok) ProjectHead(chain.plan, chain.frontiers.back(), &over);
+    if (over.ok) ProjectHeadColumns(chain.plan, witnesses, &over);
   }
   AssembleBracket(std::move(under), std::move(over), &bracket);
   return bracket;

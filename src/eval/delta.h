@@ -70,20 +70,22 @@ std::optional<SignedFact> ParseSignedFact(const std::string& line,
 std::optional<AppliedDelta> ApplyDelta(Database* db, const RelationDelta& delta,
                                        std::string* error = nullptr);
 
-// A registered standing query: one materialized chain per satisfiable
-// PLAN* disjunct, every intermediate binding frontier retained and kept
-// current under delta feeds. A chain is *exact* (a fully answerable
-// disjunct, in both Qᵘ and Qᵒ) or *padded* (null-padded, Qᵒ only), so
-// each disjunct is built and maintained once. Build once (a full
-// evaluation), then ApplyDeltas after each update batch; Answers()
-// projects the retained frontiers without touching any source.
+// A registered standing query: one operator-DAG chain (eval/dag_executor.h)
+// per satisfiable PLAN* disjunct, every stage's input retained as id
+// columns and kept current under delta feeds. A chain is *exact* (a fully
+// answerable disjunct, in both Qᵘ and Qᵒ) or *padded* (null-padded, Qᵒ
+// only), so each disjunct is built and maintained once. Build once (a
+// full evaluation), then ApplyDeltas after each update batch; Answers()
+// projects the retained witnesses without touching any source. Build,
+// repair and rebuild all fetch through the DAG driver.
 class StandingQuery {
  public:
   ~StandingQuery();
 
-  // Compiles `q` with PLAN* and materializes every chain against `source`.
-  // Returns nullptr and sets `*error` on an unanswerable disjunct position
-  // or a source failure.
+  // Compiles `q` with PLAN* and evaluates every chain against `source`.
+  // Returns nullptr and sets `*error` on a source failure, or when a
+  // reached literal has no usable access pattern at its position. The
+  // chains keep pointers into `catalog`, which must outlive the query.
   static std::unique_ptr<StandingQuery> Build(const UnionQuery& q,
                                               const Catalog& catalog,
                                               Source* source,
@@ -109,8 +111,9 @@ class StandingQuery {
   AnswerBracket Answers() const;
 
  private:
-  // The materialized chains; defined in delta.cc, which owns the chain
+  // The chains; defined in delta.cc, which owns the maintenance
   // machinery.
+  struct Chain;
   struct Chains;
 
   StandingQuery();

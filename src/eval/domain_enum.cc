@@ -5,6 +5,7 @@
 #include <string>
 
 #include "ast/substitution.h"
+#include "eval/exec_common.h"
 #include "eval/executor.h"
 #include "schema/adornment.h"
 
@@ -188,46 +189,13 @@ class DomainAssistedEvaluator {
 
   void Fetch(const Literal& literal, const AccessPattern& pattern,
              const Substitution& binding, std::vector<Substitution>* next) {
-    std::vector<std::optional<Term>> inputs;
-    inputs.reserve(literal.args().size());
-    for (const Term& arg : literal.args()) {
-      Term value = binding.Apply(arg);
-      if (value.IsGround()) {
-        inputs.emplace_back(std::move(value));
-      } else {
-        inputs.emplace_back(std::nullopt);
-      }
-    }
     ++*calls_;
-    FetchResult result = source_->Fetch(literal.relation(), pattern, inputs);
-    if (!result.ok()) {
-      // Drop the binding in both polarities: claiming a positive match or
-      // a verified absence without source confirmation would break the
-      // underestimate's soundness guarantee.
+    // A failed call drops the binding in both polarities: claiming a
+    // positive match or a verified absence without source confirmation
+    // would break the underestimate's soundness guarantee.
+    std::string error;
+    if (!ExtendRow(literal, pattern, binding, source_, next, &error)) {
       ++*errors_;
-      return;
-    }
-    const std::vector<Tuple>& fetched = result.tuples;
-    if (literal.positive()) {
-      for (const Tuple& tuple : fetched) {
-        Substitution extended = binding;
-        bool ok = true;
-        for (std::size_t j = 0; j < tuple.size() && ok; ++j) {
-          Term value = extended.Apply(literal.args()[j]);
-          if (value.IsGround()) {
-            ok = value == tuple[j];
-          } else {
-            ok = extended.Bind(value, tuple[j]);
-          }
-        }
-        if (ok) next->push_back(std::move(extended));
-      }
-    } else {
-      Tuple instantiated = binding.Apply(literal.args());
-      for (const Tuple& tuple : fetched) {
-        if (tuple == instantiated) return;  // present: binding filtered out
-      }
-      next->push_back(binding);
     }
   }
 

@@ -5,6 +5,13 @@
 
 namespace ucqn {
 
+namespace {
+
+// The Fetch argument vector for `literal` under `binding`: ground values
+// in the pattern's input slots, empty elsewhere. Output slots stay empty
+// even when the binding knows their value — a source only accepts its
+// declared inputs (Definition 1); the caller filters returned tuples
+// against the binding itself.
 std::vector<std::optional<Term>> FetchInputs(const Literal& literal,
                                              const AccessPattern& pattern,
                                              const Substitution& binding) {
@@ -21,6 +28,9 @@ std::vector<std::optional<Term>> FetchInputs(const Literal& literal,
   return inputs;
 }
 
+// Extends `binding` so that the literal's arguments equal `tuple`;
+// nullopt on mismatch (covers repeated variables and arguments already
+// ground).
 std::optional<Substitution> UnifyWithTuple(const Literal& literal,
                                            const Tuple& tuple,
                                            const Substitution& binding) {
@@ -37,6 +47,8 @@ std::optional<Substitution> UnifyWithTuple(const Literal& literal,
   }
   return extended;
 }
+
+}  // namespace
 
 bool ExtendRow(const Literal& literal, const AccessPattern& pattern,
                const Substitution& row, Source* source,

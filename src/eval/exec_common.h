@@ -16,25 +16,10 @@
 namespace ucqn {
 
 // Per-literal and per-head primitives of the paper's left-to-right
-// reading, shared by the executor (eval/executor.cc) and standing-query
-// maintenance (eval/delta.cc): maintenance must extend rows and project
-// heads exactly as a from-scratch run would.
-
-// The Fetch argument vector for `literal` under `binding`: ground values
-// in the pattern's input slots, empty elsewhere. Output slots stay empty
-// even when the binding knows their value — a source only accepts its
-// declared inputs (Definition 1); the caller filters returned tuples
-// against the binding itself.
-std::vector<std::optional<Term>> FetchInputs(const Literal& literal,
-                                             const AccessPattern& pattern,
-                                             const Substitution& binding);
-
-// Extends `binding` so that the literal's arguments equal `tuple`;
-// nullopt on mismatch (covers repeated variables and arguments already
-// ground).
-std::optional<Substitution> UnifyWithTuple(const Literal& literal,
-                                           const Tuple& tuple,
-                                           const Substitution& binding);
+// reading: the per-binding row step (the reference loop and domain
+// enumeration, eval/domain_enum.cc) and head projection (the executor
+// and standing queries, eval/delta.cc), so each caller extends rows and
+// projects heads the same way.
 
 // One row step: fetches `literal` under `pattern` for `row` and appends
 // the surviving extensions to `out` — every unifying tuple for a positive

@@ -123,11 +123,14 @@ ExecutionResult ExecuteDisjuncts(
     return failed;
   };
   if (options.batch) {
-    UnionChainsResult chains =
-        ExecuteChainsDag(bodies, catalog, source, options, clock, counters);
-    if (!chains.ok) return fail(std::move(chains.error));
+    std::vector<ColumnarFrontier> witnesses;
+    std::string error;
+    if (!ExecuteChainsDag(bodies, catalog, source, options, clock, counters,
+                          &witnesses, &error)) {
+      return fail(std::move(error));
+    }
     for (std::size_t i = 0; i < bodies.size(); ++i) {
-      if (!ProjectHeadColumns(*bodies[i], chains.witnesses[i], &result)) break;
+      if (!ProjectHeadColumns(*bodies[i], witnesses[i], &result)) break;
     }
     return result;
   }
@@ -155,13 +158,12 @@ BindingsResult ExecuteForBindings(const ConjunctiveQuery& q,
           return ExecuteReference(q, catalog, effective, options);
         }
         BindingsResult result;
-        UnionChainsResult chains = ExecuteChainsDag(
-            {&q}, catalog, effective, options, clock, counters);
-        result.ok = chains.ok;
-        result.error = std::move(chains.error);
-        if (chains.ok) {
+        std::vector<ColumnarFrontier> witnesses;
+        result.ok = ExecuteChainsDag({&q}, catalog, effective, options, clock,
+                                     counters, &witnesses, &result.error);
+        if (result.ok) {
           result.bindings =
-              chains.witnesses.front().DecodeAll(TermDictionary::Global());
+              witnesses.front().DecodeAll(TermDictionary::Global());
         }
         return result;
       });

@@ -79,6 +79,25 @@ class ColumnarFrontier {
   std::size_t rows_ = 1;
 };
 
+// Rows waiting in line, first in first out — the queue in front of each
+// stage of an operator-DAG chain (eval/dag_executor.h). Every queued row
+// binds the same variables, so the queue is one columnar frontier read
+// from `head_`; the driver cuts morsels off its front.
+class RowQueue {
+ public:
+  std::size_t size() const { return size_; }
+
+  // Appends `rows` after everything already queued.
+  void Push(ColumnarFrontier&& rows);
+  // Removes and returns the first min(cap, size()) rows, in order.
+  ColumnarFrontier Take(std::size_t cap);
+
+ private:
+  ColumnarFrontier buffer_;
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
+};
+
 }  // namespace ucqn
 
 #endif  // UCQN_EVAL_FRONTIER_H_

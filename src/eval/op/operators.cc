@@ -53,6 +53,9 @@ bool FetchOperator::Prepare(const ColumnarFrontier& frontier,
     auto [it, fresh] = first_occurrence.try_emplace(args[j].name(), j);
     if (fresh) {
       plan_[j].kind = Slot::kBindFirst;
+      plan_[j].column = literal_->positive()
+                            ? frontier.width() + binder_slots_.size()
+                            : ColumnarFrontier::kNoColumn;
       binder_slots_.push_back(j);
       binds_new_ = true;
     } else {
@@ -84,6 +87,25 @@ bool FetchOperator::Matches(const std::uint32_t* tuple,
       case Slot::kBindRepeat:
         if (tuple[j] != tuple[plan_[j].first]) return false;
         break;
+    }
+  }
+  return true;
+}
+
+bool FetchOperator::Consumed(const ColumnarFrontier& rows, std::size_t r,
+                             EncodedTuple* tuple) const {
+  if (!prepared_) return false;
+  tuple->resize(plan_.size());
+  for (std::size_t j = 0; j < plan_.size(); ++j) {
+    const SlotPlan& slot = plan_[j];
+    if (slot.kind == Slot::kConst) {
+      (*tuple)[j] = slot.id;
+    } else if (slot.kind == Slot::kBindRepeat) {
+      (*tuple)[j] = (*tuple)[slot.first];
+    } else if (slot.column < rows.width()) {
+      (*tuple)[j] = rows.Column(slot.column)[r];
+    } else {
+      return false;
     }
   }
   return true;

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ast/query.h"
@@ -67,6 +68,14 @@ class FetchOperator {
   bool Stage(ColumnarFrontier&& morsel, std::size_t queued_rows,
              PendingWave* wave);
 
+  // The tuple row `r` of `rows` used here: the one a positive literal
+  // joined, or the one a negated literal probed for. `rows` is this
+  // stage's input or any later stage's, so it carries the columns this
+  // stage reads and, past a positive stage, the ones it bound. False
+  // when the stage has not run yet or `rows` lacks a column.
+  bool Consumed(const ColumnarFrontier& rows, std::size_t r,
+                EncodedTuple* tuple) const;
+
   // Merges one fetched wave into `out` (join kinds append matched rows
   // column-wise; the anti-join retains non-members), preserving row
   // order. False on failure (a failed fetch, reported in request order).
@@ -79,7 +88,9 @@ class FetchOperator {
   struct SlotPlan {
     Slot kind = Slot::kConst;
     std::uint32_t id = 0;    // kConst: the ground value's id
-    std::size_t column = 0;  // kColumn: frontier column of the variable
+    // kColumn: frontier column of the variable; kBindFirst: the column
+    // a positive literal gives it downstream.
+    std::size_t column = 0;
     std::size_t first = 0;   // kBindRepeat: slot of the first occurrence
   };
 
@@ -120,20 +131,25 @@ class FetchOperator {
 
 // The chain sink: collects surviving morsels in push (= derivation =
 // witness) order, still as id columns. Execute projects heads from them
-// directly; only ExecuteForBindings decodes rows into Substitutions.
+// directly; only ExecuteForBindings decodes rows into Substitutions. A
+// chain that keeps its stages' inputs (eval/dag_executor.h) records each
+// stage's rows in one of these too.
 class MaterializeOp {
  public:
   MaterializeOp() { witnesses_.SetRows(0); }
 
-  void Push(ColumnarFrontier&& morsel) {
+  // Takes an rvalue's columns when the sink is empty; copies otherwise.
+  template <typename Morsel>
+  void Push(Morsel&& morsel) {
     if (witnesses_.rows() == 0) {
-      witnesses_ = std::move(morsel);
+      witnesses_ = std::forward<Morsel>(morsel);
     } else {
       witnesses_.Append(morsel);
     }
   }
   // Every pushed row; no rows (and no columns) when none arrived.
   ColumnarFrontier& witnesses() { return witnesses_; }
+  const ColumnarFrontier& witnesses() const { return witnesses_; }
 
  private:
   ColumnarFrontier witnesses_;

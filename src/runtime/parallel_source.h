@@ -17,9 +17,9 @@ namespace ucqn {
 // very bottom of a SourceStack, directly above the transport, so every
 // decorator above it stays single-threaded: only the pool threads ever run
 // concurrently, and only inside the transport — which must therefore be
-// thread-safe (DatabaseSource, IndexedDatabaseSource and
-// FaultInjectingSource are). A string-only transport is reached through
-// Source's encoded-call adapter, on the worker's thread.
+// thread-safe (DatabaseSource and FaultInjectingSource are). A
+// string-only transport is reached through Source's encoded-call
+// adapter, on the worker's thread.
 //
 // Request i of a wave of size n is statically assigned to worker
 // i mod min(workers, n); each worker processes its share sequentially.

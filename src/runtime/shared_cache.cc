@@ -144,22 +144,8 @@ std::uint64_t SharedCacheStore::ExpiryFor(std::uint64_t now,
 std::size_t SharedCacheStore::EntryCost(const std::string& key,
                                         const std::string& relation,
                                         const EncodedRows& rows) {
-  // The bookkeeping charge of an entry that held its result as decoded
-  // tuples: key and relation strings, the tuple vector, and the three
-  // counters. Entry itself is smaller now; the charge stays put.
-  constexpr std::size_t kBookkeeping = 2 * sizeof(std::string) +
-                                       sizeof(std::vector<Tuple>) +
-                                       3 * sizeof(std::uint64_t);
-  const TermDictionary& dict = TermDictionary::Global();
-  std::size_t bytes = kBookkeeping + key.size() + relation.size();
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    const std::uint32_t* row = rows.Row(r);
-    bytes += sizeof(Tuple) + rows.arity() * sizeof(Term);
-    for (std::size_t j = 0; j < rows.arity(); ++j) {
-      bytes += dict.Decode(row[j]).size();
-    }
-  }
-  return bytes;
+  return sizeof(Entry) + sizeof(EncodedRows) + key.size() + relation.size() +
+         rows.size() * rows.arity() * sizeof(std::uint32_t);
 }
 
 void SharedCacheStore::Erase(Shard& shard, std::list<Entry>::iterator it) {

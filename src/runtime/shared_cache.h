@@ -99,10 +99,10 @@ class SharedCacheStore {
     // Maximum cached entries (0 = unbounded), split evenly across shards.
     std::size_t max_entries = 0;
     // Resident-size budget in *bytes* (0 = unbounded), split evenly
-    // across shards. Charged per entry by EntryCost below — exact bytes
-    // including key, relation and tuple payloads, so a wide tuple costs
-    // what it actually holds and an empty (negative) result still pays
-    // its bookkeeping footprint instead of a flat one-tuple charge.
+    // across shards. Charged per entry by EntryCost below — the bytes
+    // the entry holds, so more rows or a higher arity cost more and an
+    // empty (negative) result still pays its bookkeeping footprint
+    // instead of a flat one-tuple charge.
     std::size_t budget_bytes = 0;
     // TTL applied to every entry; 0 means entries never expire by age.
     std::uint64_t default_ttl_micros = 0;
@@ -245,13 +245,11 @@ class SharedCacheStore {
   // Publish of the same key simply wins or is replaced by LRU age).
   void RestoreEntry(const ExportedEntry& entry);
 
-  // The resident cost Publish charges for one entry: bookkeeping plus
-  // the key, the relation, and every row as the decoded Tuple of Terms
-  // it stands for (each term's spelling length included). Entries hold
-  // ids now, so this overstates what they occupy; it is kept so budgets,
-  // evictions and reported bytes mean what they always meant. Public so
-  // budget tests and capacity planning can compute thresholds rather
-  // than hard-coding platform-dependent sizes.
+  // The resident cost Publish charges for one entry, what it holds: its
+  // bookkeeping (the entry and its rows object), the key and relation
+  // spellings, and one 4-byte id per slot of every row. Public so budget
+  // tests and capacity planning can compute thresholds rather than
+  // hard-coding platform-dependent sizes.
   static std::size_t EntryCost(const std::string& key,
                                const std::string& relation,
                                const EncodedRows& rows);

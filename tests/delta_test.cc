@@ -248,6 +248,55 @@ TEST(StandingQueryTest, BuildEvaluatesEachExactDisjunctOnce) {
   EXPECT_EQ(built.stats().calls, 3u);
 }
 
+TEST(StandingQueryTest, RowsSharingAProbeValueShareOneCall) {
+  // Build and repair fetch through the DAG driver, whose waves are
+  // deduplicated per signature: two frontier rows with the same y make
+  // one B(k) call, not one per row, on an uncached source.
+  StandingFixture fx("L/2: oo\nB/2: io\n",
+                     R"(
+                       L("a", "k"). L("b", "k").
+                       B("k", "z").
+                     )",
+                     "Q(x, y, z) :- L(x, y), B(y, z).");
+  EXPECT_EQ(fx.backend->per_relation_stats().at("B").calls, 1u);
+  fx.ExpectFresh();
+
+  fx.backend->ResetStats();
+  fx.Apply({RelationDelta{"L", {T2("c", "k"), T2("d", "k")}, {}}});
+  EXPECT_EQ(fx.backend->per_relation_stats().at("B").calls, 1u);
+  EXPECT_EQ(fx.backend->stats().calls, 1u);
+  fx.ExpectFresh();
+  EXPECT_EQ(fx.standing->Answers().under.size(), 4u);
+}
+
+TEST(StandingQueryTest, StageFirstReachedByARepairChoosesItsPatternThen) {
+  // L is empty at build time, so no row reaches B or the anti-join on E
+  // and neither stage has chosen a pattern. The first insert into L
+  // reaches both during the repair; the bracket must still equal a fresh
+  // run, through later inserts and deletes on every relation.
+  StandingFixture fx("L/1: o\nB/2: oo io\nE/1: i\n",
+                     R"(
+                       B("a", "x"). B("a", "y"). B("b", "z").
+                       E("y").
+                     )",
+                     "Q(x, y) :- L(x), B(x, y), not E(y).");
+  EXPECT_EQ(fx.backend->stats().calls, 1u);  // the L scan only
+  ASSERT_TRUE(fx.standing->Answers().under.empty());
+
+  fx.Apply({RelationDelta{"L", {T1("a")}, {}}});
+  fx.ExpectFresh();
+  EXPECT_EQ(fx.standing->Answers().under, std::set<Tuple>({T2("a", "x")}));
+
+  fx.Apply({RelationDelta{"E", {T1("x")}, {T1("y")}},
+            RelationDelta{"L", {T1("b")}, {}}});
+  fx.ExpectFresh();
+  EXPECT_EQ(fx.standing->Answers().under,
+            std::set<Tuple>({T2("a", "y"), T2("b", "z")}));
+
+  fx.Apply({RelationDelta{"B", {T2("b", "w")}, {T2("a", "y")}}});
+  fx.ExpectFresh();
+}
+
 TEST(StandingQueryTest, FailedRepairIsRebuiltFromTheRecordedStages) {
   StandingFixture fx(kJoinSchema, kJoinFacts, kJoinQuery);
   // The repair's first call (B for the inserted "c") fails; the rebuild

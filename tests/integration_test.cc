@@ -11,7 +11,6 @@
 #include "eval/explain.h"
 #include "eval/oracle.h"
 #include "eval/planner.h"
-#include "eval/source_adapters.h"
 #include "feasibility/compile.h"
 #include "feasibility/feasible.h"
 #include "feasibility/li_chang.h"
@@ -198,7 +197,7 @@ TEST(IntegrationTest, FullStackMediatorSession) {
     Employment("eve", "Sniffing Inc").
     Blocked("eve").
   )");
-  IndexedDatabaseSource backend(&db, &sources);
+  DatabaseSource backend(&db, &sources);
   CachingSource cached(&backend);
   ExecutionResult result = Execute(*ordered, sources, &cached);
   ASSERT_TRUE(result.ok) << result.error;

@@ -282,12 +282,18 @@ TEST_F(SharedCacheTest, EmptyResultsStillPayTheirFootprint) {
   store.Publish("k", "R", Rows());
   EXPECT_GT(store.bytes(), 0u);
   EXPECT_EQ(store.bytes(), SharedCacheStore::EntryCost("k", "R", *Rows()));
-  // And a wide tuple costs more than a narrow one under the same key.
+  // Entries hold ids, so more rows or a higher arity cost more under the
+  // same key, while rows of one shape cost the same whatever they spell.
   const Tuple narrow = {Term::Constant("x")};
-  const Tuple wide = {Term::Constant("a-much-longer-constant-value"),
-                      Term::Constant("second"), Term::Constant("third")};
-  EXPECT_GT(SharedCacheStore::EntryCost("k", "R", *Rows({wide})),
-            SharedCacheStore::EntryCost("k", "R", *Rows({narrow})));
+  const Tuple other = {Term::Constant("a-much-longer-constant-value")};
+  const Tuple wide = {Term::Constant("x"), Term::Constant("second"),
+                      Term::Constant("third")};
+  auto cost = [](const std::vector<Tuple>& tuples) {
+    return SharedCacheStore::EntryCost("k", "R", *Rows(tuples));
+  };
+  EXPECT_GT(cost({narrow, other}), cost({narrow}));
+  EXPECT_GT(cost({wide}), cost({narrow}));
+  EXPECT_EQ(cost({other}), cost({narrow}));
 }
 
 TEST_F(SharedCacheTest, OversizedResultIsKeptForItsOwnExecution) {

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "ast/parser.h"
-#include "eval/answer_star.h"
 #include "eval/executor.h"
 
 namespace ucqn {
@@ -23,58 +22,6 @@ class SourceAdaptersTest : public ::testing::Test {
   Catalog catalog_;
   Database db_;
 };
-
-TEST_F(SourceAdaptersTest, IndexedSourceMatchesScanSource) {
-  DatabaseSource scan(&db_, &catalog_);
-  IndexedDatabaseSource indexed(&db_, &catalog_);
-  const AccessPattern keyed = AccessPattern::MustParse("io");
-  const AccessPattern full = AccessPattern::MustParse("oo");
-  for (const char* value : {"a", "c", "missing"}) {
-    std::vector<Tuple> a =
-        scan.FetchOrDie("R", keyed, {Term::Constant(value), std::nullopt});
-    std::vector<Tuple> b =
-        indexed.FetchOrDie("R", keyed, {Term::Constant(value), std::nullopt});
-    EXPECT_EQ(a, b) << value;
-  }
-  EXPECT_EQ(scan.FetchOrDie("R", full, {std::nullopt, std::nullopt}),
-            indexed.FetchOrDie("R", full, {std::nullopt, std::nullopt}));
-  // One index per (relation, pattern) pair touched.
-  EXPECT_EQ(indexed.index_count(), 2u);
-  EXPECT_EQ(indexed.stats().calls, 4u);
-}
-
-TEST_F(SourceAdaptersTest, IndexedSourceOnRandomWorkload) {
-  // Differential check over a bigger instance and both executors.
-  Database big;
-  for (int i = 0; i < 300; ++i) {
-    big.Insert("R", {Term::Constant("k" + std::to_string(i % 23)),
-                     Term::Constant("v" + std::to_string(i % 7))});
-    if (i % 3 == 0) big.Insert("S", {Term::Constant("v" + std::to_string(i % 7))});
-  }
-  DatabaseSource scan(&big, &catalog_);
-  IndexedDatabaseSource indexed(&big, &catalog_);
-  ConjunctiveQuery plan = MustParseRule("Q(x) :- R(x, z), not S(z).");
-  ExecutionResult a = Execute(plan, catalog_, &scan);
-  ExecutionResult b = Execute(plan, catalog_, &indexed);
-  ASSERT_TRUE(a.ok && b.ok);
-  EXPECT_EQ(a.tuples, b.tuples);
-  EXPECT_EQ(scan.stats().calls, indexed.stats().calls);
-}
-
-using SourceAdaptersDeathTest = SourceAdaptersTest;
-
-TEST_F(SourceAdaptersDeathTest, IndexedSourceEnforcesContract) {
-  IndexedDatabaseSource indexed(&db_, &catalog_);
-  EXPECT_DEATH(indexed.Fetch("R", AccessPattern::MustParse("ii"),
-                             {Term::Constant("a"), Term::Constant("b")}),
-               "undeclared access pattern");
-  EXPECT_DEATH(indexed.Fetch("R", AccessPattern::MustParse("io"),
-                             {std::nullopt, std::nullopt}),
-               "input slot requires a ground value");
-  EXPECT_DEATH(indexed.Fetch("R", AccessPattern::MustParse("io"),
-                             {Term::Constant("a")}),
-               "one entry per declared slot");
-}
 
 TEST_F(SourceAdaptersTest, CompositeRoutesPerRelation) {
   // R and S live at different backends.

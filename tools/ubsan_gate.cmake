@@ -5,7 +5,9 @@
 # queries, the cost model and the planner) must be UB-clean, not just
 # green — the id-packing code memcpys raw uint32s in and out of byte
 # strings, and the planner's connectivity rule shifts 64-bit masks,
-# exactly the kind of code UBSan exists for.
+# exactly the kind of code UBSan exists for. The preset also defines
+# _GLIBCXX_ASSERTIONS, so out-of-range operator[] on the id columns
+# aborts the test instead of reading past a vector.
 #
 # Run as a script:
 #   cmake -DREPO_ROOT=<repo> -P ubsan_gate.cmake
