@@ -17,6 +17,12 @@ TermDictionary::TermDictionary() {
   size_.store(1, std::memory_order_release);
 }
 
+TermDictionary::~TermDictionary() {
+  for (std::atomic<Chunk*>& chunk : chunks_) {
+    delete chunk.load(std::memory_order_relaxed);
+  }
+}
+
 TermDictionary& TermDictionary::Global() {
   static TermDictionary* dictionary = new TermDictionary();
   return *dictionary;

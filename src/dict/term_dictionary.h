@@ -49,8 +49,13 @@ class TermDictionary {
   static constexpr std::uint32_t kAbsentId = 0xFFFFFFFFu;
 
   TermDictionary();
+  // Frees every chunk. Global() is never destroyed: it stays a leaked
+  // singleton so decoders running during static destruction stay valid.
+  ~TermDictionary();
   TermDictionary(const TermDictionary&) = delete;
   TermDictionary& operator=(const TermDictionary&) = delete;
+  TermDictionary(TermDictionary&&) = delete;
+  TermDictionary& operator=(TermDictionary&&) = delete;
 
   // The process-wide dictionary every execution shares. Executions on
   // different threads intern into the same id space, which is what lets
@@ -97,7 +102,7 @@ class TermDictionary {
 
   // Readers index `chunks_` after an acquire load of `size_`; writers
   // fully construct the entry before the release store that publishes
-  // it. Chunks are never freed or moved.
+  // it. Chunks never move and live until the dictionary is destroyed.
   std::array<std::atomic<Chunk*>, kMaxChunks> chunks_{};
   std::atomic<std::size_t> size_{0};
 

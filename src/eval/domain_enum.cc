@@ -1,26 +1,48 @@
 #include "eval/domain_enum.h"
 
 #include <algorithm>
-#include <functional>
-#include <string>
+#include <map>
+#include <memory>
+#include <optional>
+#include <unordered_set>
+#include <utility>
 
-#include "ast/substitution.h"
-#include "eval/exec_common.h"
 #include "eval/executor.h"
+#include "runtime/source_stack.h"
 #include "schema/adornment.h"
 
 namespace ucqn {
 
 namespace {
 
-std::string CallKey(const std::string& relation, const AccessPattern& pattern,
-                    const std::vector<std::optional<Term>>& inputs) {
-  std::string key = relation + "^" + pattern.word();
-  for (const auto& t : inputs) {
-    key += "|";
-    if (t.has_value()) key += t->ToString();
+using SignatureSet = std::unordered_set<EncodedTuple, EncodedTupleHash>;
+
+// Fills `wave` with the assignments of `values` to `pattern`'s input
+// slots that are not in `called` yet (first slot most significant), and
+// adds them to `called`. Stops at `cap` signatures: true when a further
+// uncalled one was left out. A pattern without input slots has one
+// signature.
+bool NextWave(const AccessPattern& pattern,
+              const std::vector<std::uint32_t>& values, std::uint64_t cap,
+              SignatureSet* called, std::vector<EncodedTuple>* wave) {
+  const std::vector<std::size_t> slots = pattern.InputSlots();
+  if (!slots.empty() && values.empty()) return false;
+  EncodedTuple signature(pattern.arity(), TermDictionary::kAbsentId);
+  std::vector<std::size_t> digits(slots.size(), 0);
+  while (true) {
+    for (std::size_t k = 0; k < slots.size(); ++k) {
+      signature[slots[k]] = values[digits[k]];
+    }
+    if (called->count(signature) == 0) {
+      if (wave->size() == cap) return true;
+      called->insert(signature);
+      wave->push_back(signature);
+    }
+    // Odometer step: the last slot turns fastest.
+    std::size_t k = slots.size();
+    while (k > 0 && ++digits[k - 1] == values.size()) digits[--k] = 0;
+    if (k == 0) return false;
   }
-  return key;
 }
 
 }  // namespace
@@ -28,54 +50,54 @@ std::string CallKey(const std::string& relation, const AccessPattern& pattern,
 DomainEnumResult EnumerateDomain(const Catalog& catalog, Source* source,
                                  const std::vector<Term>& seeds,
                                  const DomainEnumOptions& options) {
+  TermDictionary& dict = TermDictionary::Global();
   DomainEnumResult result;
   for (const Term& t : seeds) {
     if (t.IsGround()) result.domain.insert(t);
   }
-  std::set<std::string> already_called;
+  std::map<std::pair<std::string, std::string>, SignatureSet> called;
+  // The domain's ids in set order, a snapshot that keeps each wave's
+  // iteration space stable while new values are harvested. The domain
+  // only grows, so an equal size means an unchanged domain.
+  std::vector<std::uint32_t> snapshot;
 
   bool changed = true;
-  while (changed && !result.budget_exhausted) {
+  while (changed) {
     changed = false;
     for (const RelationSchema* schema : catalog.Relations()) {
       for (const AccessPattern& pattern : schema->patterns()) {
-        const std::vector<std::size_t> input_slots = pattern.InputSlots();
-        // Enumerate assignments of current-domain values to input slots.
-        std::vector<std::optional<Term>> inputs(pattern.arity());
-        // Snapshot the domain so the iteration space is stable while new
-        // values are harvested into result.domain.
-        const std::vector<Term> snapshot(result.domain.begin(),
-                                         result.domain.end());
-        std::function<void(std::size_t)> assign = [&](std::size_t k) {
-          if (result.budget_exhausted) return;
-          if (k == input_slots.size()) {
-            std::string key = CallKey(schema->name(), pattern, inputs);
-            if (!already_called.insert(key).second) return;
-            if (result.source_calls >= options.max_calls) {
-              result.budget_exhausted = true;
-              return;
-            }
-            ++result.source_calls;
-            FetchResult fetched = source->Fetch(schema->name(), pattern, inputs);
+        if (snapshot.size() != result.domain.size()) {
+          snapshot.clear();
+          for (const Term& value : result.domain) {
+            snapshot.push_back(dict.EncodeGround(value));
+          }
+        }
+        std::vector<EncodedTuple> wave;
+        result.budget_exhausted =
+            NextWave(pattern, snapshot, options.max_calls - result.source_calls,
+                     &called[{schema->name(), pattern.word()}], &wave);
+        result.source_calls += wave.size();
+        if (!wave.empty()) {
+          for (const EncodedFetchResult& fetched : source->FetchEncoded(
+                   schema->name(), pattern, wave, CallShape::kWave)) {
             if (!fetched.ok()) {
               // Best-effort: a failed call contributes no values. Dropping
               // it keeps the domain sound (a subset of the reachable one).
               ++result.source_errors;
-              return;
+              continue;
             }
-            for (const Tuple& tuple : fetched.tuples) {
-              for (const Term& value : tuple) {
-                if (result.domain.insert(value).second) changed = true;
+            const EncodedRows& rows = *fetched.rows;
+            for (std::size_t r = 0; r < rows.size(); ++r) {
+              for (std::size_t j = 0; j < rows.arity(); ++j) {
+                if (result.domain.insert(dict.DecodeTerm(rows.Row(r)[j]))
+                        .second) {
+                  changed = true;
+                }
               }
             }
-            return;
           }
-          for (const Term& value : snapshot) {
-            inputs[input_slots[k]] = value;
-            assign(k + 1);
-          }
-        };
-        assign(0);
+        }
+        if (result.budget_exhausted) return result;
       }
     }
   }
@@ -84,128 +106,91 @@ DomainEnumResult EnumerateDomain(const Catalog& catalog, Source* source,
 
 namespace {
 
-// Evaluates one dismissed disjunct with domain assistance: the literals are
-// processed answerable-part-first, then the unanswerable positives, then
-// the unanswerable negatives; any input-slot variable that is still
-// unbound ranges over the enumerated domain.
-class DomainAssistedEvaluator {
- public:
-  DomainAssistedEvaluator(const Catalog& catalog, Source* source,
-                          const std::set<Term>& domain,
-                          std::uint64_t max_calls, std::uint64_t* calls,
-                          std::uint64_t* errors)
-      : catalog_(catalog),
-        source_(source),
-        domain_(domain.begin(), domain.end()),
-        max_calls_(max_calls),
-        calls_(calls),
-        errors_(errors) {}
+// The relation dom(x) is read under. The parser only produces
+// identifiers, so no user relation can collide with it.
+const char kDomRelation[] = "$dom";
 
-  void Evaluate(const DisjunctPlan& plan, std::set<Tuple>* out) {
-    if (!plan.answerable.has_value()) return;  // unsatisfiable disjunct
-    std::vector<Literal> order = plan.answerable->body();
-    for (const Literal& l : plan.unanswerable) {
-      if (l.positive()) order.push_back(l);
+// Answers dom(x) with the enumerated domain and forwards every other
+// call to `inner`.
+class DomainSource : public EncodedSource {
+ public:
+  DomainSource(Source* inner, SharedRows domain)
+      : inner_(inner), domain_(std::move(domain)) {}
+
+  std::vector<EncodedFetchResult> FetchEncoded(
+      const std::string& relation, const AccessPattern& pattern,
+      const std::vector<EncodedTuple>& signatures, CallShape shape) override {
+    if (relation != kDomRelation) {
+      return inner_->FetchEncoded(relation, pattern, signatures, shape);
     }
-    for (const Literal& l : plan.unanswerable) {
-      if (l.negative()) order.push_back(l);
-    }
-    std::vector<Substitution> bindings(1);
-    for (const Literal& literal : order) {
-      std::vector<Substitution> next;
-      for (const Substitution& binding : bindings) {
-        Step(literal, binding, &next);
-      }
-      bindings = std::move(next);
-      if (bindings.empty()) return;
-    }
-    for (const Substitution& binding : bindings) {
-      Tuple head = binding.Apply(plan.original.head_terms());
-      bool ground = std::all_of(head.begin(), head.end(),
-                                [](const Term& t) { return t.IsGround(); });
-      if (ground) out->insert(std::move(head));
-    }
+    return std::vector<EncodedFetchResult>(signatures.size(),
+                                           EncodedFetchResult::Ok(domain_));
   }
 
  private:
-  // Processes one literal under one binding, appending extended bindings.
-  void Step(const Literal& literal, const Substitution& binding,
-            std::vector<Substitution>* next) {
-    const RelationSchema* schema = catalog_.Find(literal.relation());
-    if (schema == nullptr || schema->patterns().empty()) return;
-    // Pick the pattern needing the fewest domain-enumerated variables.
+  Source* inner_;
+  SharedRows domain_;
+};
+
+// Example 8's rewrite of a dismissed disjunct into an executable CQ¬: the
+// answerable part, then the unanswerable positives, then the unanswerable
+// negatives, each literal preceded by dom(v) for every distinct variable
+// v it still needs — a positive literal those at the input slots of its
+// pattern with the fewest unbound inputs (ties: more input slots, then
+// declaration order), a negated one all of them. Boundness depends only
+// on the position, so the placement is static, and the executor's
+// ChoosePattern then picks that same pattern. Nullopt when the disjunct
+// can gain nothing: some literal has no pattern of its arity, or a head
+// variable occurs in no literal.
+std::optional<ConjunctiveQuery> DomAssisted(const DisjunctPlan& plan,
+                                            const Catalog& catalog) {
+  std::vector<Literal> order = plan.answerable->body();
+  for (const Literal& l : plan.unanswerable) {
+    if (l.positive()) order.push_back(l);
+  }
+  for (const Literal& l : plan.unanswerable) {
+    if (l.negative()) order.push_back(l);
+  }
+  std::vector<Literal> body;
+  BoundVariables bound;
+  auto unbound = [&bound](const Term& t) {
+    return t.IsVariable() && bound.count(t.name()) == 0;
+  };
+  for (const Literal& literal : order) {
+    const RelationSchema* schema = catalog.Find(literal.relation());
+    if (schema == nullptr) return std::nullopt;
     const AccessPattern* best = nullptr;
     std::size_t best_unbound = 0;
     for (const AccessPattern& p : schema->patterns()) {
       if (p.arity() != literal.args().size()) continue;
-      std::size_t unbound = 0;
-      for (std::size_t j = 0; j < p.arity(); ++j) {
-        if (p.IsInputSlot(j) &&
-            !binding.Apply(literal.args()[j]).IsGround()) {
-          ++unbound;
-        }
+      std::size_t count = 0;
+      for (std::size_t slot : p.InputSlots()) {
+        if (unbound(literal.args()[slot])) ++count;
       }
-      if (best == nullptr || unbound < best_unbound ||
-          (unbound == best_unbound && p.InputCount() > best->InputCount())) {
+      if (best == nullptr || count < best_unbound ||
+          (count == best_unbound && p.InputCount() > best->InputCount())) {
         best = &p;
-        best_unbound = unbound;
+        best_unbound = count;
       }
     }
-    if (best == nullptr) return;
-    EnumerateAndFetch(literal, *best, binding, next);
-  }
-
-  void EnumerateAndFetch(const Literal& literal, const AccessPattern& pattern,
-                         const Substitution& binding,
-                         std::vector<Substitution>* next) {
-    // Collect the distinct unbound variables sitting in input slots (for a
-    // negative literal: all unbound variables — the probe needs a fully
-    // ground tuple).
-    std::vector<Term> to_enumerate;
+    if (best == nullptr) return std::nullopt;
     for (std::size_t j = 0; j < literal.args().size(); ++j) {
-      const Term value = binding.Apply(literal.args()[j]);
-      const bool needs_value = literal.negative() || pattern.IsInputSlot(j);
-      if (needs_value && !value.IsGround() &&
-          std::find(to_enumerate.begin(), to_enumerate.end(), value) ==
-              to_enumerate.end()) {
-        to_enumerate.push_back(value);
+      const Term& arg = literal.args()[j];
+      if ((literal.negative() || best->IsInputSlot(j)) && unbound(arg)) {
+        body.push_back(Literal::Positive(Atom(kDomRelation, {arg})));
+        bound.insert(arg.name());
       }
     }
-    std::function<void(std::size_t, const Substitution&)> assign =
-        [&](std::size_t k, const Substitution& current) {
-          if (*calls_ >= max_calls_) return;
-          if (k == to_enumerate.size()) {
-            Fetch(literal, pattern, current, next);
-            return;
-          }
-          for (const Term& value : domain_) {
-            Substitution extended = current;
-            if (!extended.Bind(to_enumerate[k], value)) continue;
-            assign(k + 1, extended);
-          }
-        };
-    assign(0, binding);
+    body.push_back(literal);
+    if (literal.positive()) BindVariables(literal, &bound);
   }
-
-  void Fetch(const Literal& literal, const AccessPattern& pattern,
-             const Substitution& binding, std::vector<Substitution>* next) {
-    ++*calls_;
-    // A failed call drops the binding in both polarities: claiming a
-    // positive match or a verified absence without source confirmation
-    // would break the underestimate's soundness guarantee.
-    std::string error;
-    if (!ExtendRow(literal, pattern, binding, source_, next, &error)) {
-      ++*errors_;
-    }
+  if (std::any_of(plan.original.head_terms().begin(),
+                  plan.original.head_terms().end(), unbound)) {
+    return std::nullopt;
   }
-
-  const Catalog& catalog_;
-  Source* source_;
-  std::vector<Term> domain_;
-  std::uint64_t max_calls_;
-  std::uint64_t* calls_;
-  std::uint64_t* errors_;
-};
+  return ConjunctiveQuery(plan.original.head_name(),
+                          plan.original.head_terms(), std::move(body));
+}
 
 }  // namespace
 
@@ -232,15 +217,35 @@ ImprovedUnderestimate ImproveUnderestimate(const UnionQuery& q,
   }
   result.domain = EnumerateDomain(catalog, source, seeds, options);
 
-  DomainAssistedEvaluator evaluator(catalog, source, result.domain.domain,
-                                    options.max_calls,
-                                    &result.evaluation_calls,
-                                    &result.evaluation_errors);
+  Catalog with_dom = catalog;
+  with_dom.AddPattern(kDomRelation, "o");
+  auto domain = std::make_shared<EncodedRows>(1);
+  for (const Term& value : result.domain.domain) {
+    const std::uint32_t id = TermDictionary::Global().EncodeGround(value);
+    domain->Append(&id);
+  }
   for (const DisjunctPlan& plan : plans.disjuncts) {
-    if (plan.unanswerable.empty()) continue;  // already exact in Q^u
-    std::set<Tuple> extra;
-    evaluator.Evaluate(plan, &extra);
-    for (const Tuple& tuple : extra) {
+    // Unsatisfiable, or already exact in Q^u.
+    if (!plan.answerable.has_value() || plan.unanswerable.empty()) continue;
+    std::optional<ConjunctiveQuery> assisted = DomAssisted(plan, catalog);
+    if (!assisted.has_value()) continue;
+    // A budget of 0 would mean "uncapped" to the stack.
+    if (result.evaluation_calls >= options.max_calls) {
+      ++result.evaluation_errors;
+      continue;
+    }
+    RuntimeOptions runtime;
+    runtime.budget.max_calls = options.max_calls - result.evaluation_calls;
+    SourceStack stack(source, runtime);
+    // dom reads sit above the budget: they are neither counted nor capped.
+    DomainSource dom(stack.source(), domain);
+    ExecutionResult answers = Execute(*assisted, with_dom, &dom);
+    result.evaluation_calls += stack.stats().source_calls;
+    if (!answers.ok) {
+      ++result.evaluation_errors;
+      continue;
+    }
+    for (const Tuple& tuple : answers.tuples) {
       if (result.tuples.insert(tuple).second) result.gained.insert(tuple);
     }
   }

@@ -24,7 +24,10 @@ struct DomainEnumOptions {
 // the query) and closing under source calls — any declared pattern whose
 // input slots can be filled from the current domain is called and all
 // returned values are harvested (Duschka–Levy recursive domain
-// enumeration [DL97]).
+// enumeration [DL97]). The fixpoint runs in rounds; per round, every
+// relation in catalog order and every declared pattern in order sends one
+// FetchEncoded wave of its not-yet-called input signatures over the
+// domain as it stood when the pattern's turn came.
 struct DomainEnumResult {
   std::set<Term> domain;
   std::uint64_t source_calls = 0;
@@ -40,15 +43,17 @@ DomainEnumResult EnumerateDomain(const Catalog& catalog, Source* source,
                                  const std::vector<Term>& seeds,
                                  const DomainEnumOptions& options = {});
 
-// The improved underestimate of Section 4.2: disjuncts that PLAN*
-// dismissed (non-empty unanswerable part) are re-evaluated with dom(x)
-// atoms supplying bindings for otherwise-unbindable variables, e.g.
+// The improved underestimate of Section 4.2: each disjunct that PLAN*
+// dismissed (non-empty unanswerable part) is rewritten into an executable
+// CQ¬ with dom(x) atoms supplying bindings for otherwise-unbindable
+// variables, e.g.
 //
 //   Q₁ᵘ(x,y) :- R(x,z), not S(z), dom(y), B(x,y)
 //
-// Every tuple produced is a genuine answer (the witnesses were checked
-// against the sources), so the result extends ANSWER*'s underestimate
-// while remaining sound.
+// and run by Execute on the operator DAG, with dom answered from the
+// enumerated domain. Every tuple produced is a genuine answer (the
+// witnesses were checked against the sources), so the result extends
+// ANSWER*'s underestimate while remaining sound.
 struct ImprovedUnderestimate {
   // False, with `error` set and nothing else filled, when re-executing
   // the plain underestimate failed at a source (e.g. a spent call budget).
@@ -60,10 +65,12 @@ struct ImprovedUnderestimate {
   std::set<Tuple> gained;
   DomainEnumResult domain;
   // Source calls spent evaluating the domain-assisted disjuncts (on top of
-  // domain.source_calls).
+  // domain.source_calls), capped by max_calls; dom reads are not calls.
   std::uint64_t evaluation_calls = 0;
-  // Evaluation calls that failed. The affected bindings are dropped —
-  // conservative in both polarities, so `tuples` remains an underestimate.
+  // Domain-assisted disjuncts whose evaluation failed: a source call
+  // failed, or the max_calls budget ran out. Each such disjunct adds no
+  // tuples at all — its whole gain is dropped, not one binding's — so
+  // `tuples` remains an underestimate.
   std::uint64_t evaluation_errors = 0;
 };
 

@@ -1,8 +1,6 @@
 #ifndef UCQN_EVAL_EXEC_COMMON_H_
 #define UCQN_EVAL_EXEC_COMMON_H_
 
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "ast/query.h"
@@ -10,25 +8,13 @@
 #include "cost/cost_model.h"
 #include "eval/executor.h"
 #include "eval/frontier.h"
-#include "eval/source.h"
-#include "schema/access_pattern.h"
 
 namespace ucqn {
 
-// Per-literal and per-head primitives of the paper's left-to-right
-// reading: the per-binding row step (the reference loop and domain
-// enumeration, eval/domain_enum.cc) and head projection (the executor
-// and standing queries, eval/delta.cc), so each caller extends rows and
-// projects heads the same way.
-
-// One row step: fetches `literal` under `pattern` for `row` and appends
-// the surviving extensions to `out` — every unifying tuple for a positive
-// literal, `row` itself when the instantiated atom is absent for a
-// negated one (ChoosePattern binds all of its variables first). False,
-// with `*error` set, when the source call fails.
-bool ExtendRow(const Literal& literal, const AccessPattern& pattern,
-               const Substitution& row, Source* source,
-               std::vector<Substitution>* out, std::string* error);
+// The head and pricing primitives of the executor and standing queries
+// (eval/delta.cc): the empty-body case, head projection (from the
+// reference loop's bindings or from id columns) and the default cost
+// model, so every caller projects heads and prices patterns the same way.
 
 // Empty body: the head must already be ground (overestimate null rows).
 ExecutionResult ExecuteTrueQuery(const ConjunctiveQuery& q);

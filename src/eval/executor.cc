@@ -1,6 +1,8 @@
 #include "eval/executor.h"
 
 #include <algorithm>
+#include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -48,6 +50,79 @@ Result WithRuntime(Source* source, const ExecutionOptions& options, Run run) {
   result.runtime = stack.stats();
   FoldExecutorCounters(&result.runtime, counters);
   return result;
+}
+
+// The Fetch argument vector for `literal` under `binding`: ground values
+// in the pattern's input slots, empty elsewhere. Output slots stay empty
+// even when the binding knows their value — a source only accepts its
+// declared inputs (Definition 1); the caller filters returned tuples
+// against the binding itself.
+std::vector<std::optional<Term>> FetchInputs(const Literal& literal,
+                                             const AccessPattern& pattern,
+                                             const Substitution& binding) {
+  std::vector<std::optional<Term>> inputs;
+  inputs.reserve(literal.args().size());
+  for (std::size_t j = 0; j < literal.args().size(); ++j) {
+    Term value = binding.Apply(literal.args()[j]);
+    if (pattern.IsInputSlot(j) && value.IsGround()) {
+      inputs.emplace_back(std::move(value));
+    } else {
+      inputs.emplace_back(std::nullopt);
+    }
+  }
+  return inputs;
+}
+
+// Extends `binding` so that the literal's arguments equal `tuple`;
+// nullopt on mismatch (covers repeated variables and arguments already
+// ground).
+std::optional<Substitution> UnifyWithTuple(const Literal& literal,
+                                           const Tuple& tuple,
+                                           const Substitution& binding) {
+  Substitution extended = binding;
+  const std::vector<Term>& args = literal.args();
+  if (args.size() != tuple.size()) return std::nullopt;
+  for (std::size_t j = 0; j < args.size(); ++j) {
+    Term value = extended.Apply(args[j]);
+    if (value.IsGround()) {
+      if (value != tuple[j]) return std::nullopt;
+    } else {
+      if (!extended.Bind(value, tuple[j])) return std::nullopt;
+    }
+  }
+  return extended;
+}
+
+// One row step of the reference loop: fetches `literal` under `pattern`
+// for `row` and appends the surviving extensions to `out` — every
+// unifying tuple for a positive literal, `row` itself when the
+// instantiated atom is absent for a negated one (ChoosePattern binds all
+// of its variables first). False, with `*error` set, when the source call
+// fails.
+bool ExtendRow(const Literal& literal, const AccessPattern& pattern,
+               const Substitution& row, Source* source,
+               std::vector<Substitution>* out, std::string* error) {
+  FetchResult fetched = source->Fetch(literal.relation(), pattern,
+                                      FetchInputs(literal, pattern, row));
+  if (!fetched.ok()) {
+    *error = "source call for literal " + literal.ToString() +
+             " failed: " + fetched.error;
+    return false;
+  }
+  if (literal.positive()) {
+    for (const Tuple& tuple : fetched.tuples) {
+      std::optional<Substitution> extended =
+          UnifyWithTuple(literal, tuple, row);
+      if (extended.has_value()) out->push_back(std::move(*extended));
+    }
+    return true;
+  }
+  const Tuple instantiated = row.Apply(literal.args());
+  for (const Tuple& tuple : fetched.tuples) {
+    if (tuple == instantiated) return true;
+  }
+  out->push_back(row);
+  return true;
 }
 
 // The reference semantics (ExecutionOptions::batch off): one source call

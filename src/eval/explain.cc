@@ -1,12 +1,9 @@
 #include "eval/explain.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <set>
 
 #include "eval/executor.h"
-#include "eval/op/lowering.h"
-#include "schema/adornment.h"
 
 namespace ucqn {
 
@@ -58,7 +55,7 @@ DeltaExplanations ExplainDelta(const UnionQuery& q, const Catalog& catalog,
 
 std::string PlanExplanation::ToString() const {
   std::string out = "cost model: " + model + "\n";
-  for (const LiteralPlanStep& step : steps) {
+  for (const LoweredOperator& step : steps) {
     out += "  " + step.literal.ToString() + " -> " + step.decision.ToString();
     if (!step.score.filter && step.decision.chosen.has_value()) {
       char buf[64];
@@ -73,30 +70,20 @@ std::string PlanExplanation::ToString() const {
   return out;
 }
 
+PlanExplanation ExplainPlan(const LoweredChain& chain, const CostModel& model) {
+  PlanExplanation explanation;
+  explanation.ok = chain.ok;
+  explanation.model = model.name();
+  for (const LoweredOperator& op : chain.ops) {
+    explanation.steps.push_back(op);
+    if (!op.decision.chosen.has_value()) break;
+  }
+  return explanation;
+}
+
 PlanExplanation ExplainPlan(const ConjunctiveQuery& q, const Catalog& catalog,
                             const CostModel& model) {
-  PlanExplanation explanation;
-  explanation.model = model.name();
-  BoundVariables bound;
-  PlanContext context;  // same running estimate the planner keeps
-  for (const Literal& literal : q.body()) {
-    LiteralPlanStep step;
-    step.literal = literal;
-    std::optional<AccessPattern> pattern = ChoosePattern(
-        catalog, literal, bound, model, context, &step.decision);
-    step.score = model.ScoreLiteral(catalog, literal, bound, context);
-    step.cartesian = pattern.has_value() && IsCartesianStep(literal, bound);
-    const bool executable = pattern.has_value();
-    explanation.steps.push_back(std::move(step));
-    if (!executable) return explanation;  // ok stays false
-    if (!explanation.steps.back().score.filter) {
-      context.live_bindings = std::max(
-          1.0, context.live_bindings * model.ExpectedFanout(literal, bound));
-    }
-    if (literal.positive()) BindVariables(literal, &bound);
-  }
-  explanation.ok = true;
-  return explanation;
+  return ExplainPlan(LowerDisjunct(q, catalog, model), model);
 }
 
 }  // namespace ucqn

@@ -7,6 +7,7 @@
 #include "ast/query.h"
 #include "cost/cost_model.h"
 #include "eval/answer_star.h"
+#include "eval/op/lowering.h"
 #include "eval/source.h"
 #include "schema/catalog.h"
 
@@ -49,39 +50,29 @@ struct DeltaExplanations {
 DeltaExplanations ExplainDelta(const UnionQuery& q, const Catalog& catalog,
                                Source* source, const AnswerStarReport& report);
 
-// One literal's pattern decision as the executor would make it: the
-// chosen adornment, every rejected candidate, and the cost the model
-// assigned each — the observable trace of the cost layer (src/cost/).
-struct LiteralPlanStep {
-  Literal literal;
-  // All declared patterns of the literal's relation with usability, cost,
-  // and the winner flagged. `decision.chosen` is empty when the literal
-  // cannot be called at its position (the plan is not executable there).
-  PatternDecision decision;
-  // The scheduling score the model gave this literal at its position.
-  LiteralScore score;
-  // The step expands the bindings but shares no variable with those
-  // before it (IsCartesianStep, eval/op/lowering.h).
-  bool cartesian = false;
-};
-
 // The per-literal decision trace of executing `q`'s body left to right
-// under `model` — what `ucqnc --explain` prints.
+// under `model` — what `ucqnc --explain` prints above the operator chain:
+// the chosen adornment of each literal, every rejected candidate, and
+// the cost the model assigned each — the observable trace of the cost
+// layer (src/cost/).
 struct PlanExplanation {
   // False when some literal has no usable pattern at its position; the
   // steps up to and including the failing literal are still reported.
   bool ok = false;
   std::string model;  // the cost model's name()
-  std::vector<LiteralPlanStep> steps;
+  std::vector<LoweredOperator> steps;
 
   // e.g. "  Lookup(x, v): io cost=35200.0 (chosen), oo cost=250500.0", with
   // " [cartesian]" after a Cartesian step.
   std::string ToString() const;
 };
 
-// Walks `q`'s body in order, recording every pattern decision `model`
-// makes (with the same live-binding estimates the planner uses). Purely
-// static — no source calls are issued.
+// The prefix of `chain` (LowerDisjunct's walk under `model`) up to and
+// including its first literal without a usable pattern.
+PlanExplanation ExplainPlan(const LoweredChain& chain, const CostModel& model);
+// Lowers `q` and explains it: every pattern decision `model` makes, with
+// the same live-binding estimates the planner uses. Purely static — no
+// source calls are issued.
 PlanExplanation ExplainPlan(const ConjunctiveQuery& q, const Catalog& catalog,
                             const CostModel& model);
 

@@ -71,22 +71,25 @@ std::string LoweredChain::ToString() const {
 LoweredChain LowerDisjunct(const ConjunctiveQuery& q, const Catalog& catalog,
                            const CostModel& model) {
   LoweredChain chain;
+  chain.ok = true;
   chain.ops.reserve(q.body().size());
   BoundVariables bound;
   PlanContext context;  // same running estimate the planner keeps
-  bool executable = true;
   for (const Literal& literal : q.body()) {
     LoweredOperator op;
     op.kind = ClassifyLiteral(literal, bound);
     op.literal = literal;
     ChoosePattern(catalog, literal, bound, model, context, &op.decision);
+    op.score = model.ScoreLiteral(catalog, literal, bound, context);
     for (const PatternCandidate& candidate : op.decision.candidates) {
       if (candidate.chosen) op.estimated_cost = candidate.cost;
     }
-    executable = executable && op.decision.chosen.has_value();
+    const bool callable = op.decision.chosen.has_value();
+    op.cartesian = callable && IsCartesianStep(literal, bound);
+    chain.ok = chain.ok && callable;
     // Filters keep the live bindings (at most) level; expanding literals
-    // multiply them — the same update ExplainPlan and the ordering loop
-    // apply, driven by the same classification.
+    // multiply them — the same update the ordering loop applies, driven
+    // by the same classification.
     if (op.kind == OperatorKind::kAccessScan ||
         op.kind == OperatorKind::kHashJoin) {
       context.live_bindings = std::max(
@@ -95,7 +98,6 @@ LoweredChain LowerDisjunct(const ConjunctiveQuery& q, const Catalog& catalog,
     if (literal.positive()) BindVariables(literal, &bound);
     chain.ops.push_back(std::move(op));
   }
-  chain.ok = executable;
   return chain;
 }
 

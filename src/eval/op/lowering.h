@@ -31,10 +31,10 @@ bool IsCartesianStep(const Literal& literal, const BoundVariables& bound);
 std::vector<OperatorKind> LowerOperatorKinds(const ConjunctiveQuery& q);
 
 // One lowered operator with its static annotations for --explain: the
-// pattern decision and the chosen candidate's cost under the planner's
-// running live-binding estimate (the executor re-prices with actual
-// frontier sizes at run time; for the static model the choice is
-// context-free and therefore identical).
+// pattern decision, the literal's scheduling score and the chosen
+// candidate's cost under the planner's running live-binding estimate
+// (the executor re-prices with actual frontier sizes at run time; for
+// the static model the choice is context-free and therefore identical).
 struct LoweredOperator {
   OperatorKind kind = OperatorKind::kAccessScan;
   Literal literal;
@@ -42,8 +42,13 @@ struct LoweredOperator {
   // cost; `decision.chosen` is empty when the literal cannot be called
   // at its position.
   PatternDecision decision;
+  // The scheduling score the model gave this literal at its position.
+  LiteralScore score;
   // The chosen candidate's cost (0 when no pattern is usable).
   double estimated_cost = 0.0;
+  // The step is callable and expands the bindings but shares no variable
+  // with those before it (IsCartesianStep).
+  bool cartesian = false;
 };
 
 // A disjunct's compiled operator chain (Materialize sink implicit).
@@ -62,9 +67,10 @@ struct LoweredChain {
 };
 
 // Compiles `q`'s body into its operator chain under `model`, annotating
-// each operator with the pattern decision and cost at the planner's
-// estimated context (same running estimate as ExplainPlan). Purely
-// static — no source calls.
+// each operator with the pattern decision, score and cost at the
+// planner's estimated context: the one static walk behind --explain
+// (ExplainPlan renders its prefix up to the first uncallable literal).
+// Purely static — no source calls.
 LoweredChain LowerDisjunct(const ConjunctiveQuery& q, const Catalog& catalog,
                            const CostModel& model);
 

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "ast/parser.h"
+#include "eval/executor.h"
 #include "eval/oracle.h"
+#include "feasibility/plan_star.h"
+#include "gen/random_instance.h"
+#include "gen/random_query.h"
 #include "gen/scenarios.h"
 
 namespace ucqn {
@@ -41,6 +47,64 @@ TEST(EnumerateDomainTest, SeedsBootstrapInputPatterns) {
   EXPECT_EQ(result.domain.size(), 4u);
   EXPECT_TRUE(result.domain.count(Term::Constant("c")));
   EXPECT_FALSE(result.domain.count(Term::Constant("unreachable")));
+}
+
+// A string-only source that records how requests reach it: each wave
+// (FetchBatch, with its relation, pattern and size) and each Fetch made
+// outside a wave.
+class RecordingSource : public Source {
+ public:
+  explicit RecordingSource(Source* inner) : inner_(inner) {}
+
+  FetchResult Fetch(const std::string& relation, const AccessPattern& pattern,
+                    const std::vector<std::optional<Term>>& inputs) override {
+    if (!in_batch_) ++lone_fetches;
+    return inner_->Fetch(relation, pattern, inputs);
+  }
+
+  std::vector<FetchResult> FetchBatch(
+      const std::string& relation, const AccessPattern& pattern,
+      const std::vector<std::vector<std::optional<Term>>>& inputs) override {
+    batches.push_back(relation + "^" + pattern.word() + " x" +
+                      std::to_string(inputs.size()));
+    in_batch_ = true;
+    std::vector<FetchResult> results =
+        Source::FetchBatch(relation, pattern, inputs);
+    in_batch_ = false;
+    return results;
+  }
+
+  std::vector<std::string> batches;
+  int lone_fetches = 0;
+
+ private:
+  Source* inner_;
+  bool in_batch_ = false;
+};
+
+TEST(EnumerateDomainTest, EachPatternSendsOneWavePerRound) {
+  // SeedsBootstrapInputPatterns' instance: every round calls F^io once,
+  // with the one value the previous round discovered.
+  Catalog catalog = Catalog::MustParse("F/2: io\n");
+  Database db = Database::MustParseFacts(R"(
+    F("s", "a").
+    F("a", "b").
+    F("b", "c").
+    F("z", "unreachable").
+  )");
+  DatabaseSource database(&db, &catalog);
+  RecordingSource source(&database);
+  DomainEnumResult result =
+      EnumerateDomain(catalog, &source, {Term::Constant("s")});
+  EXPECT_EQ(result.domain,
+            (std::set<Term>{Term::Constant("s"), Term::Constant("a"),
+                            Term::Constant("b"), Term::Constant("c")}));
+  EXPECT_EQ(result.source_calls, 4u);
+  EXPECT_EQ(database.stats().calls, 4u);
+  EXPECT_EQ(source.batches,
+            (std::vector<std::string>{"F^io x1", "F^io x1", "F^io x1",
+                                      "F^io x1"}));
+  EXPECT_EQ(source.lone_fetches, 0);
 }
 
 TEST(EnumerateDomainTest, BudgetStopsFixpoint) {
@@ -126,6 +190,98 @@ TEST(ImproveUnderestimateTest, NegativeUnanswerableLiteralHandled) {
   EXPECT_EQ(truth, (std::set<Tuple>{{Term::Constant("b")}}));
   EXPECT_EQ(improved.tuples, truth);
   EXPECT_EQ(improved.gained, truth);  // plain underestimate was empty
+}
+
+TEST(ImproveUnderestimateTest, DistinctSignaturesShareOneCall) {
+  // Q(x, y) :- R(x, z), dom(y), B(x, y): the rows (a, 1) and (a, 2) of R
+  // ask the same B(a, y) probes, so each distinct (x, y) is one call.
+  Catalog catalog = Catalog::MustParse("R/2: oo\nB/2: ii\n");
+  UnionQuery q = MustParseUnionQuery("Q(x, y) :- R(x, z), B(x, y).");
+  Database db = Database::MustParseFacts(R"(
+    R("a", "1").
+    R("a", "2").
+    B("a", "2").
+  )");
+  DatabaseSource source(&db, &catalog);
+  ImprovedUnderestimate improved = ImproveUnderestimate(q, catalog, &source);
+  ASSERT_TRUE(improved.ok);
+  EXPECT_EQ(improved.domain.domain.size(), 3u);  // a, 1, 2
+  EXPECT_EQ(improved.evaluation_calls,
+            1u + improved.domain.domain.size());  // one R scan + B probes
+  EXPECT_EQ(improved.evaluation_errors, 0u);
+  const std::set<Tuple> truth = {{Term::Constant("a"), Term::Constant("2")}};
+  EXPECT_EQ(OracleEvaluate(q, db), truth);
+  EXPECT_EQ(improved.tuples, truth);
+  EXPECT_EQ(improved.gained, truth);
+}
+
+TEST(ImproveUnderestimateTest, SpentBudgetDropsTheDisjunctSoundly) {
+  // Three calls enumerate R, S and T; the assisted disjunct then spends
+  // its three on R, S and the first B probe and fails on the second.
+  Scenario s = Example8DomainEnum();
+  DatabaseSource source(&s.database, &s.catalog);
+  DomainEnumOptions options;
+  options.max_calls = 3;
+  ImprovedUnderestimate improved =
+      ImproveUnderestimate(s.query, s.catalog, &source, options);
+  ASSERT_TRUE(improved.ok) << improved.error;
+  EXPECT_GE(improved.evaluation_errors, 1u);
+  EXPECT_LE(improved.evaluation_calls, options.max_calls);
+  const ExecutionResult plain =
+      Execute(PlanStar(s.query, s.catalog).under, s.catalog, &source);
+  ASSERT_TRUE(plain.ok);
+  const std::set<Tuple> truth = OracleEvaluate(s.query, s.database);
+  for (const Tuple& t : plain.tuples) EXPECT_TRUE(improved.tuples.count(t));
+  for (const Tuple& t : improved.tuples) EXPECT_TRUE(truth.count(t));
+}
+
+TEST(ImproveUnderestimateTest, SoundOnRandomQueries) {
+  // under ⊆ improved ⊆ Q(D) on random UCQ¬s with negation, with the
+  // budget never spent.
+  std::mt19937 rng(20041);
+  RandomSchemaOptions schema;
+  schema.num_relations = 4;
+  schema.input_slot_prob = 0.5;
+  RandomQueryOptions query;
+  query.num_literals = 3;
+  query.num_variables = 4;
+  query.negation_prob = 0.3;
+  query.head_arity = 2;
+  RandomInstanceOptions instance;
+  instance.domain_size = 5;
+  instance.tuples_per_relation = 8;
+  int dismissed = 0;
+  int gained = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    Catalog catalog = RandomCatalog(&rng, schema);
+    UnionQuery q = RandomUcq(&rng, catalog, query, 2);
+    Database db = RandomDatabase(&rng, catalog, instance);
+    DatabaseSource source(&db, &catalog);
+    const PlanStarResult plans = PlanStar(q, catalog);
+    for (const DisjunctPlan& plan : plans.disjuncts) {
+      if (plan.answerable.has_value() && !plan.unanswerable.empty()) {
+        ++dismissed;
+      }
+    }
+    const ExecutionResult plain = Execute(plans.under, catalog, &source);
+    ASSERT_TRUE(plain.ok) << plain.error;
+    ImprovedUnderestimate improved = ImproveUnderestimate(q, catalog, &source);
+    ASSERT_TRUE(improved.ok) << improved.error;
+    ASSERT_FALSE(improved.domain.budget_exhausted);
+    ASSERT_EQ(improved.evaluation_errors, 0u) << q.ToString();
+    const std::set<Tuple> truth = OracleEvaluate(q, db);
+    for (const Tuple& t : plain.tuples) {
+      EXPECT_TRUE(improved.tuples.count(t)) << q.ToString();
+    }
+    for (const Tuple& t : improved.tuples) {
+      EXPECT_TRUE(truth.count(t))
+          << q.ToString() << ": unsound " << TupleToString(t);
+    }
+    if (!improved.gained.empty()) ++gained;
+  }
+  // The sample exercises the rewrite, not only plans that are complete.
+  EXPECT_GT(dismissed, 10);
+  EXPECT_GT(gained, 0);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 # tsan_gate.cmake — the tier-1 hook for the ThreadSanitizer preset: the
-# `concurrency`- and `operator`-labeled tests (parallel waves, the shared
-# cache's single-flight protocol, clock overlap accounting, pipelined
-# execution, the operator-DAG executor's racing disjunct chains) must be
-# race-clean, not just green.
+# `concurrency`-, `operator`- and `delta`-labeled tests (parallel waves,
+# the shared cache's single-flight protocol, clock overlap accounting,
+# pipelined execution, the operator-DAG executor's racing disjunct chains,
+# domain enumeration's waves and its dom-assisted disjuncts on the DAG,
+# standing-query maintenance) must be race-clean, not just green.
 #
 # Run as a script:
 #   cmake -DREPO_ROOT=<repo> -P tsan_gate.cmake

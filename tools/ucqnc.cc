@@ -773,12 +773,11 @@ int main(int argc, char** argv) {
          {std::pair<const char*, const UnionQuery*>{"exact", &plan.exact},
           {"padded", &plan.padded}}) {
       for (const ConjunctiveQuery& disjunct : disjuncts->disjuncts()) {
+        const LoweredChain chain = LowerDisjunct(disjunct, *catalog, *model);
         std::printf("disjunct %zu (%s): %s\n%s%s", ++d, tag,
                     disjunct.ToString().c_str(),
-                    ExplainPlan(disjunct, *catalog, *model).ToString().c_str(),
-                    LowerDisjunct(disjunct, *catalog, *model)
-                        .ToString()
-                        .c_str());
+                    ExplainPlan(chain, *model).ToString().c_str(),
+                    chain.ToString().c_str());
       }
     }
   }
