@@ -24,6 +24,12 @@
 //    the virtual time spent backing off.
 //  * BM_StackOverhead — the full stack on an in-memory source, i.e. the
 //    pure decorator cost when nothing goes wrong.
+//  * BM_BackendCall — the bottom of every stack alone: real time per
+//    physical call through FaultInjectingSource (200us simulated
+//    latency, no faults, as bench/e2e runs it) into DatabaseSource, for
+//    a scan and a keyed probe of a 32- and a 256-tuple relation. The
+//    `backend` block of BENCH_runtime.json records it beside the
+//    simulated numbers.
 //  * BM_ParallelFanout — the paper's cost model head-on: one seed call
 //    fanning out into k = 64 keyed calls of 500us each. The executor
 //    batches the fan-out into one wave and the parallel dispatcher
@@ -920,6 +926,83 @@ void BM_CostModelSlowService(benchmark::State& state) {
 }
 BENCHMARK(BM_CostModelSlowService)->ArgsProduct({{500, 5000}, {0, 1}});
 
+// Physical calls per timed run of the backend arm.
+constexpr std::size_t kBackendCalls = 4096;
+
+struct BackendRun {
+  std::uint64_t calls = 0;
+  std::uint64_t rows = 0;
+  double real_ns_per_call = 0;
+};
+
+// `kBackendCalls` single calls through FaultInjectingSource into
+// DatabaseSource, against a two-column relation of `tuples` rows with
+// four rows per key: scans return every row, keyed calls rotate over
+// the keys. One warm-up pass first builds whatever the backend builds
+// lazily, so the timed calls are steady state.
+BackendRun RunBackend(bool probe, std::size_t tuples) {
+  const Catalog catalog = Catalog::MustParse("relation Rel/2: oo io\n");
+  Database db;
+  const std::size_t keys = tuples / 4;
+  for (std::size_t i = 0; i < tuples; ++i) {
+    db.Insert("Rel", {Term::Constant("backend-key-" + std::to_string(i % keys)),
+                      Term::Constant("backend-value-" + std::to_string(i))});
+  }
+  const AccessPattern pattern = AccessPattern::MustParse(probe ? "io" : "oo");
+  std::vector<EncodedTuple> signatures;
+  for (std::size_t k = 0; k < (probe ? keys : 1); ++k) {
+    std::vector<std::optional<Term>> inputs(2);
+    if (probe) inputs[0] = Term::Constant("backend-key-" + std::to_string(k));
+    signatures.push_back(EncodeSignature(pattern, inputs));
+  }
+  SimulatedClock clock;
+  DatabaseSource backend(&db, &catalog);
+  FaultPlan plan;
+  plan.latency_micros = 200;
+  FaultInjectingSource faults(&backend, plan, &clock);
+  auto call = [&](std::size_t i) {
+    return faults
+        .FetchEncoded("Rel", pattern, {signatures[i % signatures.size()]},
+                      CallShape::kSingle)
+        .front()
+        .rows->size();
+  };
+  BackendRun run;
+  for (std::size_t i = 0; i < signatures.size(); ++i) call(i);
+  const auto start = std::chrono::steady_clock::now();
+  for (std::size_t i = 0; i < kBackendCalls; ++i) run.rows += call(i);
+  const auto elapsed = std::chrono::duration_cast<std::chrono::nanoseconds>(
+      std::chrono::steady_clock::now() - start);
+  run.calls = kBackendCalls;
+  run.real_ns_per_call = static_cast<double>(elapsed.count()) /
+                         static_cast<double>(kBackendCalls);
+  return run;
+}
+
+// Best of five: the arm is CPU-bound, so min filters scheduler noise.
+BackendRun BestBackendRun(bool probe, std::size_t tuples) {
+  BackendRun best = RunBackend(probe, tuples);
+  for (int rep = 1; rep < 5; ++rep) {
+    BackendRun run = RunBackend(probe, tuples);
+    if (run.real_ns_per_call < best.real_ns_per_call) best = run;
+  }
+  return best;
+}
+
+void BM_BackendCall(benchmark::State& state) {
+  const bool probe = state.range(0) != 0;
+  const auto tuples = static_cast<std::size_t>(state.range(1));
+  BackendRun run;
+  for (auto _ : state) {
+    run = RunBackend(probe, tuples);
+    benchmark::DoNotOptimize(run);
+  }
+  state.counters["real_ns_per_call"] = run.real_ns_per_call;
+  state.counters["rows_per_call"] =
+      static_cast<double>(run.rows) / static_cast<double>(run.calls);
+}
+BENCHMARK(BM_BackendCall)->ArgsProduct({{0, 1}, {32, 256}});
+
 // Machine-readable summary of the fan-out sweep, for EXPERIMENTS.md and
 // CI trend lines.
 void WriteBenchJson(const char* path) {
@@ -1048,6 +1131,22 @@ void WriteBenchJson(const char* path) {
               ", \"sim_wall_us\": " + std::to_string(run.sim_wall_micros) +
               ", \"answers_match\": " +
               (run.answers == baseline.answers ? "true" : "false") + "}";
+    }
+  }
+  json += "]}, \"backend\": {\"latency_us\": 200, \"calls\": " +
+          std::to_string(kBackendCalls) + ", \"runs\": [";
+  first = true;
+  for (bool probe : {false, true}) {
+    for (std::size_t tuples : {std::size_t{32}, std::size_t{256}}) {
+      const BackendRun run = BestBackendRun(probe, tuples);
+      if (!first) json += ", ";
+      first = false;
+      json += "{\"pattern\": \"" + std::string(probe ? "probe" : "scan") +
+              "\", \"tuples\": " + std::to_string(tuples) +
+              ", \"rows_per_call\": " + std::to_string(run.rows / run.calls) +
+              ", \"real_ns_per_call\": " +
+              std::to_string(static_cast<std::uint64_t>(run.real_ns_per_call)) +
+              "}";
     }
   }
   json += "]}, \"daemon_warm_start\": ";

@@ -1,5 +1,7 @@
 #include "eval/database.h"
 
+#include <atomic>
+
 #include "ast/parser.h"
 #include "util/logging.h"
 #include "util/strings.h"
@@ -20,28 +22,45 @@ std::string TupleSetToString(const std::set<Tuple>& tuples) {
   return StrJoin(lines, "\n");
 }
 
+namespace {
+
+std::uint64_t NextVersion() {
+  static std::atomic<std::uint64_t> last{0};
+  return last.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
+}  // namespace
+
 void Database::Insert(const std::string& relation, Tuple tuple) {
   for (const Term& t : tuple) {
     UCQN_CHECK_MSG(t.IsGround(), "database tuples must be ground");
   }
-  auto it = relations_.find(relation);
-  if (it != relations_.end() && !it->second.empty()) {
-    UCQN_CHECK_MSG(it->second.begin()->size() == tuple.size(),
+  Relation& rel = relations_[relation];
+  if (!rel.tuples.empty()) {
+    UCQN_CHECK_MSG(rel.tuples.begin()->size() == tuple.size(),
                    "relation used with inconsistent arities");
   }
-  relations_[relation].insert(std::move(tuple));
+  if (rel.tuples.insert(std::move(tuple)).second) rel.version = NextVersion();
 }
 
 bool Database::Remove(const std::string& relation, const Tuple& tuple) {
   auto it = relations_.find(relation);
-  if (it == relations_.end()) return false;
-  return it->second.erase(tuple) > 0;
+  if (it == relations_.end() || it->second.tuples.erase(tuple) == 0) {
+    return false;
+  }
+  it->second.version = NextVersion();
+  return true;
 }
 
 const std::set<Tuple>* Database::Find(const std::string& relation) const {
   auto it = relations_.find(relation);
   if (it == relations_.end()) return nullptr;
-  return &it->second;
+  return &it->second.tuples;
+}
+
+std::uint64_t Database::Version(const std::string& relation) const {
+  auto it = relations_.find(relation);
+  return it == relations_.end() ? 0 : it->second.version;
 }
 
 bool Database::Contains(const std::string& relation,
@@ -57,23 +76,23 @@ std::size_t Database::TupleCount(const std::string& relation) const {
 
 std::size_t Database::TotalTuples() const {
   std::size_t total = 0;
-  for (const auto& [name, tuples] : relations_) total += tuples.size();
+  for (const auto& [name, rel] : relations_) total += rel.tuples.size();
   return total;
 }
 
 std::vector<std::string> Database::RelationNames() const {
   std::vector<std::string> names;
   names.reserve(relations_.size());
-  for (const auto& [name, tuples] : relations_) {
-    if (!tuples.empty()) names.push_back(name);
+  for (const auto& [name, rel] : relations_) {
+    if (!rel.tuples.empty()) names.push_back(name);
   }
   return names;
 }
 
 std::set<Term> Database::ActiveDomain() const {
   std::set<Term> domain;
-  for (const auto& [name, tuples] : relations_) {
-    for (const Tuple& tuple : tuples) {
+  for (const auto& [name, rel] : relations_) {
+    for (const Tuple& tuple : rel.tuples) {
       for (const Term& t : tuple) domain.insert(t);
     }
   }
@@ -116,8 +135,8 @@ Database Database::MustParseFacts(std::string_view text) {
 
 std::string Database::ToString() const {
   std::vector<std::string> lines;
-  for (const auto& [name, tuples] : relations_) {
-    for (const Tuple& tuple : tuples) {
+  for (const auto& [name, rel] : relations_) {
+    for (const Tuple& tuple : rel.tuples) {
       std::vector<std::string> parts;
       parts.reserve(tuple.size());
       for (const Term& t : tuple) parts.push_back(t.ToString());

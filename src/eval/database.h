@@ -2,6 +2,7 @@
 #define UCQN_EVAL_DATABASE_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <set>
@@ -41,6 +42,13 @@ class Database {
 
   bool Contains(const std::string& relation, const Tuple& tuple) const;
 
+  // A stamp that changes whenever `relation` gains or loses a tuple; 0
+  // for a relation never written. Stamps are unique across every
+  // Database in the process and a copy keeps its original's, so equal
+  // stamps mean equal contents: DatabaseSource rebuilds its id rows and
+  // indexes of a relation exactly when its stamp moves.
+  std::uint64_t Version(const std::string& relation) const;
+
   // Number of tuples in `relation` (0 if absent).
   std::size_t TupleCount(const std::string& relation) const;
 
@@ -67,7 +75,11 @@ class Database {
   std::string ToString() const;
 
  private:
-  std::map<std::string, std::set<Tuple>> relations_;
+  struct Relation {
+    std::set<Tuple> tuples;
+    std::uint64_t version = 0;
+  };
+  std::map<std::string, Relation> relations_;
 };
 
 }  // namespace ucqn

@@ -164,9 +164,66 @@ std::vector<Tuple> Source::FetchOrDie(
   return std::move(result.tuples);
 }
 
-FetchResult DatabaseSource::Fetch(
+DatabaseSource::RelationRows& DatabaseSource::RefreshLocked(
+    const std::string& relation, std::size_t arity, std::uint64_t version) {
+  RelationRows& rel = relations_[relation];
+  if (rel.rows != nullptr && rel.version == version) return rel;
+  rel.version = version;
+  rel.indexes.clear();
+  const std::set<Tuple>* tuples = db_->Find(relation);
+  if (tuples == nullptr || tuples->empty()) {
+    rel.rows = NoRows(arity);
+    return rel;
+  }
+  TermDictionary& dict = TermDictionary::Global();
+  auto rows = std::make_shared<EncodedRows>(arity);
+  rows->Reserve(tuples->size());
+  EncodedTuple ids(arity);
+  for (const Tuple& tuple : *tuples) {
+    // A stored tuple whose arity disagrees with the declared schema is a
+    // data-loading bug; indexing it by pattern position would be UB.
+    UCQN_CHECK_MSG(tuple.size() == arity,
+                   "stored tuple arity mismatches the relation's declared "
+                   "arity");
+    for (std::size_t j = 0; j < arity; ++j) {
+      ids[j] = dict.EncodeGround(tuple[j]);
+    }
+    rows->Append(ids.data());
+  }
+  rel.rows = std::move(rows);
+  return rel;
+}
+
+const DatabaseSource::Buckets* DatabaseSource::FindIndex(
+    const RelationRows& rel, const AccessPattern& pattern) {
+  for (const PatternIndex& index : rel.indexes) {
+    if (index.word == pattern.word()) return &index.buckets;
+  }
+  return nullptr;
+}
+
+const DatabaseSource::Buckets& DatabaseSource::BuildIndexLocked(
+    RelationRows* rel, const AccessPattern& pattern) {
+  if (const Buckets* built = FindIndex(*rel, pattern)) return *built;
+  const std::vector<std::size_t> slots = pattern.InputSlots();
+  PatternIndex& index =
+      rel->indexes.emplace_back(PatternIndex{pattern.word(), Buckets()});
+  const EncodedRows& rows = *rel->rows;
+  EncodedTuple key(rows.arity(), TermDictionary::kAbsentId);
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    const std::uint32_t* row = rows.Row(r);
+    for (std::size_t slot : slots) key[slot] = row[slot];
+    std::shared_ptr<EncodedRows>& bucket = index.buckets[key];
+    if (bucket == nullptr) bucket = std::make_shared<EncodedRows>(rows.arity());
+    bucket->Append(row);
+  }
+  return index.buckets;
+}
+
+std::vector<EncodedFetchResult> DatabaseSource::FetchEncoded(
     const std::string& relation, const AccessPattern& pattern,
-    const std::vector<std::optional<Term>>& inputs) {
+    const std::vector<EncodedTuple>& signatures, CallShape /*shape*/) {
+  if (signatures.empty()) return {};
   const RelationSchema* schema = catalog_->Find(relation);
   UCQN_CHECK_MSG(schema != nullptr, "fetch of undeclared relation");
   UCQN_CHECK_MSG(schema->HasPattern(pattern),
@@ -174,44 +231,68 @@ FetchResult DatabaseSource::Fetch(
   UCQN_CHECK_MSG(pattern.arity() == schema->arity(),
                  "fetch pattern arity must match the relation's declared "
                  "arity");
-  UCQN_CHECK_MSG(inputs.size() == schema->arity(),
-                 "fetch inputs must have one entry per declared slot");
-  for (std::size_t j = 0; j < pattern.arity(); ++j) {
-    if (pattern.IsInputSlot(j)) {
-      UCQN_CHECK_MSG(inputs[j].has_value() && inputs[j]->IsGround(),
-                     "input slot requires a ground value");
+  const bool scan = pattern.word().find('i') == std::string::npos;
+  for (const EncodedTuple& signature : signatures) {
+    UCQN_CHECK_MSG(signature.size() == schema->arity(),
+                   "fetch inputs must have one entry per declared slot");
+    for (std::size_t j = 0; j < pattern.arity(); ++j) {
+      if (pattern.IsInputSlot(j)) {
+        UCQN_CHECK_MSG(signature[j] != TermDictionary::kAbsentId,
+                       "input slot requires a ground value");
+      } else {
+        UCQN_CHECK_MSG(signature[j] == TermDictionary::kAbsentId,
+                       "output slot of a call signature carries a value");
+      }
     }
   }
 
-  std::vector<Tuple> result;
-  const std::set<Tuple>* tuples = db_->Find(relation);
-  if (tuples != nullptr) {
-    for (const Tuple& tuple : *tuples) {
-      // A stored tuple whose arity disagrees with the declared schema is a
-      // data-loading bug; indexing it by pattern position would be UB.
-      UCQN_CHECK_MSG(tuple.size() == schema->arity(),
-                     "stored tuple arity mismatches the relation's declared "
-                     "arity");
-      bool matches = true;
-      for (std::size_t j = 0; j < pattern.arity(); ++j) {
-        if (pattern.IsInputSlot(j) && tuple[j] != *inputs[j]) {
-          matches = false;
-          break;
-        }
+  std::vector<EncodedFetchResult> results;
+  results.reserve(signatures.size());
+  std::uint64_t tuples = 0;
+  auto answer = [&](const RelationRows& rel, const Buckets* index) {
+    for (const EncodedTuple& signature : signatures) {
+      SharedRows rows = rel.rows;
+      if (index != nullptr) {
+        auto bucket = index->find(signature);
+        rows = bucket == index->end() ? NoRows(pattern.arity())
+                                      : bucket->second;
       }
-      if (matches) result.push_back(tuple);
+      tuples += rows->size();
+      results.push_back(EncodedFetchResult::Ok(std::move(rows)));
     }
+  };
+  // Most waves find the relation's rows current and the pattern's index
+  // built, and answer under the shared lock; the first wave after a
+  // change builds them under the exclusive one.
+  const std::uint64_t version = db_->Version(relation);
+  bool answered = false;
+  {
+    std::shared_lock<std::shared_mutex> lock(index_mu_);
+    auto it = relations_.find(relation);
+    if (it != relations_.end() && it->second.rows != nullptr &&
+        it->second.version == version) {
+      const Buckets* index = scan ? nullptr : FindIndex(it->second, pattern);
+      if (scan || index != nullptr) {
+        answer(it->second, index);
+        answered = true;
+      }
+    }
+  }
+  if (!answered) {
+    std::unique_lock<std::shared_mutex> lock(index_mu_);
+    RelationRows& rel = RefreshLocked(relation, schema->arity(), version);
+    answer(rel, scan ? nullptr : &BuildIndexLocked(&rel, pattern));
   }
 
   {
     std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.calls;
-    stats_.tuples_returned += result.size();
+    stats_.calls += signatures.size();
+    stats_.tuples_returned += tuples;
     SourceStats& rel_stats = per_relation_stats_[relation];
-    ++rel_stats.calls;
-    rel_stats.tuples_returned += result.size();
+    rel_stats.calls += signatures.size();
+    rel_stats.tuples_returned += tuples;
   }
-  return FetchResult::Ok(std::move(result));
+  return results;
 }
 
 void DatabaseSource::ResetStats() {

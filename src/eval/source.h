@@ -6,7 +6,9 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <shared_mutex>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -82,6 +84,8 @@ class EncodedRows {
     return ids_.data() + r * arity_;
   }
 
+  // Room for `rows` rows without reallocating.
+  void Reserve(std::size_t rows) { ids_.reserve(rows * arity_); }
   // Appends one row of arity() ids.
   void Append(const std::uint32_t* row) {
     ids_.insert(ids_.end(), row, row + arity_);
@@ -223,20 +227,35 @@ class EncodedSource : public Source {
 // interface contract (values required at input slots, no output-side
 // filtering), with call accounting in place of network cost.
 //
-// Fetch is safe to call from multiple threads (a ParallelSource worker
-// pool fans batched waves out over the transport); the database itself is
-// read-only during execution, so only the statistics need the lock. The
-// stats accessors are meant for after-the-wave inspection, not for
-// concurrent reading while a wave is in flight.
-class DatabaseSource : public Source {
+// It answers in ids. The first call to a relation encodes its tuples
+// once into id rows, in the relation's string order; the first call
+// through a pattern with input slots builds that pattern's hash index,
+// keyed by the input-slot ids — an access method is a selection on its
+// input slots (Benedikt, Bourhis and Ley), and the index is that
+// selection made physical. Each key present in the data owns one bucket
+// of shared rows, its matches in string order, so a probe returns a
+// pointer that a cache above stores as is; a key with no match shares
+// the one empty result, and a scan pattern returns the relation's rows.
+// Rows and indexes of a relation are rebuilt on its first call after
+// Database::Version reports a change.
+//
+// FetchEncoded is safe to call from multiple threads (a ParallelSource
+// worker pool fans batched waves out over the transport; the daemon's
+// sessions share one backend): readers of built indexes share a lock,
+// and a build takes it exclusively. The database must not change while
+// a call is in flight (the daemon's delta op holds its backend lock
+// exclusively); between calls it may. The stats accessors are meant for
+// after-the-wave inspection, not for concurrent reading while a wave is
+// in flight.
+class DatabaseSource : public EncodedSource {
  public:
   // Does not take ownership; `db` and `catalog` must outlive the source.
   DatabaseSource(const Database* db, const Catalog* catalog)
       : db_(db), catalog_(catalog) {}
 
-  FetchResult Fetch(
+  std::vector<EncodedFetchResult> FetchEncoded(
       const std::string& relation, const AccessPattern& pattern,
-      const std::vector<std::optional<Term>>& inputs) override;
+      const std::vector<EncodedTuple>& signatures, CallShape shape) override;
 
   // Aggregate statistics across all relations.
   const SourceStats& stats() const { return stats_; }
@@ -247,9 +266,39 @@ class DatabaseSource : public Source {
   void ResetStats();
 
  private:
+  // The non-empty buckets of one pattern, keyed by call signature
+  // (input-slot ids, kAbsentId at the output slots). Rows are never
+  // written after the build.
+  using Buckets = std::unordered_map<EncodedTuple,
+                                     std::shared_ptr<EncodedRows>,
+                                     EncodedTupleHash>;
+  struct PatternIndex {
+    std::string word;
+    Buckets buckets;
+  };
+  struct RelationRows {
+    std::uint64_t version = 0;
+    SharedRows rows;  // every tuple, in string order; null until built
+    std::vector<PatternIndex> indexes;
+  };
+
+  // `relation`'s rows, rebuilt (and its indexes dropped) unless they were
+  // built at `version`. Caller holds index_mu_ exclusively.
+  RelationRows& RefreshLocked(const std::string& relation,
+                              std::size_t arity, std::uint64_t version);
+  // The pattern's index, or nullptr if not built yet.
+  static const Buckets* FindIndex(const RelationRows& rel,
+                                  const AccessPattern& pattern);
+  // The pattern's index, built on first use. Caller holds index_mu_
+  // exclusively.
+  static const Buckets& BuildIndexLocked(RelationRows* rel,
+                                         const AccessPattern& pattern);
+
   const Database* db_;
   const Catalog* catalog_;
-  std::mutex mu_;
+  std::shared_mutex index_mu_;  // guards relations_
+  std::unordered_map<std::string, RelationRows> relations_;
+  std::mutex mu_;  // guards the stats
   SourceStats stats_;
   std::map<std::string, SourceStats> per_relation_stats_;
 };

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
-#include <random>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -61,13 +60,20 @@ struct FaultPlan {
 // FetchStatus::kTransientError; latency is charged to the clock so
 // MeteredSource (sharing the same clock) observes it.
 //
+// It answers in ids: each request of a wave is slept and judged in
+// order, and the requests that survive reach the inner source as one
+// wave of the same shape.
+//
 // Safe for concurrent use: ParallelSource fans batched waves out over
-// the transport, so Fetch may run on several pool threads at once. All
-// per-call randomness (latency jitter, probabilistic failure) is seeded
-// from the plan seed plus the *request's content* — its call signature
-// and per-signature occurrence number — never from global arrival order,
-// so a wave injects the same faults however its threads interleave.
-class FaultInjectingSource : public Source {
+// the transport, so FetchEncoded may run on several pool threads at
+// once. All per-call randomness (latency jitter, probabilistic failure)
+// is seeded from the plan seed plus the *request's content* — its call
+// signature and per-signature occurrence number — never from global
+// arrival order, so a wave injects the same faults however its threads
+// interleave. Occurrences are counted only for the requests whose
+// outcome depends on them (fail_first_per_key, jitter, a failure
+// probability), and a request's generator is seeded only when it draws.
+class FaultInjectingSource : public EncodedSource {
  public:
   struct FaultStats {
     std::uint64_t calls = 0;
@@ -81,9 +87,9 @@ class FaultInjectingSource : public Source {
   FaultInjectingSource(Source* inner, FaultPlan plan, Clock* clock = nullptr)
       : inner_(inner), plan_(plan), clock_(clock) {}
 
-  FetchResult Fetch(
+  std::vector<EncodedFetchResult> FetchEncoded(
       const std::string& relation, const AccessPattern& pattern,
-      const std::vector<std::optional<Term>>& inputs) override;
+      const std::vector<EncodedTuple>& signatures, CallShape shape) override;
 
   const FaultStats& fault_stats() const { return stats_; }
 
@@ -93,7 +99,11 @@ class FaultInjectingSource : public Source {
   Clock* clock_;
   std::mutex mu_;
   FaultStats stats_;
-  std::unordered_map<std::string, std::uint64_t> per_key_calls_;
+  // Calls so far per relation^pattern, then per call signature.
+  std::unordered_map<
+      std::string,
+      std::unordered_map<EncodedTuple, std::uint64_t, EncodedTupleHash>>
+      per_key_calls_;
 };
 
 }  // namespace ucqn

@@ -121,6 +121,19 @@ TEST_F(DatabaseSourceDeathTest, EnforcesInputValues) {
                "input slot requires a ground value");
 }
 
+TEST_F(DatabaseSourceDeathTest, RejectsSignatureValueAtOutputSlot) {
+  // A call signature carries ids at input slots only (footnote 4); the
+  // string Fetch drops values at output slots before encoding, so only a
+  // malformed id signature can carry one.
+  DatabaseSource source(&db_, &catalog_);
+  const AccessPattern oio = AccessPattern::MustParse("oio");
+  EncodedTuple signature = EncodeSignature(
+      oio, {std::nullopt, Term::Constant("Knuth"), std::nullopt});
+  signature[0] = TermDictionary::Global().Intern("1");
+  EXPECT_DEATH(source.FetchEncoded("B", oio, {signature}, CallShape::kSingle),
+               "output slot of a call signature carries a value");
+}
+
 TEST_F(DatabaseSourceDeathTest, EnforcesDeclaredRelation) {
   DatabaseSource source(&db_, &catalog_);
   EXPECT_DEATH(

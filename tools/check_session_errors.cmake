@@ -3,8 +3,10 @@
 # keeps running the blocks after it, and exits nonzero at the end. A
 # standing query whose maintenance and rebuild both fail must print its
 # error from then on, never a bracket. A call budget that runs out after
-# ANSWER* is one diagnostic line and exit 1. `--cost-model static` names
-# the default: its stdout equals the flag-less run's.
+# ANSWER* is one diagnostic line and exit 1. An unsafe query is one
+# diagnostic line and exit 2 (in a session, a skipped block).
+# `--cost-model static` names the default: its stdout equals the
+# flag-less run's.
 #
 # Run as a script:
 #   cmake -DUCQNC=<path-to-ucqnc> -DWORK_DIR=<scratch dir> \
@@ -149,6 +151,43 @@ endforeach()
 if(NOT default_out STREQUAL static_out)
   message(FATAL_ERROR "--cost-model static changed ucqnc's stdout; default:\n"
       "${default_out}\n--cost-model static:\n${static_out}")
+endif()
+
+# An unsafe query (y occurs in no positive body literal) is input the
+# algorithms cannot take: --query rejects it with one line and exit 2,
+# with or without --facts, and a --queries block is skipped like any
+# other bad block.
+set(unsafe "${WORK_DIR}/unsafe")
+file(WRITE "${unsafe}_schema.txt" "relation R/1: o\n")
+file(WRITE "${unsafe}_facts.txt" "R(\"a\").\n")
+file(WRITE "${unsafe}_query.txt" "Q(x, y) :- R(x).\n")
+foreach(facts_flags "" "--facts;${unsafe}_facts.txt")
+  execute_process(COMMAND "${UCQNC}" --schema "${unsafe}_schema.txt"
+      --query "${unsafe}_query.txt" ${facts_flags}
+      OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
+  string(REGEX MATCHALL "\n" newlines "${err}")
+  list(LENGTH newlines n_lines)
+  string(FIND "${err}" "query error: unsafe disjunct 1" at)
+  if(NOT rc EQUAL 2 OR NOT n_lines EQUAL 1 OR NOT at EQUAL 0)
+    message(FATAL_ERROR "unsafe --query (${facts_flags}): expected exit 2 "
+        "and one diagnostic line, got exit ${rc} and stderr:\n${err}")
+  endif()
+endforeach()
+file(WRITE "${unsafe}_queries.txt"
+    "Q(x) :- R(x).\n---\nQ(x, y) :- R(x).\n---\nQ(x) :- R(x).\n")
+execute_process(COMMAND "${UCQNC}" --schema "${unsafe}_schema.txt"
+    --queries "${unsafe}_queries.txt" --facts "${unsafe}_facts.txt"
+    OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
+if(NOT rc EQUAL 1)
+  message(FATAL_ERROR "session with an unsafe block exited ${rc}:\n${err}")
+endif()
+expect_contains(stderr "${err}" "query 2 error: unsafe disjunct 1")
+expect_contains(stdout "${out}" "query 2: skipped (unsafe query)")
+string(REGEX MATCHALL "answers: [0-9]+ under" answered "${out}")
+list(LENGTH answered n_answered)
+if(NOT n_answered EQUAL 2)
+  message(FATAL_ERROR
+      "expected 2 answered queries around the unsafe block, saw ${n_answered}:\n${out}")
 endif()
 
 message(STATUS "malformed --queries blocks are diagnosed and skipped; the session continues")

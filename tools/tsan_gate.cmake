@@ -3,7 +3,9 @@
 # the shared cache's single-flight protocol, clock overlap accounting,
 # pipelined execution, the operator-DAG executor's racing disjunct chains,
 # domain enumeration's waves and its dom-assisted disjuncts on the DAG,
-# standing-query maintenance) must be race-clean, not just green.
+# standing-query maintenance, the backend's lazily built indexes and
+# seeded fault injection under parallel waves) must be race-clean, not
+# just green.
 #
 # Run as a script:
 #   cmake -DREPO_ROOT=<repo> -P tsan_gate.cmake

@@ -3,7 +3,8 @@
 # tests (term dictionary, packed cache keys, columnar frontiers, the
 # encoded executor corpus, the operator-DAG regression corpus, domain
 # enumeration's id waves and dom-assisted disjuncts, standing queries,
-# the cost model and the planner) must be UB-clean, not just
+# the backend's id rows and per-pattern indexes, the cost model and the
+# planner) must be UB-clean, not just
 # green — the id-packing code memcpys raw uint32s in and out of byte
 # strings, and the planner's connectivity rule shifts 64-bit masks,
 # exactly the kind of code UBSan exists for. The preset also defines

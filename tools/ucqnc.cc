@@ -162,6 +162,21 @@ int Usage() {
   return 2;
 }
 
+// One line naming the first unsafe disjunct of `query` (a variable in no
+// positive body literal, Section 2), or empty when the query is safe.
+// PLAN* and ANSWER* assume safe queries, so they are rejected on input.
+std::string UnsafeReason(const ucqn::UnionQuery& query) {
+  for (std::size_t i = 0; i < query.size(); ++i) {
+    const ucqn::ConjunctiveQuery& disjunct = query.disjuncts()[i];
+    if (!disjunct.IsSafe()) {
+      return "unsafe disjunct " + std::to_string(i + 1) + ": " +
+             disjunct.ToString() +
+             " (every variable must occur in a positive body literal)";
+    }
+  }
+  return "";
+}
+
 // Splits a --queries file into its query blocks: separator lines contain
 // only `---` (surrounding whitespace allowed); blank blocks are dropped.
 std::vector<std::string> SplitQueryBlocks(const std::string& text) {
@@ -377,6 +392,10 @@ int main(int argc, char** argv) {
     if (!query) {
       std::fprintf(stderr, "query error: %s\n", error.c_str());
       return 1;
+    }
+    if (const std::string unsafe = UnsafeReason(*query); !unsafe.empty()) {
+      std::fprintf(stderr, "query error: %s\n", unsafe.c_str());
+      return 2;
     }
     if (views_path != nullptr) {
       std::optional<std::string> text = ReadFile(views_path);
@@ -685,6 +704,12 @@ int main(int argc, char** argv) {
       if (!q) {
         std::fprintf(stderr, "query %zu error: %s\n", qi + 1, error.c_str());
         std::printf("\nquery %zu: skipped (parse error)\n", qi + 1);
+        status = 1;
+        continue;
+      }
+      if (const std::string unsafe = UnsafeReason(*q); !unsafe.empty()) {
+        std::fprintf(stderr, "query %zu error: %s\n", qi + 1, unsafe.c_str());
+        std::printf("\nquery %zu: skipped (unsafe query)\n", qi + 1);
         status = 1;
         continue;
       }
